@@ -95,6 +95,27 @@ func TestHeadSatisfiedAllocFree(t *testing.T) {
 	}
 }
 
+// TestHeadSatisfiedTwoAtomAllocFree: the seeded plan of a qualified
+// existential's head, r(X,Z), c(Z) with X bound, walks a posting chain
+// and probes a second level, and must stay allocation-free both when
+// the head is satisfied and when it is not.
+func TestHeadSatisfiedTwoAtomAllocFree(t *testing.T) {
+	e, in := saturatedEngine(t, "e(X,Y) -> r(X,Z), c(Z).", chainDB(16), Restricted)
+	a, _ := in.Terms.LookupConst("a0")
+	last, _ := in.Terms.LookupConst("a16")
+	cr := &e.rules[0]
+	hit, miss := []instance.TermID{a}, []instance.TermID{last}
+	if !e.headSatisfied(cr, hit) || e.headSatisfied(cr, miss) {
+		t.Fatal("setup: the head must be satisfied for a0 only")
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		e.headSatisfied(cr, hit)
+		e.headSatisfied(cr, miss)
+	}); n != 0 {
+		t.Errorf("two-atom headSatisfied allocates %v per run, want 0", n)
+	}
+}
+
 func TestDiscoverRediscoveryAllocFree(t *testing.T) {
 	e, in := saturatedEngine(t, "e(X,Y) -> r(X,Y).", chainDB(16), SemiOblivious)
 	a, _ := in.Terms.LookupConst("a3")

@@ -519,10 +519,7 @@ func compileRule(in *instance.Instance, ri int, r *logic.TGD, cr *compiledRule, 
 		})
 	}
 	cr.head = ar.heads[haStart:len(ar.heads):len(ar.heads)]
-	// The head compiled as a body-style pattern whose first variables are
-	// the frontier, in order — the restricted-chase satisfaction check
-	// binds them from the trigger.
-	hp, err := ar.ps.Compile(in, r.Head, fr)
+	hp, err := compileHeadPattern(&ar.ps, in, fr, r.Head)
 	if err != nil {
 		return err
 	}
@@ -530,11 +527,14 @@ func compileRule(in *instance.Instance, ri int, r *logic.TGD, cr *compiledRule, 
 	return nil
 }
 
-// compileHeadPattern compiles head atoms into a pattern whose variables
+// compileHeadPattern compiles head atoms, drawing storage from ps (nil:
+// fresh storage), into a body-style pattern whose variables
 // 0..len(frontier)-1 are the frontier variables in order; existential
-// variables follow.
-func compileHeadPattern(in *instance.Instance, frontier []logic.Variable, head []logic.Atom) (*instance.Pattern, error) {
-	return (*instance.PatternSet)(nil).Compile(in, head, frontier)
+// variables follow. The frontier is the pattern's seed: every
+// restricted-chase satisfaction check binds it from the trigger, and the
+// head's join plan starts from the atoms that hold it.
+func compileHeadPattern(ps *instance.PatternSet, in *instance.Instance, frontier []logic.Variable, head []logic.Atom) (*instance.Pattern, error) {
+	return ps.Compile(in, head, frontier)
 }
 
 // offer registers a discovered homomorphism as a trigger, deduplicating by

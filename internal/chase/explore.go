@@ -155,7 +155,7 @@ func activeTriggers(in *instance.Instance, rs *logic.RuleSet) ([]choice, error) 
 			return nil, err
 		}
 		frontier := r.Frontier()
-		headPat, err := compileHeadForExplore(in, frontier, r.Head)
+		headPat, err := compileHeadPattern(nil, in, frontier, r.Head)
 		if err != nil {
 			return nil, err
 		}
@@ -183,12 +183,6 @@ func activeTriggers(in *instance.Instance, rs *logic.RuleSet) ([]choice, error) 
 		})
 	}
 	return out, nil
-}
-
-func compileHeadForExplore(in *instance.Instance, frontier []logic.Variable, head []logic.Atom) (*instance.Pattern, error) {
-	// Reuse the engine's head-pattern compiler shape: frontier variables
-	// first, in order.
-	return compileHeadPattern(in, frontier, head)
 }
 
 // termToLogic renders an instance term back into a logic constant (nulls

@@ -2,6 +2,7 @@ package instance
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -222,6 +223,63 @@ func TestFindHomsInitialBinding(t *testing.T) {
 	}
 	if !in.HasHom(pat, init) {
 		t.Error("HasHom with initial binding failed")
+	}
+}
+
+// TestSeededPlanStartsAtSeed: the unanchored plan of a seeded pattern
+// treats the seed variables as bound. For the head r(X,Y), c(Y) of a
+// qualified existential with frontier X, the plan must walk the r edges
+// out of the bound X and probe c(y) per edge, instead of scanning the
+// whole c extent, wherever the seeded atom sits in the pattern. Anchored
+// enumerations never see the seed binding, so their plans ignore it.
+func TestSeededPlanStartsAtSeed(t *testing.T) {
+	in := New()
+	x, y := logic.Variable("X"), logic.Variable("Y")
+	r, c := logic.NewAtom("r", x, y), logic.NewAtom("c", y)
+	for _, tc := range []struct {
+		atoms []logic.Atom
+		want  [][]int32
+	}{
+		{[]logic.Atom{r, c}, [][]int32{{0, 1}, {1}, {0}}},
+		{[]logic.Atom{c, r}, [][]int32{{1, 0}, {1}, {0}}},
+	} {
+		p, err := (*PatternSet)(nil).Compile(in, tc.atoms, []logic.Variable{x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.seeds != 1 {
+			t.Errorf("%v: seeds = %d, want 1", tc.atoms, p.seeds)
+		}
+		if !reflect.DeepEqual(p.plans, tc.want) {
+			t.Errorf("%v seeded by X: plans %v, want %v", tc.atoms, p.plans, tc.want)
+		}
+	}
+}
+
+// TestUnseededPlansUnchanged pins the plans of unseeded patterns: the
+// greedy selectivity order, ties broken toward fewer free variables and
+// then the lower index.
+func TestUnseededPlansUnchanged(t *testing.T) {
+	in := New()
+	x, y, z := logic.Variable("X"), logic.Variable("Y"), logic.Variable("Z")
+	for _, tc := range []struct {
+		atoms []logic.Atom
+		want  [][]int32
+	}{
+		{[]logic.Atom{logic.NewAtom("r", x, y), logic.NewAtom("c", y)}, [][]int32{{1, 0}, {1}, {0}}},
+		{[]logic.Atom{logic.NewAtom("e", x, y), logic.NewAtom("e", y, z)}, [][]int32{{0, 1}, {1}, {0}}},
+		{[]logic.Atom{logic.NewAtom("e", x, y), logic.NewAtom("e", y, z), logic.NewAtom("e", z, x)},
+			[][]int32{{0, 1, 2}, {1, 2}, {0, 2}, {0, 1}}},
+		{[]logic.Atom{logic.NewAtom("e", x, y), logic.NewAtom("e", y, logic.Constant("k"))},
+			[][]int32{{1, 0}, {1}, {0}}},
+	} {
+		p := mustCompile(t, in, tc.atoms)
+		if p.seeds != 0 {
+			t.Errorf("%v: seeds = %d, want 0", tc.atoms, p.seeds)
+		}
+		if !reflect.DeepEqual(p.plans, tc.want) {
+			t.Errorf("%v: plans %v, want %v", tc.atoms, p.plans, tc.want)
+		}
 	}
 }
 

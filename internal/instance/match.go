@@ -22,12 +22,21 @@ type PatternAtom struct {
 
 // Pattern is a compiled conjunction of atoms over variables indexed
 // 0..NumVars-1, ready for homomorphism enumeration against an instance.
+// A pattern compiled with seed variables (PatternSet.Compile) plans its
+// unanchored enumeration with the seeds bound, as its callers bind them.
 type Pattern struct {
 	Atoms   []PatternAtom
 	NumVars int
 	// VarNames maps the dense variable index back to the source variable,
 	// for diagnostics.
 	VarNames []logic.Variable
+
+	// seeds counts the leading variables 0..seeds-1 that callers bind
+	// through the initial binding of FindHomsWith/HasHomWith (the
+	// frontier of a head pattern, see PatternSet.Compile). The
+	// unanchored plan treats them as bound, so it starts from the atoms
+	// that hold them.
+	seeds int
 
 	// plans[0] is the static join order for an unanchored enumeration;
 	// plans[1+a] the order (excluding atom a) when atom a is the anchor.
@@ -67,9 +76,11 @@ func (ps *PatternSet) pattern() *Pattern {
 }
 
 // Compile compiles a conjunction of atoms like CompileBody, drawing
-// storage from the set. seedVars, when non-nil, pre-binds the first
-// variable indexes in order (the chase uses this to put a rule's frontier
-// first in its head pattern).
+// storage from the set. seedVars, when non-nil, takes the first variable
+// indexes in order and is recorded as the pattern's seeds: the
+// unanchored plan treats the seed variables as bound, because the caller
+// binds them (the chase puts a rule's frontier first in its head pattern
+// and binds it from the trigger).
 func (ps *PatternSet) Compile(in *Instance, atoms []logic.Atom, seedVars []logic.Variable) (*Pattern, error) {
 	if ps == nil {
 		ps = &PatternSet{}
@@ -78,6 +89,7 @@ func (ps *PatternSet) Compile(in *Instance, atoms []logic.Atom, seedVars []logic
 	atomStart, nameStart := len(ps.atoms), len(ps.names)
 	ps.names = append(ps.names, seedVars...)
 	p.NumVars = len(seedVars)
+	p.seeds = len(seedVars)
 	for _, a := range atoms {
 		start := len(ps.slots)
 		for _, t := range a.Args {
@@ -126,14 +138,6 @@ func (p *Pattern) VarIndex(v logic.Variable) int {
 	return -1
 }
 
-// Compile precomputes the pattern's static join plans: one atom order for
-// the unanchored enumeration and one per anchor atom. The order is chosen
-// by selectivity class — greedily preferring atoms whose slots are ground
-// (constants) or join with already-ordered atoms, so that each level of
-// the enumeration can use the (pred, pos, term) index. Compile is
-// idempotent; CompileBody and the chase compiler call it eagerly.
-// Patterns built by hand are compiled lazily on first use, which is safe
-// only under the package's single-writer contract.
 // smallPlans are the shared immutable plans of 0- and 1-atom patterns —
 // the overwhelmingly common case (linear rules): no per-pattern plan
 // storage at all.
@@ -142,6 +146,15 @@ var smallPlans = [][][]int32{
 	{{0}, {}},
 }
 
+// Compile precomputes the pattern's static join plans: one atom order for
+// the unanchored enumeration (with the seed variables bound) and one per
+// anchor atom. The order is chosen by selectivity class — greedily
+// preferring atoms whose slots are ground (constants), seeded, or join
+// with already-ordered atoms, so that each level of the enumeration can
+// use the (pred, pos, term) index. Compile is idempotent; CompileBody
+// and the chase compiler call it eagerly. Patterns built by hand are
+// compiled lazily on first use, which is safe only under the package's
+// single-writer contract.
 func (p *Pattern) Compile() {
 	if p.plans != nil {
 		return
@@ -165,10 +178,10 @@ func (p *Pattern) Compile() {
 }
 
 // planOrder appends a static atom order to backing, assuming the anchor
-// atom's variables (if any) are bound first. Greedy: repeatedly pick the
-// unordered atom with the most ground-or-bound slots, breaking ties
-// toward fewer free variables and lower index. bound and used are
-// caller-provided scratch bitmaps.
+// atom's variables — or, with no anchor, the seed variables — are bound
+// first. Greedy: repeatedly pick the unordered atom with the most
+// ground-or-bound slots, breaking ties toward fewer free variables and
+// lower index. bound and used are caller-provided scratch bitmaps.
 func (p *Pattern) planOrder(anchor int, backing []int32, bound, used []bool) []int32 {
 	n := len(p.Atoms)
 	for i := range bound {
@@ -178,7 +191,11 @@ func (p *Pattern) planOrder(anchor int, backing []int32, bound, used []bool) []i
 		used[i] = false
 	}
 	size := n
-	if anchor >= 0 {
+	if anchor < 0 {
+		for v := 0; v < p.seeds; v++ {
+			bound[v] = true
+		}
+	} else {
 		used[anchor] = true
 		size = n - 1
 		for _, s := range p.Atoms[anchor].Args {

@@ -43,6 +43,9 @@ type poolJob struct {
 	ctx context.Context
 	fn  func(context.Context) (any, error)
 	res chan outcome
+	// enq is when the job was submitted; the worker that takes it ends
+	// the queue wait there, before fn starts.
+	enq time.Time
 	// sync makes Do wait for fn itself to return, never merely for the
 	// context — see DoSync.
 	sync bool
@@ -92,7 +95,12 @@ func (p *workerPool) worker() {
 // A panic inside the job is recovered in the inner goroutine — the one
 // place it would otherwise escape every handler's stack and kill the
 // process — and surfaced to the caller as an ErrPanic-wrapped error.
+//
+// The queue wait is recorded here, on the worker: the submitter may be
+// descheduled after the handoff, and a span it closed late would overlap
+// the job's execution.
 func (p *workerPool) run(j poolJob) {
+	obs.FromContext(j.ctx).Add(obs.SpanQueueWait, time.Since(j.enq))
 	if err := j.ctx.Err(); err != nil {
 		j.res <- outcome{err: err}
 		return
@@ -138,23 +146,20 @@ func (p *workerPool) DoSync(ctx context.Context, fn func(context.Context) (any, 
 }
 
 func (p *workerPool) submit(ctx context.Context, fn func(context.Context) (any, error), sync bool) (any, error) {
-	j := poolJob{ctx: ctx, fn: fn, res: make(chan outcome, 1), sync: sync}
-	enq := time.Now()
+	j := poolJob{ctx: ctx, fn: fn, res: make(chan outcome, 1), sync: sync, enq: time.Now()}
 	p.queued.Add(1)
 	select {
 	case p.jobs <- j:
+		// A worker took the job and records the queue wait (see run).
 		p.queued.Add(-1)
 	case <-ctx.Done():
 		p.queued.Add(-1)
-		obs.FromContext(ctx).Add(obs.SpanQueueWait, time.Since(enq))
+		obs.FromContext(ctx).Add(obs.SpanQueueWait, time.Since(j.enq))
 		return nil, ctx.Err()
 	case <-p.stop:
 		p.queued.Add(-1)
 		return nil, ErrClosed
 	}
-	// The handoff succeeding means a worker took the job: queue wait
-	// ends here, execution starts on the worker.
-	obs.FromContext(ctx).Add(obs.SpanQueueWait, time.Since(enq))
 	o := <-j.res
 	return o.val, o.err
 }

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"chaseterm/internal/obs"
 )
 
 func TestPoolRunsJobs(t *testing.T) {
@@ -185,5 +187,44 @@ func TestPoolQueuedCallerHonorsContext(t *testing.T) {
 	_, err := p.Do(ctx, func(context.Context) (any, error) { return nil, nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued caller got %v, want deadline exceeded", err)
+	}
+}
+
+// TestPoolQueueWaitEndsBeforeFn: the worker closes the queue-wait span
+// before fn starts, so the span never overlaps execution — the submitter
+// may be descheduled right after the handoff, and a span it closed
+// would keep running while the job executes.
+func TestPoolQueueWaitEndsBeforeFn(t *testing.T) {
+	p := newWorkerPool(1)
+	defer p.Close()
+	started, block := make(chan struct{}), make(chan struct{})
+	go p.Do(context.Background(), func(context.Context) (any, error) {
+		close(started)
+		<-block
+		return nil, nil
+	})
+	<-started // the only worker is busy
+	go func() {
+		for p.queued.Load() == 0 { // until the traced job waits in the queue
+			time.Sleep(time.Millisecond)
+		}
+		close(block)
+	}()
+	tr := obs.GetTrace()
+	defer obs.PutTrace(tr)
+	ctx := obs.NewContext(context.Background(), tr)
+	var atStart time.Duration
+	if _, err := p.Do(ctx, func(context.Context) (any, error) {
+		atStart = tr.Get(obs.SpanQueueWait)
+		time.Sleep(50 * time.Millisecond)
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if atStart <= 0 {
+		t.Fatal("queue wait not recorded when fn started")
+	}
+	if got := tr.Get(obs.SpanQueueWait); got != atStart {
+		t.Fatalf("queue wait grew from %v to %v while fn ran", atStart, got)
 	}
 }

@@ -11,15 +11,22 @@ const compactSuffix = ".compact"
 
 // maybeCompactLocked starts a background compaction when the log is
 // both big enough to matter and at least half dead. Called with mu held
-// for writing.
+// for writing: by Put, and by a compaction that just finished, since the
+// tail it carried over verbatim can leave the new log mostly dead.
 func (s *FileStore) maybeCompactLocked() {
-	if s.compacting || s.size < s.opts.CompactMinBytes || s.deadBytes*2 < s.size {
+	if s.compacting || !s.overPolicyLocked() {
 		return
 	}
 	s.compacting = true
 	s.wg.Add(1)
 	//chaselint:owned Close drains it via wg.Wait; the compacting flag makes it unique
 	go s.compact()
+}
+
+// overPolicyLocked reports whether the log is both big enough to matter
+// and at least half dead. Called with mu held.
+func (s *FileStore) overPolicyLocked() bool {
+	return s.size >= s.opts.CompactMinBytes && s.deadBytes*2 >= s.size
 }
 
 // compact rewrites the live records to a temp file and atomically
@@ -94,15 +101,14 @@ func (s *FileStore) compact() {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer func() { s.compacting = false }()
-	if s.closed || s.failed != nil {
-		tmp.Close()          //nolint:errcheck // already abandoning it
-		s.fs.Remove(tmpPath) //nolint:errcheck // best-effort cleanup
-		return
-	}
 	abortLocked := func() {
 		tmp.Close()          //nolint:errcheck // already abandoning it
 		s.fs.Remove(tmpPath) //nolint:errcheck // best-effort cleanup
+		s.compacting = false
+	}
+	if s.closed || s.failed != nil {
+		abortLocked()
+		return
 	}
 	// Records appended while the live set was copying form a contiguous
 	// tail; carry them over verbatim and index them on top.
@@ -146,6 +152,8 @@ func (s *FileStore) compact() {
 	s.dirty = false
 	s.compactions.Add(1)
 	old.Close() //nolint:errcheck // the log it held was just replaced
+	s.compacting = false
+	s.maybeCompactLocked()
 }
 
 // setCompacting clears (or sets) the flag outside a held lock.
