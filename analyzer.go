@@ -16,8 +16,11 @@ const (
 	// set (Report.Class, NumRules, MaxArity, Predicates).
 	AnalyzeClassify AnalysisKind = iota
 	// AnalyzeDecide decides chase termination (Report.Verdict): for every
-	// database when no database is attached, or for the attached database
-	// only (WithDatabase — the fixed-database variant of the problem).
+	// database when no database is attached, by climbing the termination
+	// portfolio's ladder (cheap sound criteria first, the paper's exact
+	// procedures last; the verdict names the deciding rung), or for the
+	// attached database only (WithDatabase — the fixed-database variant
+	// of the problem).
 	AnalyzeDecide
 	// AnalyzeChase runs a bounded chase (Report.Chase) over the attached
 	// database, or over the critical instance I*(Σ) when none is attached.
@@ -88,13 +91,6 @@ type Request struct {
 	renderFacts    bool
 	withAcyclicity bool
 	sink           ChaseSink
-	// parallelism, when > 0, is the default match-worker count for every
-	// chase the request runs (WithParallelism); explicit Workers fields
-	// in the budget options win.
-	parallelism int
-	// portfolio, when set, routes the all-instance AnalyzeDecide through
-	// the termination portfolio (WithPortfolio).
-	portfolio *PortfolioOptions
 }
 
 // Variant returns the chase variant the request targets (default
@@ -160,19 +156,6 @@ func WithFacts() RequestOption {
 // budget or a cancelable context to stop a diverging run.
 func WithChaseSink(sink ChaseSink) RequestOption {
 	return func(r *Request) { r.sink = sink }
-}
-
-// WithParallelism sets the match-worker count for every chase the
-// request runs: the AnalyzeChase engine itself and the bounded
-// critical-instance chases inside AnalyzeDecide (the oracle and
-// saturation rungs). The parallel engine splits each generation's
-// matching across n goroutines while fact application stays
-// single-writer, so outcomes, statistics, and the final instance are
-// bit-identical to a sequential run at every n. Values below 2 mean
-// sequential. An explicit Workers in WithChaseBudgets or OracleWorkers
-// in WithDecideBudgets takes precedence.
-func WithParallelism(n int) RequestOption {
-	return func(r *Request) { r.parallelism = n }
 }
 
 // WithAcyclicity attaches the positional acyclicity report
@@ -253,10 +236,6 @@ type Report struct {
 	// Acyclicity is the positional-criteria report (AnalyzeAcyclicity or
 	// WithAcyclicity).
 	Acyclicity *AcyclicityReport
-	// Portfolio is the provenance of a portfolio decision — which rung
-	// decided and the per-rung trace (AnalyzeDecide with WithPortfolio,
-	// all-instance only).
-	Portfolio *PortfolioReport
 
 	// Timings breaks the call's wall time into stages; always populated.
 	Timings Timings
@@ -277,9 +256,9 @@ type Report struct {
 //		chaseterm.WithVariant(chaseterm.SemiOblivious),
 //	))
 //
-// The legacy free functions (DecideTermination, RunChase,
-// CheckAcyclicity, …) are thin wrappers over this type and remain
-// supported; new code should call Analyze.
+// Every all-instance decision climbs one path, the termination
+// portfolio, and its verdict records the deciding rung (DecidedBy) and
+// the per-rung trace (Rungs).
 type Analyzer struct{}
 
 // Analyze runs the request and returns its report. The context is
@@ -311,14 +290,6 @@ func (Analyzer) analyze(ctx context.Context, req Request) (*Report, error) {
 		// would answer a different question.
 		return nil, fmt.Errorf("chaseterm: analysis request has a nil database")
 	}
-	if req.parallelism > 0 {
-		if req.chaseOpts.Workers == 0 {
-			req.chaseOpts.Workers = req.parallelism
-		}
-		if req.decideOpts.OracleWorkers == 0 {
-			req.decideOpts.OracleWorkers = req.parallelism
-		}
-	}
 	tr := obs.FromContext(ctx) // nil-safe: Add on a nil trace is a no-op
 	stage := time.Now()
 	rep := &Report{
@@ -343,13 +314,10 @@ func (Analyzer) analyze(ctx context.Context, req Request) (*Report, error) {
 		var verdict *Verdict
 		var err error
 		stage = time.Now()
-		switch {
-		case req.database != nil:
+		if req.database != nil {
 			verdict, err = decideOnDatabase(ctx, req.database, req.Rules, req.Variant(), req.decideOpts)
-		case req.portfolio != nil:
-			verdict, rep.Portfolio, err = decidePortfolio(ctx, req.Rules, req.Variant(), req.decideOpts, *req.portfolio)
-		default:
-			verdict, err = decideTermination(ctx, req.Rules, req.Variant(), req.decideOpts)
+		} else {
+			verdict, err = decidePortfolio(ctx, req.Rules, req.Variant(), req.decideOpts)
 		}
 		rep.Timings.Decide = time.Since(stage)
 		tr.Add(obs.SpanDecider, rep.Timings.Decide)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"chaseterm"
+	"chaseterm/internal/acyclicity"
 )
 
 var an chaseterm.Analyzer
@@ -33,32 +34,6 @@ func TestAnalyzeClassify(t *testing.T) {
 	}
 	if rep.Verdict != nil || rep.Chase != nil || rep.Acyclicity != nil {
 		t.Errorf("classify report carries extra sections: %+v", rep)
-	}
-}
-
-// TestAnalyzeDecideMatchesLegacy: the deprecated wrappers and the
-// Analyzer must agree verdict-for-verdict — they are the same code.
-func TestAnalyzeDecideMatchesLegacy(t *testing.T) {
-	for _, src := range []string{
-		`person(X) -> hasFather(X,Y), person(Y).`,
-		`p(X,Y) -> p(X,Z).`,
-		`gate(X,Y), live(X) -> out(Y,Z), live(Z).`,
-	} {
-		rules := chaseterm.MustParseRules(src)
-		for _, v := range []chaseterm.Variant{chaseterm.Oblivious, chaseterm.SemiOblivious, chaseterm.Restricted} {
-			rep, err := an.Analyze(context.Background(),
-				chaseterm.NewRequest(chaseterm.AnalyzeDecide, rules, chaseterm.WithVariant(v)))
-			if err != nil {
-				t.Fatalf("%s (%s): %v", src, v, err)
-			}
-			legacy, err := chaseterm.DecideTermination(rules, v)
-			if err != nil {
-				t.Fatalf("%s (%s): legacy: %v", src, v, err)
-			}
-			if !reflect.DeepEqual(rep.Verdict, legacy) {
-				t.Errorf("%s (%s): Analyze %+v != legacy %+v", src, v, rep.Verdict, legacy)
-			}
-		}
 	}
 }
 
@@ -128,7 +103,7 @@ func TestAnalyzeChaseDefaultsToCriticalInstance(t *testing.T) {
 }
 
 // TestAnalyzeChaseCancellation: the chase kind returns the partial
-// report together with the context error, like RunChaseContext.
+// report together with the context error.
 func TestAnalyzeChaseCancellation(t *testing.T) {
 	rules := chaseterm.MustParseRules(`person(X) -> hasFather(X,Y), person(Y).`)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -164,7 +139,18 @@ func TestAnalyzeAcyclicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := chaseterm.CheckAcyclicity(rules)
+	// The reference is the acyclicity package itself.
+	var want chaseterm.AcyclicityReport
+	var w *acyclicity.Witness
+	if want.RichlyAcyclic, w = acyclicity.IsRichlyAcyclic(rules.Internal()); w != nil {
+		want.RAWitness = w.String()
+	}
+	if want.WeaklyAcyclic, w = acyclicity.IsWeaklyAcyclic(rules.Internal()); w != nil {
+		want.WAWitness = w.String()
+	}
+	if want.JointlyAcyclic, w = acyclicity.IsJointlyAcyclic(rules.Internal()); w != nil {
+		want.JAWitness = w.String()
+	}
 	if rep.Acyclicity == nil || !reflect.DeepEqual(*rep.Acyclicity, want) {
 		t.Errorf("acyclicity report %+v, want %+v", rep.Acyclicity, want)
 	}
@@ -238,9 +224,6 @@ func TestAnalyzeRejectsBadRequests(t *testing.T) {
 	if _, err := an.Analyze(context.Background(), chaseterm.NewRequest(chaseterm.AnalyzeDecide, rules,
 		chaseterm.WithDatabase(nil))); err == nil {
 		t.Error("nil database accepted")
-	}
-	if _, err := chaseterm.DecideTerminationOnDatabase(nil, rules, chaseterm.SemiOblivious); err == nil {
-		t.Error("legacy wrapper accepted a nil database")
 	}
 }
 

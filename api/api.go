@@ -6,11 +6,10 @@
 // sides — and a field renamed here fails the golden-fixture tests
 // loudly instead of silently breaking deployed clients.
 //
-// Versioning: this package describes wire version "v2". Compatible
-// additions (new optional fields, new error codes) happen in place;
-// breaking changes get a new package (api/v3) and a new route, with the
-// old ones kept as compatibility shims — exactly how the v1 routes are
-// served today.
+// Versioning: this package describes wire version "v2", the only
+// generation the server speaks. Compatible additions (new optional
+// fields, new error codes) happen in place; a breaking change would get
+// a new package (api/v3) and a new route.
 package api
 
 import "time"
@@ -87,17 +86,14 @@ type AnalyzeRequest struct {
 	// response, whatever the kind.
 	WithAcyclicity bool `json:"withAcyclicity,omitempty"`
 
-	// Portfolio routes an all-instance decide through the termination
-	// portfolio: the ladder of cheap sound criteria runs before the
-	// exact deciders, and the decision reports which rung decided
-	// (Decision.DecidedBy, Decision.Rungs). Ignored when a database is
-	// attached. Servers that predate the portfolio reject the field;
-	// probe GET /v2/capabilities first.
+	// Portfolio asks for the per-rung trace of an all-instance decide
+	// (Decision.Rungs). Every all-instance decide climbs the termination
+	// portfolio — the ladder of cheap sound criteria runs before the
+	// exact deciders — and names its deciding rung (Decision.DecidedBy)
+	// whether or not this is set. Ignored when a database is attached.
+	// Servers that predate the portfolio reject the field; probe GET
+	// /v2/capabilities first.
 	Portfolio bool `json:"portfolio,omitempty"`
-	// PortfolioRace additionally races the applicable exact deciders in
-	// parallel, first decisive verdict wins. Implies nothing without
-	// Portfolio.
-	PortfolioRace bool `json:"portfolioRace,omitempty"`
 
 	// Trace attaches the per-request observability report — per-stage
 	// durations and engine counters — to the response (see Trace).
@@ -162,11 +158,11 @@ type Decision struct {
 	SearchSpace int `json:"searchSpace"`
 
 	// DecidedBy names the portfolio rung whose verdict this decision
-	// adopted; present only on portfolio decisions.
+	// adopted. Present on every all-instance decision unless every
+	// applicable rung was inconclusive; absent on fixed-database ones.
 	DecidedBy string `json:"decidedBy,omitempty"`
-	// Raced reports that the exact deciders ran as a cancellation race.
-	Raced bool `json:"raced,omitempty"`
-	// Rungs traces every portfolio rung that ran, in completion order.
+	// Rungs traces every portfolio rung that ran, in ladder order;
+	// present only when the request set portfolio.
 	Rungs []Rung `json:"rungs,omitempty"`
 }
 
@@ -180,8 +176,6 @@ type Rung struct {
 	Verdict string `json:"verdict"`
 	// Millis is the rung's wall time in milliseconds.
 	Millis float64 `json:"millis"`
-	// Canceled marks a racing loser stopped by the winner.
-	Canceled bool `json:"canceled,omitempty"`
 }
 
 // ChaseRun is the result of a bounded chase run.
@@ -227,8 +221,8 @@ type Acyclicity struct {
 type Capabilities struct {
 	// Version is the wire version of this contract ("v2").
 	Version string `json:"version"`
-	// Portfolio reports that decide requests accept the "portfolio" and
-	// "portfolioRace" fields.
+	// Portfolio reports that decide requests accept the "portfolio"
+	// field (the per-rung trace) and that decisions carry "decidedBy".
 	Portfolio bool `json:"portfolio"`
 	// PortfolioRungs lists the portfolio's rung names in ladder order —
 	// the label set of the per-rung counters in /metrics and /v1/stats.
@@ -259,9 +253,6 @@ const (
 	// CodeBadRequest: the request was malformed — unparsable JSON or
 	// rules, unknown variant or kind, out-of-range budget.
 	CodeBadRequest Code = "bad_request"
-	// CodeKindMismatch: a v1 single-job route received a body whose
-	// "kind" contradicts the route.
-	CodeKindMismatch Code = "kind_mismatch"
 	// CodeTooLarge: the request body exceeded the server's byte cap.
 	CodeTooLarge Code = "too_large"
 	// CodeUnprocessable: the analysis ran but gave up on its
@@ -285,7 +276,7 @@ const (
 // the code — the mapping the server uses and the client inverts.
 func (c Code) HTTPStatus() int {
 	switch c {
-	case CodeBadRequest, CodeKindMismatch:
+	case CodeBadRequest:
 		return 400
 	case CodeTooLarge:
 		return 413

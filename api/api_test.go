@@ -40,7 +40,6 @@ func goldenCases() []struct {
 			ReturnFacts:    true,
 			WithAcyclicity: true,
 			Portfolio:      true,
-			PortfolioRace:  true,
 			Trace:          true,
 		}},
 		{"analyze_response_classify.json", &AnalyzeResponse{
@@ -60,11 +59,11 @@ func goldenCases() []struct {
 			Predicates:  []string{"hasFather/2", "person/1"},
 			Cached:      true,
 			Decision: &Decision{
-				Terminates:  "non-terminating",
-				Class:       "simple-linear",
-				Method:      "critical-weak-acyclicity",
-				Witness:     "pumpable shape cycle: person -> hasFather",
-				SearchSpace: 12,
+				Terminates: "non-terminating",
+				Class:      "simple-linear",
+				Method:     "weak-acyclicity(SL)",
+				Witness:    "dangerous cycle (weak): person[1] -> person[1]",
+				DecidedBy:  "weak-acyclicity",
 			},
 		}},
 		{"analyze_response_chase.json", &AnalyzeResponse{
@@ -116,13 +115,11 @@ func goldenCases() []struct {
 				Method:      "critical-weak-acyclicity",
 				SearchSpace: 9,
 				DecidedBy:   "linear-exact",
-				Raced:       true,
 				Rungs: []Rung{
 					{Name: "weak-acyclicity", Verdict: "undecided", Millis: 0.02},
 					{Name: "joint-acyclicity", Verdict: "undecided", Millis: 0.03},
 					{Name: "mfa", Verdict: "undecided", Millis: 1.4},
 					{Name: "linear-exact", Verdict: "terminating", Millis: 2.1},
-					{Name: "guarded-exact", Verdict: "undecided", Millis: 2.2, Canceled: true},
 				},
 			},
 		}},
@@ -303,7 +300,6 @@ func TestStreamEventTerminal(t *testing.T) {
 func TestCodeHTTPStatus(t *testing.T) {
 	cases := map[Code]int{
 		CodeBadRequest:    400,
-		CodeKindMismatch:  400,
 		CodeTooLarge:      413,
 		CodeUnprocessable: 422,
 		CodeTimeout:       504,

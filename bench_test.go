@@ -29,7 +29,7 @@ func BenchmarkE1_Example1Chase(b *testing.B) {
 	for _, v := range []chase.Variant{chase.Oblivious, chase.SemiOblivious, chase.Restricted} {
 		b.Run(v.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := chase.RunFromAtoms(db, rules, v, chase.Options{MaxTriggers: 100})
+				res, err := chase.RunFromAtomsContext(context.Background(), db, rules, v, chase.Options{MaxTriggers: 100})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -73,7 +73,7 @@ func BenchmarkChaseCancelOverhead(b *testing.B) {
 func BenchmarkE2_Example2Decide(b *testing.B) {
 	rules := workload.Example2()
 	for i := 0; i < b.N; i++ {
-		res, err := core.DecideLinear(rules, core.VariantSemiOblivious, core.Options{})
+		res, err := core.DecideLinearContext(context.Background(), rules, core.VariantSemiOblivious, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func BenchmarkE3_SLDecideSemiOblivious(b *testing.B) {
 	sets := benchSLSets(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DecideLinear(sets[i%len(sets)], core.VariantSemiOblivious, core.Options{}); err != nil {
+		if _, err := core.DecideLinearContext(context.Background(), sets[i%len(sets)], core.VariantSemiOblivious, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func BenchmarkE4_SLDecideOblivious(b *testing.B) {
 	sets := benchSLSets(64)
 	b.Run("critical-rich-acyclicity", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DecideLinear(sets[i%len(sets)], core.VariantOblivious, core.Options{}); err != nil {
+			if _, err := core.DecideLinearContext(context.Background(), sets[i%len(sets)], core.VariantOblivious, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -131,7 +131,7 @@ func BenchmarkE5_LinearDecide(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DecideLinear(sets[i%len(sets)], core.VariantSemiOblivious, core.Options{}); err != nil {
+		if _, err := core.DecideLinearContext(context.Background(), sets[i%len(sets)], core.VariantSemiOblivious, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func BenchmarkE6_SLFamily(b *testing.B) {
 		rules := workload.SLFamily(n, true)
 		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.DecideLinear(rules, core.VariantSemiOblivious, core.Options{}); err != nil {
+				if _, err := core.DecideLinearContext(context.Background(), rules, core.VariantSemiOblivious, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -158,7 +158,7 @@ func BenchmarkE7_LinearArity(b *testing.B) {
 		rules := workload.LinearArityFamily(w)
 		b.Run(fmt.Sprintf("arity=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.DecideLinear(rules, core.VariantSemiOblivious, core.Options{MaxShapes: 5_000_000}); err != nil {
+				if _, err := core.DecideLinearContext(context.Background(), rules, core.VariantSemiOblivious, core.Options{MaxShapes: 5_000_000}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -176,7 +176,7 @@ func BenchmarkE8_GuardedDecide(b *testing.B) {
 	}
 	b.Run("random", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DecideGuarded(sets[i%len(sets)], core.Options{}); err != nil {
+			if _, err := core.DecideGuardedContext(context.Background(), sets[i%len(sets)], core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -185,7 +185,7 @@ func BenchmarkE8_GuardedDecide(b *testing.B) {
 		rules := workload.GuardedArityFamily(w)
 		b.Run(fmt.Sprintf("arity=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.DecideGuarded(rules, core.Options{}); err != nil {
+				if _, err := core.DecideGuardedContext(context.Background(), rules, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -204,7 +204,7 @@ func BenchmarkE9_Looping(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := core.DecideLinear(looped, core.VariantSemiOblivious, core.Options{MaxShapes: 5_000_000})
+				res, err := core.DecideLinearContext(context.Background(), looped, core.VariantSemiOblivious, core.Options{MaxShapes: 5_000_000})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -224,7 +224,7 @@ func BenchmarkE10_ChaseAnatomy(b *testing.B) {
 	for _, v := range []chase.Variant{chase.Oblivious, chase.SemiOblivious, chase.Restricted} {
 		b.Run(v.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := chase.RunFromAtoms(db, rules, v, chase.Options{})
+				res, err := chase.RunFromAtomsContext(context.Background(), db, rules, v, chase.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -262,7 +262,7 @@ func BenchmarkE12_AuxTransform(b *testing.B) {
 	}
 	b.Run("direct-o", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DecideLinear(sets[i%len(sets)], core.VariantOblivious, core.Options{}); err != nil {
+			if _, err := core.DecideLinearContext(context.Background(), sets[i%len(sets)], core.VariantOblivious, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -270,7 +270,7 @@ func BenchmarkE12_AuxTransform(b *testing.B) {
 	b.Run("via-aux", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			aux := critical.AuxTransform(sets[i%len(sets)])
-			if _, err := core.DecideLinear(aux, core.VariantSemiOblivious, core.Options{}); err != nil {
+			if _, err := core.DecideLinearContext(context.Background(), aux, core.VariantSemiOblivious, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -320,7 +320,7 @@ r(X,Y) -> s(Y,X).`)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := chase.RunFromAtoms(facts, rules, chase.SemiOblivious, chase.Options{})
+		res, err := chase.RunFromAtomsContext(context.Background(), facts, rules, chase.SemiOblivious, chase.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -354,7 +354,7 @@ func BenchmarkEngineScaleOntology(b *testing.B) {
 	var db []logic.Atom
 	for {
 		rules = workload.RandomInclusionDependencies(rng, 12, 6, 40)
-		res, err := core.DecideLinear(rules, core.VariantSemiOblivious, core.Options{})
+		res, err := core.DecideLinearContext(context.Background(), rules, core.VariantSemiOblivious, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -362,7 +362,7 @@ func BenchmarkEngineScaleOntology(b *testing.B) {
 			continue
 		}
 		db = workload.RandomABox(rng, rules, 2000, 300)
-		trial, err := chase.RunFromAtoms(db, rules, chase.SemiOblivious,
+		trial, err := chase.RunFromAtomsContext(context.Background(), db, rules, chase.SemiOblivious,
 			chase.Options{MaxFacts: 120_000, MaxTriggers: 120_000})
 		if err != nil {
 			b.Fatal(err)
@@ -374,7 +374,7 @@ func BenchmarkEngineScaleOntology(b *testing.B) {
 	for _, v := range []chase.Variant{chase.SemiOblivious, chase.Restricted} {
 		b.Run(v.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := chase.RunFromAtoms(db, rules, v, chase.Options{MaxFacts: 500_000, MaxTriggers: 500_000})
+				res, err := chase.RunFromAtomsContext(context.Background(), db, rules, v, chase.Options{MaxFacts: 500_000, MaxTriggers: 500_000})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -393,7 +393,7 @@ func BenchmarkCoreComputation(b *testing.B) {
 	rules := workload.DataExchange()
 	db := workload.DataExchangeDB()
 	db = append(db, logic.NewAtom("emp", logic.Constant("carol"), logic.Constant("toys")))
-	res, err := chase.RunFromAtoms(db, rules, chase.Restricted, chase.Options{})
+	res, err := chase.RunFromAtomsContext(context.Background(), db, rules, chase.Restricted, chase.Options{})
 	if err != nil || res.Outcome != chase.Terminated {
 		b.Fatal("setup failed")
 	}
@@ -417,7 +417,7 @@ func BenchmarkE14_CriteriaLadder(b *testing.B) {
 	})
 	b.Run("critical-WA", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DecideLinear(rs, core.VariantSemiOblivious, core.Options{}); err != nil {
+			if _, err := core.DecideLinearContext(context.Background(), rs, core.VariantSemiOblivious, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -486,13 +486,13 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if res, err := chase.Run(in, rules, chase.SemiOblivious, chase.Options{}); err != nil || res.Outcome != chase.Terminated {
+	if res, err := chase.RunContext(context.Background(), in, rules, chase.SemiOblivious, chase.Options{}); err != nil || res.Outcome != chase.Terminated {
 		b.Fatal("saturation failed")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := chase.Run(in, rules, chase.SemiOblivious, chase.Options{})
+		res, err := chase.RunContext(context.Background(), in, rules, chase.SemiOblivious, chase.Options{})
 		if err != nil || res.Outcome != chase.Terminated || res.Stats.FactsAdded != 0 {
 			b.Fatal("steady-state run derived facts")
 		}

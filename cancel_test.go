@@ -8,8 +8,9 @@ import (
 )
 
 // TestRunChaseContextCancelMidRun: a canceled context stops a divergent
-// chase within the engine's check interval instead of letting it run to
-// its (huge) budget, and the partial result is still inspectable.
+// AnalyzeChase run within the engine's check interval instead of
+// letting it run to its (huge) budget, and the partial result is still
+// inspectable.
 func TestRunChaseContextCancelMidRun(t *testing.T) {
 	rules := MustParseRules(`person(X) -> hasFather(X,Y), person(Y).`)
 	db := MustParseDatabase(`person(bob).`)
@@ -19,7 +20,7 @@ func TestRunChaseContextCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := RunChaseContext(ctx, db, rules, SemiOblivious, ChaseOptions{
+	res, err := chaseOn(ctx, db, rules, SemiOblivious, ChaseOptions{
 		MaxTriggers: 50_000_000,
 		MaxFacts:    50_000_000,
 	})
@@ -38,47 +39,51 @@ func TestRunChaseContextCancelMidRun(t *testing.T) {
 }
 
 // TestDecideTerminationContextExpired: an expired deadline surfaces as
-// DeadlineExceeded on every dispatch path, including the cheap
-// simple-linear one.
+// DeadlineExceeded from the all-instance AnalyzeDecide under every
+// variant, even where the ladder's first rung is a cheap positional
+// check.
 func TestDecideTerminationContextExpired(t *testing.T) {
 	rules := MustParseRules(`person(X) -> hasFather(X,Y), person(Y).`)
 	ctx, cancel := context.WithTimeout(context.Background(), -time.Second)
 	defer cancel()
 	for _, v := range []Variant{Oblivious, SemiOblivious, Restricted} {
-		if _, err := DecideTerminationContext(ctx, rules, v); !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := decide(ctx, rules, v); !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("%v: got %v, want context.DeadlineExceeded", v, err)
 		}
 	}
 }
 
-// TestDecideTerminationOnDatabaseContextCanceled covers the fixed-
-// database entry point.
+// TestDecideTerminationOnDatabaseContextCanceled covers the
+// fixed-database AnalyzeDecide.
 func TestDecideTerminationOnDatabaseContextCanceled(t *testing.T) {
 	rules := MustParseRules(`p(X,X) -> p(X,Y).`)
 	db := MustParseDatabase(`p(a,a).`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DecideTerminationOnDatabaseContext(ctx, db, rules, SemiOblivious); !errors.Is(err, context.Canceled) {
+	if _, err := decide(ctx, rules, SemiOblivious, WithDatabase(db)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 
-// TestContextVariantsMatchPlainCalls: under a background context the new
-// entry points must agree with the pre-existing signatures.
+// TestContextVariantsMatchPlainCalls: a plain background context (nil
+// Done channel, so the cancellation polls compile out) and a live,
+// never-canceled one must give the same decision and chase run.
 func TestContextVariantsMatchPlainCalls(t *testing.T) {
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	rules := MustParseRules(`person(X) -> hasFather(X,Y), person(Y).`)
-	plain, err1 := DecideTermination(rules, SemiOblivious)
-	ctxed, err2 := DecideTerminationContext(context.Background(), rules, SemiOblivious)
+	plain, err1 := decide(context.Background(), rules, SemiOblivious)
+	ctxed, err2 := decide(live, rules, SemiOblivious)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errors %v / %v", err1, err2)
 	}
-	if plain.Terminates != ctxed.Terminates || plain.Method != ctxed.Method {
+	if plain.Terminates != ctxed.Terminates || plain.Method != ctxed.Method || plain.DecidedBy != ctxed.DecidedBy {
 		t.Fatalf("plain %+v vs context %+v", plain, ctxed)
 	}
 
 	db := CriticalDatabase(rules)
-	r1, err1 := RunChase(db, rules, SemiOblivious, ChaseOptions{MaxTriggers: 100})
-	r2, err2 := RunChaseContext(context.Background(), CriticalDatabase(rules), rules, SemiOblivious, ChaseOptions{MaxTriggers: 100})
+	r1, err1 := chaseOn(context.Background(), db, rules, SemiOblivious, ChaseOptions{MaxTriggers: 100})
+	r2, err2 := chaseOn(live, CriticalDatabase(rules), rules, SemiOblivious, ChaseOptions{MaxTriggers: 100})
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errors %v / %v", err1, err2)
 	}
@@ -92,7 +97,7 @@ func TestContextVariantsMatchPlainCalls(t *testing.T) {
 func TestChaseOptionsNegativeBudgets(t *testing.T) {
 	rules := MustParseRules(`p(X) -> q(X).`)
 	db := MustParseDatabase(`p(a).`)
-	res, err := RunChase(db, rules, SemiOblivious, ChaseOptions{
+	res, err := chaseOn(context.Background(), db, rules, SemiOblivious, ChaseOptions{
 		MaxTriggers: -1, MaxFacts: -1, MaxDepth: -1,
 	})
 	if err != nil {

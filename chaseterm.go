@@ -8,15 +8,16 @@
 // It provides:
 //
 //   - the three standard chase variants (oblivious, semi-oblivious,
-//     restricted) as bounded, instrumented engines (RunChase);
+//     restricted) as bounded, instrumented engines (AnalyzeChase);
 //   - syntactic classification of rule sets into the paper's classes —
 //     simple-linear ⊆ linear ⊆ guarded ⊆ general (Classify);
 //   - exact decision procedures for all-instance chase termination
-//     (DecideTermination): critical-weak/rich acyclicity for linear rules
+//     (AnalyzeDecide): critical-weak/rich acyclicity for linear rules
 //     (Theorems 1–3) and the guarded chase-forest decision procedure
-//     (Theorem 4), plus sound fallbacks (weak/rich acyclicity, bounded
-//     critical-instance saturation) outside the guarded class, where the
-//     problem is undecidable;
+//     (Theorem 4), run as the top rungs of a ladder of cheap sound
+//     criteria (positional acyclicity, bounded critical-instance chases)
+//     that also answers outside the guarded class, where the problem is
+//     undecidable;
 //   - the looping operator (LoopEntailment), the paper's reduction from
 //     propositional atom entailment to the complement of chase
 //     termination, usable to generate hard termination instances.
@@ -30,10 +31,6 @@
 //	rules, _ := chaseterm.ParseRules(`person(X) -> hasFather(X,Y), person(Y).`)
 //	rep, _ := an.Analyze(ctx, chaseterm.NewRequest(chaseterm.AnalyzeDecide, rules))
 //	fmt.Println(rep.Verdict.Terminates) // "non-terminating": Example 1 runs forever
-//
-// The pre-Analyzer free functions (DecideTermination, RunChase,
-// CheckAcyclicity, …) remain as deprecated wrappers with unchanged
-// behavior.
 //
 // Rule syntax: `body -> head.` with comma-separated atoms; identifiers
 // starting with an upper-case letter (or '_') are variables; head
@@ -283,9 +280,9 @@ const (
 	BudgetExceeded
 	// DepthExceeded: an invented term exceeded Options.MaxDepth.
 	DepthExceeded
-	// Canceled: the context passed to RunChaseContext fired before the
-	// run finished. RunChaseContext returns the partial result (stats up
-	// to the stopping point) together with the context's error.
+	// Canceled: the context passed to Analyzer.Analyze fired before the
+	// run finished. Analyze returns the partial result (stats up to the
+	// stopping point) together with the context's error.
 	Canceled
 )
 
@@ -303,8 +300,7 @@ type ChaseOptions struct {
 	// FIFO engine matches each generation's new facts on that many
 	// goroutines while fact application stays single-writer. Results are
 	// bit-identical to the sequential engine at every worker count; 0 or
-	// 1 runs sequentially. See WithParallelism for the request-level knob
-	// that also covers the deciders' internal chases.
+	// 1 runs sequentially.
 	Workers int
 }
 
@@ -318,7 +314,7 @@ type ChaseStats struct {
 	MaxTermDepth      int
 }
 
-// ChaseResult is the outcome of RunChase.
+// ChaseResult is the outcome of a chase run (Report.Chase).
 type ChaseResult struct {
 	Variant Variant
 	Outcome ChaseOutcome
@@ -426,32 +422,6 @@ func (r *ChaseResult) Holds(body string) (bool, error) {
 	return r.inst.HasHom(pat, nil), nil
 }
 
-// RunChase executes the selected chase variant on the database and returns
-// the result. A Terminated outcome yields a universal model.
-//
-// Deprecated: Use Analyzer.Analyze with NewRequest(AnalyzeChase, rules,
-// WithDatabase(db), WithVariant(v), WithChaseBudgets(opt)) instead.
-func RunChase(db *Database, rules *RuleSet, v Variant, opt ChaseOptions) (*ChaseResult, error) {
-	return RunChaseContext(context.Background(), db, rules, v, opt)
-}
-
-// RunChaseContext is RunChase honoring a context. The engine polls the
-// context every ~1024 trigger applications; when it fires, the partial
-// result — Outcome Canceled, statistics up to the stopping point — is
-// returned together with ctx.Err(), so the call never runs to its full
-// trigger/fact budget after the caller has gone away.
-//
-// Deprecated: Use Analyzer.Analyze with NewRequest(AnalyzeChase, rules,
-// WithDatabase(db), WithVariant(v), WithChaseBudgets(opt)) instead.
-func RunChaseContext(ctx context.Context, db *Database, rules *RuleSet, v Variant, opt ChaseOptions) (*ChaseResult, error) {
-	rep, err := Analyzer{}.Analyze(ctx, NewRequest(AnalyzeChase, rules,
-		WithDatabase(db), WithVariant(v), WithChaseBudgets(opt)))
-	if rep == nil {
-		return nil, err
-	}
-	return rep.Chase, err
-}
-
 // runChase is the chase-run implementation behind Analyzer.Analyze.
 // A non-nil sink streams derived facts while the run is in progress
 // (see ChaseSink); facts buffered at the end of the run — complete,
@@ -531,16 +501,21 @@ func (t Ternary) String() string {
 	return [...]string{"unknown", "terminating", "non-terminating"}[t]
 }
 
-// Verdict is the result of DecideTermination.
+// Verdict is a termination decision (Report.Verdict of AnalyzeDecide).
 type Verdict struct {
 	// Terminates answers "is the rule set in CT^v?".
 	Terminates Ternary
 	// Class is the syntactic class the decision was made in.
 	Class Class
-	// Method names the procedure: critical-weak-acyclicity,
-	// critical-rich-acyclicity, guarded-forest, guarded-forest(aux),
-	// weak-acyclicity, rich-acyclicity, critical-saturation,
-	// bounded-oracle.
+	// Method names the procedure that produced the verdict. All-instance
+	// decisions: rich-acyclicity, weak-acyclicity, joint-acyclicity (the
+	// positional rungs; with an "(SL)" suffix when Theorem 1 makes a
+	// failed check a non-termination proof), mfa, mfa(aux),
+	// critical-saturation, bounded-oracle, critical-weak-acyclicity,
+	// critical-rich-acyclicity, guarded-forest, guarded-forest(aux); a
+	// restricted-variant Yes appends "→restricted", and restricted-open
+	// marks the open restricted case. Fixed-database decisions append
+	// "(fixed-db)".
 	Method string
 	// Witness is a human-readable non-termination certificate (a pumpable
 	// shape cycle or node-type cycle), or a diagnostic for Unknown.
@@ -548,31 +523,17 @@ type Verdict struct {
 	// SearchSpace reports the explored abstraction size (shapes or node
 	// types), the quantity behind the paper's complexity bounds.
 	SearchSpace int
-}
 
-// DecideTermination decides membership in CT^v — "does every v-chase
-// sequence terminate on every input database?" — for the oblivious and
-// semi-oblivious chase. The decision is exact for linear and guarded rule
-// sets (the paper's Theorems 1–4); for general TGDs the problem is
-// undecidable and the verdict may be Unknown. For the restricted chase no
-// exact procedure is known (the paper's future work); weak acyclicity is
-// used as a sound sufficient condition and Unknown is returned otherwise.
-//
-// Deprecated: Use Analyzer.Analyze with NewRequest(AnalyzeDecide, rules,
-// WithVariant(v)) instead.
-func DecideTermination(rules *RuleSet, v Variant) (*Verdict, error) {
-	return DecideTerminationOpts(rules, v, DecideOptions{})
-}
-
-// DecideTerminationContext is DecideTermination honoring a context: every
-// decision procedure polls it at its fixpoint/worklist boundaries and a
-// canceled or expired context surfaces as ctx.Err() (context.Canceled /
-// context.DeadlineExceeded) well before any search budget is exhausted.
-//
-// Deprecated: Use Analyzer.Analyze with NewRequest(AnalyzeDecide, rules,
-// WithVariant(v)) instead.
-func DecideTerminationContext(ctx context.Context, rules *RuleSet, v Variant) (*Verdict, error) {
-	return DecideTerminationOptsContext(ctx, rules, v, DecideOptions{})
+	// DecidedBy names the portfolio rung whose verdict was adopted
+	// ("weak-acyclicity", "mfa", "linear-exact", …). It is set on every
+	// all-instance decision and empty only when every applicable rung
+	// was inconclusive; for the restricted variant it names the rung
+	// that decided the underlying CT^so question, whether or not the Yes
+	// transferred. Fixed-database decisions leave it empty.
+	DecidedBy string
+	// Rungs traces every portfolio rung that ran, in ladder order
+	// (all-instance decisions only).
+	Rungs []RungTiming
 }
 
 // Default budgets used when the corresponding DecideOptions field is
@@ -591,62 +552,11 @@ type DecideOptions struct {
 	// MaxNodeTypes caps the guarded decider's node-type space
 	// (0 = DefaultMaxNodeTypes).
 	MaxNodeTypes int
-	// OracleMaxTriggers / OracleMaxFacts bound the fallback critical
-	// chase for general rule sets.
+	// OracleMaxTriggers / OracleMaxFacts bound the critical-instance
+	// chases of the mfa and saturation rungs, and the bounded run of a
+	// fixed-database decision over general rules (defaults 200k).
 	OracleMaxTriggers int
 	OracleMaxFacts    int
-	// OracleWorkers sets the match parallelism of the deciders' internal
-	// chases (the critical-instance oracle and saturation rungs). 0 or 1
-	// runs them sequentially; verdicts are identical at every count.
-	OracleWorkers int
-}
-
-// DecideTerminationOpts is DecideTermination with explicit budgets.
-//
-// Deprecated: Use Analyzer.Analyze with NewRequest(AnalyzeDecide, rules,
-// WithVariant(v), WithDecideBudgets(opt)) instead.
-func DecideTerminationOpts(rules *RuleSet, v Variant, opt DecideOptions) (*Verdict, error) {
-	return DecideTerminationOptsContext(context.Background(), rules, v, opt)
-}
-
-// DecideTerminationOptsContext is DecideTerminationOpts honoring a
-// context; see DecideTerminationContext for the cancellation contract.
-//
-// Deprecated: Use Analyzer.Analyze with NewRequest(AnalyzeDecide, rules,
-// WithVariant(v), WithDecideBudgets(opt)) instead.
-func DecideTerminationOptsContext(ctx context.Context, rules *RuleSet, v Variant, opt DecideOptions) (*Verdict, error) {
-	rep, err := Analyzer{}.Analyze(ctx, NewRequest(AnalyzeDecide, rules,
-		WithVariant(v), WithDecideBudgets(opt)))
-	if err != nil {
-		return nil, err
-	}
-	return rep.Verdict, nil
-}
-
-// decideTermination is the all-instance decision procedure behind
-// Analyzer.Analyze.
-func decideTermination(ctx context.Context, rules *RuleSet, v Variant, opt DecideOptions) (*Verdict, error) {
-	class := rules.Classify()
-	if v == Restricted {
-		return decideRestricted(ctx, rules, class, opt)
-	}
-	cv := core.VariantSemiOblivious
-	if v == Oblivious {
-		cv = core.VariantOblivious
-	}
-	verdict, err := core.DecideContext(ctx, rules.rs, cv, core.DecideOptions{
-		Options: core.Options{
-			MaxShapes:    opt.MaxShapes,
-			MaxNodeTypes: opt.MaxNodeTypes,
-		},
-		OracleMaxTriggers: opt.OracleMaxTriggers,
-		OracleMaxFacts:    opt.OracleMaxFacts,
-		OracleWorkers:     opt.OracleWorkers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return fromCoreVerdict(verdict, class), nil
 }
 
 func fromCoreVerdict(v *core.Verdict, class Class) *Verdict {
@@ -671,67 +581,16 @@ func fromCoreVerdict(v *core.Verdict, class Class) *Verdict {
 	return out
 }
 
-// decideRestricted: the paper leaves the restricted chase open (Section
-// 4); we report the sound answers available. Termination of the
-// semi-oblivious chase implies termination of the restricted chase (the
-// restricted chase applies a subset of the semi-oblivious triggers on
-// every database), so an exact Yes for CT^so transfers.
-func decideRestricted(ctx context.Context, rules *RuleSet, class Class, opt DecideOptions) (*Verdict, error) {
-	so, err := decideTermination(ctx, rules, SemiOblivious, opt)
-	if err != nil {
-		return nil, err
-	}
-	if so.Terminates == Yes {
-		return &Verdict{
-			Terminates:  Yes,
-			Class:       class,
-			Method:      so.Method + "→restricted",
-			SearchSpace: so.SearchSpace,
-		}, nil
-	}
-	return &Verdict{
-		Terminates: Unknown,
-		Class:      class,
-		Method:     "restricted-open",
-		Witness: "deciding restricted-chase termination is the paper's open problem; " +
-			"CT^so gave " + so.Terminates.String(),
-	}, nil
-}
-
-// DecideTerminationOnDatabase decides whether the v-chase of the GIVEN
-// database under the rule set terminates — the fixed-database variant of
-// the termination problem. Exact for linear and guarded rule sets (the
-// abstractions of Theorems 2 and 4 apply unchanged when seeded with the
-// database instead of the critical instance); for general TGDs the problem
-// stays undecidable and a bounded run decides only the positive direction.
-// The restricted variant reports Yes when the semi-oblivious chase of the
-// database terminates (its triggers subsume the restricted ones) and
-// Unknown otherwise.
-//
-// Deprecated: Use Analyzer.Analyze with NewRequest(AnalyzeDecide, rules,
-// WithDatabase(db), WithVariant(v)) instead.
-func DecideTerminationOnDatabase(db *Database, rules *RuleSet, v Variant) (*Verdict, error) {
-	return DecideTerminationOnDatabaseContext(context.Background(), db, rules, v)
-}
-
-// DecideTerminationOnDatabaseContext is DecideTerminationOnDatabase
-// honoring a context; see DecideTerminationContext for the cancellation
-// contract.
-//
-// Deprecated: Use Analyzer.Analyze with NewRequest(AnalyzeDecide, rules,
-// WithDatabase(db), WithVariant(v)) instead.
-func DecideTerminationOnDatabaseContext(ctx context.Context, db *Database, rules *RuleSet, v Variant) (*Verdict, error) {
-	rep, err := Analyzer{}.Analyze(ctx, NewRequest(AnalyzeDecide, rules,
-		WithDatabase(db), WithVariant(v)))
-	if err != nil {
-		return nil, err
-	}
-	return rep.Verdict, nil
-}
-
 // decideOnDatabase is the fixed-database decision procedure behind
-// Analyzer.Analyze. opt bounds the abstraction search and the bounded
-// fallback run exactly as in the all-instance decision.
+// Analyzer.Analyze: whether the v-chase of the GIVEN database under the
+// rule set terminates. Exact for linear and guarded rule sets (the
+// abstractions of Theorems 2 and 4 apply unchanged when seeded with the
+// database instead of the critical instance); for general TGDs the
+// problem stays undecidable and a bounded run decides only the positive
+// direction. The restricted variant reports Yes when the semi-oblivious
+// chase of the database terminates (its triggers subsume the restricted
+// ones) and Unknown otherwise. opt bounds the abstraction search and the
+// bounded fallback run exactly as in the all-instance decision.
 func decideOnDatabase(ctx context.Context, db *Database, rules *RuleSet, v Variant, opt DecideOptions) (*Verdict, error) {
 	class := rules.Classify()
 	if v == Restricted {
@@ -774,7 +633,7 @@ func decideOnDatabase(ctx context.Context, db *Database, rules *RuleSet, v Varia
 		out := fromCoreVerdict(res.Verdict, class)
 		return out, nil
 	default:
-		budgets := ChaseOptions{MaxTriggers: 200_000, MaxFacts: 200_000, Workers: opt.OracleWorkers}
+		budgets := ChaseOptions{MaxTriggers: 200_000, MaxFacts: 200_000}
 		if opt.OracleMaxTriggers > 0 {
 			budgets.MaxTriggers = opt.OracleMaxTriggers
 		}
@@ -797,8 +656,8 @@ func decideOnDatabase(ctx context.Context, db *Database, rules *RuleSet, v Varia
 // termination, ordered by strength: RA ⊆ WA ⊆ JA. Rich acyclicity implies
 // CT^o; weak and joint acyclicity imply CT^so (and hence restricted-chase
 // termination). All three are sound but incomplete — the exact deciders of
-// DecideTermination subsume them on linear and guarded sets (experiment
-// E14 quantifies the gap).
+// AnalyzeDecide subsume them on linear and guarded sets (experiment E14
+// quantifies the gap).
 type AcyclicityReport struct {
 	RichlyAcyclic  bool
 	WeaklyAcyclic  bool
@@ -809,24 +668,6 @@ type AcyclicityReport struct {
 	RAWitness string
 	WAWitness string
 	JAWitness string
-}
-
-// CheckAcyclicity evaluates the positional acyclicity criteria on the rule
-// set.
-//
-// Deprecated: Use Analyzer.Analyze with NewRequest(AnalyzeAcyclicity,
-// rules) — or attach WithAcyclicity() to any other request — instead.
-func CheckAcyclicity(rules *RuleSet) AcyclicityReport {
-	return checkAcyclicity(rules)
-}
-
-// IsJointlyAcyclicBool reports whether the rule set is jointly acyclic.
-//
-// Deprecated: Use CheckAcyclicity — or Analyzer.Analyze with
-// AnalyzeAcyclicity — whose report carries the verdict together with
-// the feeds-cycle witness (AcyclicityReport.JointlyAcyclic/JAWitness).
-func IsJointlyAcyclicBool(rules *RuleSet) bool {
-	return acyclicity.IsJointlyAcyclicBool(rules.rs)
 }
 
 // checkAcyclicity is the positional-criteria evaluation behind
@@ -929,18 +770,11 @@ func LoopEntailment(inst EntailmentInstance) (*RuleSet, error) {
 	return &RuleSet{rs: looped}, nil
 }
 
-// Entails answers the entailment question directly by saturation
+// EntailsContext answers the entailment question directly by saturation
 // (semi-oblivious chase); exact whenever the chase of DB under Rules
-// terminates, which is always the case for Datalog rules.
-//
-// Deprecated: use EntailsContext, which bounds the saturation by a
-// caller-supplied context.
-func Entails(inst EntailmentInstance) (bool, error) {
-	return EntailsContext(context.Background(), inst)
-}
-
-// EntailsContext is Entails honoring a context: the underlying chase
-// polls it, so a canceled or expired context surfaces as ctx.Err().
+// terminates, which is always the case for Datalog rules. The underlying
+// chase polls the context, so a canceled or expired context surfaces as
+// ctx.Err().
 func EntailsContext(ctx context.Context, inst EntailmentInstance) (bool, error) {
 	goalFacts, err := parse.ParseFacts(inst.Goal + ".")
 	if err != nil {

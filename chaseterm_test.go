@@ -1,6 +1,7 @@
 package chaseterm
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if rules.Classify() != SimpleLinear {
 		t.Fatalf("class: %v", rules.Classify())
 	}
-	v, err := DecideTermination(rules, SemiOblivious)
+	v, err := decide(context.Background(), rules, SemiOblivious)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +22,7 @@ func TestQuickstartFlow(t *testing.T) {
 		t.Error("expected a witness cycle")
 	}
 	db := MustParseDatabase(`person(bob).`)
-	res, err := RunChase(db, rules, SemiOblivious, ChaseOptions{MaxTriggers: 10})
+	res, err := chaseOn(context.Background(), db, rules, SemiOblivious, ChaseOptions{MaxTriggers: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestDecideAllVariants(t *testing.T) {
 		{Restricted, Yes},
 	}
 	for _, tc := range cases {
-		v, err := DecideTermination(rules, tc.v)
+		v, err := decide(context.Background(), rules, tc.v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestDecideRestrictedUnknown(t *testing.T) {
 	// Example 2 diverges under o/so; the restricted answer is left open by
 	// the paper.
 	rules := MustParseRules(`p(X,Y) -> p(Y,Z).`)
-	v, err := DecideTermination(rules, Restricted)
+	v, err := decide(context.Background(), rules, Restricted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestGuardedViaFacade(t *testing.T) {
 		t.Fatalf("class: %v", rules.Classify())
 	}
 	for _, v := range []Variant{Oblivious, SemiOblivious} {
-		verdict, err := DecideTermination(rules, v)
+		verdict, err := decide(context.Background(), rules, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestCriticalDatabase(t *testing.T) {
 	if db.Size() != 2 { // p(✶,✶), q(✶)
 		t.Errorf("critical size: %d", db.Size())
 	}
-	res, err := RunChase(db, rules, SemiOblivious, ChaseOptions{})
+	res, err := chaseOn(context.Background(), db, rules, SemiOblivious, ChaseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestEntailmentAndLooping(t *testing.T) {
 		DB:    MustParseDatabase(`edge(a,b). edge(b,c). reach(a).`),
 		Goal:  "reach(c)",
 	}
-	ok, err := Entails(inst)
+	ok, err := EntailsContext(context.Background(), inst)
 	if err != nil || !ok {
 		t.Fatalf("entails: %v %v", ok, err)
 	}
@@ -126,7 +127,7 @@ func TestEntailmentAndLooping(t *testing.T) {
 	if looped.Classify() != Guarded {
 		t.Errorf("looped class: %v", looped.Classify())
 	}
-	v, err := DecideTermination(looped, SemiOblivious)
+	v, err := decide(context.Background(), looped, SemiOblivious)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestEntailmentAndLooping(t *testing.T) {
 
 	inst.Goal = "reach(zzz)"
 	inst.DB = MustParseDatabase(`edge(a,b). edge(b,c). reach(a). isolated(zzz).`)
-	ok, err = Entails(inst)
+	ok, err = EntailsContext(context.Background(), inst)
 	if err != nil || ok {
 		t.Fatalf("entails: %v %v", ok, err)
 	}
@@ -144,7 +145,7 @@ func TestEntailmentAndLooping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err = DecideTermination(looped, SemiOblivious)
+	v, err = decide(context.Background(), looped, SemiOblivious)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestFacadeErrors(t *testing.T) {
 		DB:    MustParseDatabase(`p(a).`),
 		Goal:  "q(X)",
 	}
-	if _, err := Entails(inst); err == nil {
+	if _, err := EntailsContext(context.Background(), inst); err == nil {
 		t.Error("non-ground goal accepted")
 	}
 	if _, err := LoopEntailment(inst); err == nil {
@@ -208,7 +209,7 @@ q(X) -> r(X,X,X).`)
 func TestChaseResultFacts(t *testing.T) {
 	db := MustParseDatabase(`person(bob).`)
 	rules := MustParseRules(`person(X) -> hasFather(X,Y).`)
-	res, err := RunChase(db, rules, SemiOblivious, ChaseOptions{})
+	res, err := chaseOn(context.Background(), db, rules, SemiOblivious, ChaseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,9 +79,11 @@ func TestClientAgainstRealService(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest || apiErr.HTTPStatus != 400 {
 		t.Fatalf("bad rules: err %v, want typed bad_request", err)
 	}
+	// Not weakly acyclic, so the ladder climbs to the guarded-exact
+	// rung, where a node-type cap of one gives up.
 	_, err = c.Analyze(ctx, api.AnalyzeRequest{
 		Kind:         api.KindDecide,
-		Rules:        "gate(X,Y), live(X) -> out(Y,Z), live(Z).",
+		Rules:        "gate(X,Y), live(X) -> out(Y,Z), live(Z). out(Y,Z) -> gate(Y,Z).",
 		MaxNodeTypes: 1,
 	})
 	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeUnprocessable {

@@ -111,8 +111,8 @@ func run(ctx context.Context, variantName, rulesPath, dbPath string, maxTriggers
 		chaseterm.WithChaseBudgets(chaseterm.ChaseOptions{
 			MaxTriggers: maxTriggers,
 			MaxFacts:    maxFacts,
+			Workers:     workers,
 		}),
-		chaseterm.WithParallelism(workers),
 	}
 	if stream {
 		opts = append(opts, chaseterm.WithChaseSink(printSink{}))
@@ -157,13 +157,13 @@ func run(ctx context.Context, variantName, rulesPath, dbPath string, maxTriggers
 // SOME database, so the chase still runs — this database may be fine.
 func runPrecheck(ctx context.Context, analyzer *chaseterm.Analyzer, rules *chaseterm.RuleSet, v chaseterm.Variant) error {
 	rep, err := analyzer.Analyze(ctx, chaseterm.NewRequest(chaseterm.AnalyzeDecide, rules,
-		chaseterm.WithVariant(v), chaseterm.WithPortfolio(chaseterm.PortfolioOptions{})))
+		chaseterm.WithVariant(v)))
 	if err != nil {
 		return err
 	}
 	decidedBy := ""
-	if rep.Portfolio != nil && rep.Portfolio.DecidedBy != "" {
-		decidedBy = " (decided by " + rep.Portfolio.DecidedBy + ")"
+	if rep.Verdict.DecidedBy != "" {
+		decidedBy = " (decided by " + rep.Verdict.DecidedBy + ")"
 	}
 	fmt.Printf("precheck: all-instance termination is %s%s\n", rep.Verdict.Terminates, decidedBy)
 	if rep.Verdict.Terminates != chaseterm.Yes {

@@ -35,9 +35,10 @@
 //	GET  /v1/stats                                          cache + latency + stream counters
 //	GET  /metrics                                           Prometheus text exposition format
 //
-// and the v1 compatibility shims (flat bodies, kind implied by route):
-//
-//	POST /v1/classify, /v1/decide, /v1/chase, /v1/batch
+// Every all-instance decide climbs the termination portfolio (cheap
+// sound criteria first, the paper's exact procedures last) and names
+// its deciding rung as "decidedBy"; "portfolio": true adds the per-rung
+// trace.
 //
 // Every request gets an X-Request-ID (generated, or propagated from the
 // client's header), echoed on the response and carried in the one
@@ -45,7 +46,7 @@
 // records to JSON; -slow-request raises requests at or over the
 // threshold to WARN.
 //
-// Errors carry machine-readable codes: v2 responds with the envelope
+// Errors carry machine-readable codes in the envelope
 // {"error": {"code": "...", "message": "..."}, "requestId": "..."};
 // package client is the Go client for this contract.
 //

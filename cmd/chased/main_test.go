@@ -79,27 +79,26 @@ func TestServerLifecycle(t *testing.T) {
 		t.Fatalf("analyze response %+v", out)
 	}
 
-	// The v1 compatibility shim still answers with the flat shape.
-	legacyBody, _ := json.Marshal(map[string]string{
-		"rules": "person(X) -> hasFather(X,Y), person(Y).",
-	})
-	legacyResp, err := http.Post(base+"/v1/decide", "application/json", bytes.NewReader(legacyBody))
+	// A repeat decide is served from the verdict cache.
+	repeatResp, err := http.Post(base+"/v2/analyze", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacyResp.Body.Close()
-	var legacy struct {
-		Terminates string `json:"terminates"`
-		Cached     bool   `json:"cached"`
+	defer repeatResp.Body.Close()
+	var repeat struct {
+		Cached   bool `json:"cached"`
+		Decision struct {
+			Terminates string `json:"terminates"`
+		} `json:"decision"`
 	}
-	if err := json.NewDecoder(legacyResp.Body).Decode(&legacy); err != nil {
+	if err := json.NewDecoder(repeatResp.Body).Decode(&repeat); err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Terminates != "non-terminating" {
-		t.Fatalf("v1 shim response %+v", legacy)
+	if repeat.Decision.Terminates != "non-terminating" {
+		t.Fatalf("repeat response %+v", repeat)
 	}
-	if !legacy.Cached {
-		t.Fatal("v1 shim did not share the verdict cache with /v2/analyze")
+	if !repeat.Cached {
+		t.Fatal("repeat decide did not hit the verdict cache")
 	}
 
 	// The Prometheus endpoint is wired in and reflects the traffic above.
@@ -171,6 +170,7 @@ func TestGracefulDrain(t *testing.T) {
 	// starts (but bounded, so the test never hangs even if the drain
 	// were broken in a way that disabled cancellation).
 	body, _ := json.Marshal(map[string]any{
+		"kind":        "chase",
 		"rules":       "person(X) -> hasFather(X,Y), person(Y).",
 		"maxTriggers": 2_000_000,
 		"maxFacts":    2_000_000,
@@ -181,7 +181,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	resc := make(chan result, 1)
 	go func() {
-		resp, err := http.Post(base+"/v1/chase", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(base+"/v2/analyze", "application/json", bytes.NewReader(body))
 		if err != nil {
 			resc <- result{err: err}
 			return

@@ -4,12 +4,15 @@
 //
 // Usage:
 //
-//	termcheck [-variant o|so|r|all] [-json] [-db db.dl] [-stats] [-portfolio [-race]] rules.dl
+//	termcheck [-variant o|so|r|all] [-json] [-db db.dl] [-stats] rules.dl
 //
-// For linear rule sets the decision is by critical-weak/rich acyclicity
-// (exact, Theorems 1–3); for guarded sets by the chase-forest procedure
-// (exact, Theorem 4); outside the guarded class the problem is undecidable
-// and the tool reports sound partial answers.
+// Every decision climbs the termination portfolio: cheap sound criteria
+// (positional acyclicity, bounded critical-instance chases) first, then
+// the exact procedures — critical-weak/rich acyclicity for linear rule
+// sets (Theorems 1–3) and the chase-forest procedure for guarded ones
+// (Theorem 4). Outside the guarded class the problem is undecidable and
+// the tool reports sound partial answers. The output names the rung
+// that decided; -stats adds the full rung trace.
 package main
 
 import (
@@ -34,18 +37,11 @@ var analyzer chaseterm.Analyzer
 // elapsed times (and engine counters when a chase actually ran).
 var showStats bool
 
-// usePortfolio / raceExact mirror -portfolio and -race: decide through
-// the termination portfolio (cheap criteria first, exact procedures
-// last) and report which rung decided.
-var usePortfolio, raceExact bool
-
 func main() {
 	variant := flag.String("variant", "all", "chase variant: o|so|r|all")
 	jsonOut := flag.Bool("json", false, "emit a JSON report instead of text")
 	dbPath := flag.String("db", "", "decide termination on this database only (fixed-database mode)")
-	flag.BoolVar(&showStats, "stats", false, "print per-stage timings and engine counters for every decision")
-	flag.BoolVar(&usePortfolio, "portfolio", false, "decide via the termination portfolio and report the deciding rung (ignored with -db)")
-	flag.BoolVar(&raceExact, "race", false, "with -portfolio: race the exact deciders in parallel when the criteria ladder is inconclusive")
+	flag.BoolVar(&showStats, "stats", false, "print per-stage timings, engine counters and the portfolio rung trace for every decision")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: termcheck [flags] rules.dl\n")
 		flag.PrintDefaults()
@@ -138,37 +134,17 @@ func printReportStats(rep *chaseterm.Report) {
 	}
 }
 
-// decideRequest builds the decide request for one variant, honoring
-// the -portfolio/-race flags.
-func decideRequest(rules *chaseterm.RuleSet, v chaseterm.Variant) chaseterm.Request {
-	opts := []chaseterm.RequestOption{chaseterm.WithVariant(v)}
-	if usePortfolio {
-		opts = append(opts, chaseterm.WithPortfolio(chaseterm.PortfolioOptions{Race: raceExact}))
+// printProvenance renders the provenance block of a decision: the
+// deciding rung always, the full rung trace under -stats.
+func printProvenance(v *chaseterm.Verdict) {
+	if v.DecidedBy != "" {
+		fmt.Printf("  decided by: %s\n", v.DecidedBy)
 	}
-	return chaseterm.NewRequest(chaseterm.AnalyzeDecide, rules, opts...)
-}
-
-// printPortfolio renders the provenance block of a portfolio decision:
-// the deciding rung always, the full rung trace under -stats.
-func printPortfolio(rep *chaseterm.Report) {
-	p := rep.Portfolio
-	if p == nil {
-		return
-	}
-	raced := ""
-	if p.Raced {
-		raced = " (exact deciders raced)"
-	}
-	fmt.Printf("  decided by: %s%s\n", p.DecidedBy, raced)
 	if !showStats {
 		return
 	}
-	for _, r := range p.Rungs {
-		note := ""
-		if r.Canceled {
-			note = " [canceled]"
-		}
-		fmt.Printf("  rung %-20s %-15s %s%s\n", r.Rung, r.Verdict, fmtDur(r.Elapsed), note)
+	for _, r := range v.Rungs {
+		fmt.Printf("  rung %-20s %-15s %s\n", r.Rung, r.Verdict, fmtDur(r.Elapsed))
 	}
 }
 
@@ -198,16 +174,14 @@ type jsonVerdict struct {
 	Witness     string     `json:"witness,omitempty"`
 	SearchSpace int        `json:"searchSpace,omitempty"`
 	DecidedBy   string     `json:"decidedBy,omitempty"`
-	Raced       bool       `json:"raced,omitempty"`
 	Rungs       []jsonRung `json:"rungs,omitempty"`
 }
 
 // jsonRung is one ladder step of a portfolio decision.
 type jsonRung struct {
-	Name     string  `json:"name"`
-	Verdict  string  `json:"verdict"`
-	Millis   float64 `json:"millis"`
-	Canceled bool    `json:"canceled,omitempty"`
+	Name    string  `json:"name"`
+	Verdict string  `json:"verdict"`
+	Millis  float64 `json:"millis"`
 }
 
 func runJSON(ctx context.Context, variantName, rulesPath string) error {
@@ -231,7 +205,7 @@ func runJSON(ctx context.Context, variantName, rulesPath string) error {
 		Verdicts:       map[string]jsonVerdict{},
 	}
 	for _, v := range variants {
-		res, err := analyzer.Analyze(ctx, decideRequest(rules, v))
+		res, err := analyzer.Analyze(ctx, chaseterm.NewRequest(chaseterm.AnalyzeDecide, rules, chaseterm.WithVariant(v)))
 		if err != nil {
 			return err
 		}
@@ -240,16 +214,14 @@ func runJSON(ctx context.Context, variantName, rulesPath string) error {
 			Method:      res.Verdict.Method,
 			Witness:     res.Verdict.Witness,
 			SearchSpace: res.Verdict.SearchSpace,
+			DecidedBy:   res.Verdict.DecidedBy,
 		}
-		if p := res.Portfolio; p != nil {
-			jv.DecidedBy = p.DecidedBy
-			jv.Raced = p.Raced
-			for _, r := range p.Rungs {
+		if showStats {
+			for _, r := range res.Verdict.Rungs {
 				jv.Rungs = append(jv.Rungs, jsonRung{
-					Name:     r.Rung,
-					Verdict:  r.Verdict,
-					Millis:   float64(r.Elapsed.Microseconds()) / 1000,
-					Canceled: r.Canceled,
+					Name:    r.Rung,
+					Verdict: r.Verdict,
+					Millis:  float64(r.Elapsed.Microseconds()) / 1000,
 				})
 			}
 		}
@@ -295,13 +267,13 @@ func run(ctx context.Context, variantName, rulesPath string) error {
 		base.Acyclicity.RichlyAcyclic, base.Acyclicity.WeaklyAcyclic, base.Acyclicity.JointlyAcyclic)
 	printReportStats(base)
 	for _, v := range variants {
-		rep, err := analyzer.Analyze(ctx, decideRequest(rules, v))
+		rep, err := analyzer.Analyze(ctx, chaseterm.NewRequest(chaseterm.AnalyzeDecide, rules, chaseterm.WithVariant(v)))
 		if err != nil {
 			return err
 		}
 		fmt.Printf("\nCT^%s: %s\n", shortName(v), rep.Verdict.Terminates)
 		fmt.Printf("  method: %s\n", rep.Verdict.Method)
-		printPortfolio(rep)
+		printProvenance(rep.Verdict)
 		if rep.Verdict.SearchSpace > 0 {
 			fmt.Printf("  search space: %d abstract states\n", rep.Verdict.SearchSpace)
 		}

@@ -62,8 +62,8 @@ func ExampleAnalyzer_Analyze_chase() {
 	// [[turing]]
 }
 
-// The termination portfolio: WithPortfolio climbs the ladder of cheap
-// sound criteria before touching the exact deciders, and the report
+// The termination portfolio: every decision climbs the ladder of cheap
+// sound criteria before touching the exact deciders, and the verdict
 // says which rung decided. A weakly-acyclic rule set never reaches the
 // PSPACE/2EXPTIME procedures.
 func ExampleAnalyzer_Analyze_portfolio() {
@@ -75,22 +75,26 @@ func ExampleAnalyzer_Analyze_portfolio() {
 	rep, _ := analyzer.Analyze(context.Background(), chaseterm.NewRequest(
 		chaseterm.AnalyzeDecide, rules,
 		chaseterm.WithVariant(chaseterm.SemiOblivious),
-		chaseterm.WithPortfolio(chaseterm.PortfolioOptions{}),
 	))
 	fmt.Println(rep.Verdict.Terminates)
-	fmt.Println("decided by:", rep.Portfolio.DecidedBy)
+	fmt.Println("decided by:", rep.Verdict.DecidedBy)
 	// Output:
 	// terminating
 	// decided by: weak-acyclicity
 }
 
 // The paper's Example 1: deciding, for every database at once, that the
-// chase cannot terminate.
-func ExampleDecideTermination() {
+// chase cannot terminate. On a constant-free simple-linear set the weak
+// acyclicity rung is exact (Theorem 1), so its failed check decides.
+func ExampleAnalyzer_Analyze_decide() {
+	var analyzer chaseterm.Analyzer
 	rules := chaseterm.MustParseRules(`person(X) -> hasFather(X,Y), person(Y).`)
-	v, _ := chaseterm.DecideTermination(rules, chaseterm.SemiOblivious)
-	fmt.Println(v.Terminates)
-	fmt.Println(v.Method)
+	rep, _ := analyzer.Analyze(context.Background(), chaseterm.NewRequest(
+		chaseterm.AnalyzeDecide, rules,
+		chaseterm.WithVariant(chaseterm.SemiOblivious),
+	))
+	fmt.Println(rep.Verdict.Terminates)
+	fmt.Println(rep.Verdict.Method)
 	// Output:
 	// non-terminating
 	// weak-acyclicity(SL)
@@ -99,12 +103,14 @@ func ExampleDecideTermination() {
 // The oblivious and semi-oblivious chase can disagree: dropping the
 // frontier variable Y makes every new atom a new oblivious trigger while
 // the semi-oblivious chase fires once per X.
-func ExampleDecideTermination_variantsDiffer() {
+func ExampleAnalyzer_Analyze_variantsDiffer() {
+	var analyzer chaseterm.Analyzer
 	rules := chaseterm.MustParseRules(`p(X,Y) -> p(X,Z).`)
-	o, _ := chaseterm.DecideTermination(rules, chaseterm.Oblivious)
-	so, _ := chaseterm.DecideTermination(rules, chaseterm.SemiOblivious)
-	fmt.Println("oblivious:     ", o.Terminates)
-	fmt.Println("semi-oblivious:", so.Terminates)
+	for _, v := range []chaseterm.Variant{chaseterm.Oblivious, chaseterm.SemiOblivious} {
+		rep, _ := analyzer.Analyze(context.Background(), chaseterm.NewRequest(
+			chaseterm.AnalyzeDecide, rules, chaseterm.WithVariant(v)))
+		fmt.Printf("%-15s %s\n", v.String()+":", rep.Verdict.Terminates)
+	}
 	// Output:
 	// oblivious:      non-terminating
 	// semi-oblivious: terminating
@@ -113,24 +119,32 @@ func ExampleDecideTermination_variantsDiffer() {
 // Termination on one concrete database can hold even when all-instance
 // termination fails: a database that never feeds the dangerous rule is
 // inert.
-func ExampleDecideTerminationOnDatabase() {
+func ExampleAnalyzer_Analyze_onDatabase() {
+	var analyzer chaseterm.Analyzer
 	rules := chaseterm.MustParseRules(`p(X,Y) -> p(Y,Z).`)
 	db := chaseterm.MustParseDatabase(`q(a).`) // no p-facts
-	v, _ := chaseterm.DecideTerminationOnDatabase(db, rules, chaseterm.SemiOblivious)
-	fmt.Println(v.Terminates)
+	rep, _ := analyzer.Analyze(context.Background(), chaseterm.NewRequest(
+		chaseterm.AnalyzeDecide, rules, chaseterm.WithDatabase(db)))
+	fmt.Println(rep.Verdict.Terminates)
 	// Output:
 	// terminating
 }
 
 // Running the restricted chase to saturation and asking a certain-answer
 // query over the universal model.
-func ExampleRunChase() {
+func ExampleChaseResult_Query() {
+	var analyzer chaseterm.Analyzer
 	rules := chaseterm.MustParseRules(`
 advises(X,Y) -> professor(X).
 professor(X) -> teaches(X,C).
 `)
 	db := chaseterm.MustParseDatabase(`advises(turing, ada). teaches(church, logic101).`)
-	res, _ := chaseterm.RunChase(db, rules, chaseterm.Restricted, chaseterm.ChaseOptions{})
+	rep, _ := analyzer.Analyze(context.Background(), chaseterm.NewRequest(
+		chaseterm.AnalyzeChase, rules,
+		chaseterm.WithDatabase(db),
+		chaseterm.WithVariant(chaseterm.Restricted),
+	))
+	res := rep.Chase
 	fmt.Println(res.Outcome)
 
 	profs, _ := res.Query(`professor(P)`, "P")
@@ -156,8 +170,9 @@ func ExampleLoopEntailment() {
 		Goal:  "reach(b)",
 	}
 	looped, _ := chaseterm.LoopEntailment(inst)
-	v, _ := chaseterm.DecideTermination(looped, chaseterm.SemiOblivious)
-	fmt.Println("entailed:", v.Terminates == chaseterm.No)
+	var analyzer chaseterm.Analyzer
+	rep, _ := analyzer.Analyze(context.Background(), chaseterm.NewRequest(chaseterm.AnalyzeDecide, looped))
+	fmt.Println("entailed:", rep.Verdict.Terminates == chaseterm.No)
 	// Output:
 	// entailed: true
 }
@@ -183,11 +198,12 @@ func ExampleRuleSet_Classify() {
 // The positional acyclicity ladder: each criterion recognizes more
 // terminating sets than the previous one (and the exact deciders all of
 // them).
-func ExampleCheckAcyclicity() {
+func ExampleAnalyzer_Analyze_acyclicity() {
+	var analyzer chaseterm.Analyzer
 	rules := chaseterm.MustParseRules("p(X) -> q(X,Y).\nq(X,Y), q(Y,X) -> p(Y).")
-	rep := chaseterm.CheckAcyclicity(rules)
-	fmt.Println("weakly acyclic: ", rep.WeaklyAcyclic)
-	fmt.Println("jointly acyclic:", rep.JointlyAcyclic)
+	rep, _ := analyzer.Analyze(context.Background(), chaseterm.NewRequest(chaseterm.AnalyzeAcyclicity, rules))
+	fmt.Println("weakly acyclic: ", rep.Acyclicity.WeaklyAcyclic)
+	fmt.Println("jointly acyclic:", rep.Acyclicity.JointlyAcyclic)
 	// Output:
 	// weakly acyclic:  false
 	// jointly acyclic: true

@@ -1,6 +1,7 @@
 package chaseterm
 
 import (
+	"context"
 	"testing"
 )
 
@@ -9,7 +10,7 @@ func TestCoreFacts(t *testing.T) {
 dept(DN, MN) -> deptName(D, DN), mgr(D, M), empName(M, MN).
 mgr(D, M) -> works(M, D).`)
 	db := MustParseDatabase(`emp(carol, toys). dept(toys, carol).`)
-	res, err := RunChase(db, rules, Restricted, ChaseOptions{})
+	res, err := chaseOn(context.Background(), db, rules, Restricted, ChaseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ mgr(D, M) -> works(M, D).`)
 func TestCoreFactsNoFold(t *testing.T) {
 	rules := MustParseRules(`p(X) -> q(X,Y).`)
 	db := MustParseDatabase(`p(a).`)
-	res, err := RunChase(db, rules, Restricted, ChaseOptions{})
+	res, err := chaseOn(context.Background(), db, rules, Restricted, ChaseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ r(X,Y) -> r(Y,X).`)
 	}
 	// FIFO (fair) restricted run on the same input diverges — the pair of
 	// results is the ∀/∃-sequence separation at the public API level.
-	run, err := RunChase(db, rules, Restricted, ChaseOptions{MaxTriggers: 500})
+	run, err := chaseOn(context.Background(), db, rules, Restricted, ChaseOptions{MaxTriggers: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +70,14 @@ func TestDecideTerminationOnDatabase(t *testing.T) {
 	feeds := MustParseDatabase(`p(a,b).`)
 	starved := MustParseDatabase(`q(a).`)
 
-	v, err := DecideTerminationOnDatabase(feeds, rules, SemiOblivious)
+	v, err := decide(context.Background(), rules, SemiOblivious, WithDatabase(feeds))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Terminates != No || v.Method != "critical-weak-acyclicity(fixed-db)" {
 		t.Errorf("feeds: %v via %s", v.Terminates, v.Method)
 	}
-	v, err = DecideTerminationOnDatabase(starved, rules, SemiOblivious)
+	v, err = decide(context.Background(), rules, SemiOblivious, WithDatabase(starved))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestDecideTerminationOnDatabase(t *testing.T) {
 		t.Errorf("starved: %v", v.Terminates)
 	}
 	// Oblivious variant on the starved database also terminates.
-	v, err = DecideTerminationOnDatabase(starved, rules, Oblivious)
+	v, err = decide(context.Background(), rules, Oblivious, WithDatabase(starved))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestDecideTerminationOnDatabase(t *testing.T) {
 		t.Errorf("starved/o: %v", v.Terminates)
 	}
 	// Restricted: transfers the Yes.
-	v, err = DecideTerminationOnDatabase(starved, rules, Restricted)
+	v, err = decide(context.Background(), rules, Restricted, WithDatabase(starved))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestDecideTerminationOnDatabase(t *testing.T) {
 	// Guarded dispatch.
 	g := MustParseRules(`g(X,Y), gate(X) -> g(Y,Z), gate(Y).`)
 	armed := MustParseDatabase(`g(a,a). gate(a).`)
-	v, err = DecideTerminationOnDatabase(armed, g, SemiOblivious)
+	v, err = decide(context.Background(), g, SemiOblivious, WithDatabase(armed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestDecideTerminationOnDatabase(t *testing.T) {
 	}
 	// General fallback: saturating non-guarded set.
 	gen := MustParseRules(`e(X,Y), f(Y,Z) -> m(X,Z).`)
-	v, err = DecideTerminationOnDatabase(MustParseDatabase(`e(a,b). f(b,c).`), gen, SemiOblivious)
+	v, err = decide(context.Background(), gen, SemiOblivious, WithDatabase(MustParseDatabase(`e(a,b). f(b,c).`)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestDecideTerminationOnDatabase(t *testing.T) {
 
 func TestCheckAcyclicity(t *testing.T) {
 	// RA fails, WA holds: the dropped-frontier rule.
-	rep := CheckAcyclicity(MustParseRules(`p(X,Y) -> p(X,Z).`))
+	rep := acyclicityOf(t, MustParseRules(`p(X,Y) -> p(X,Z).`))
 	if rep.RichlyAcyclic || !rep.WeaklyAcyclic || !rep.JointlyAcyclic {
 		t.Errorf("report: %+v", rep)
 	}
@@ -133,33 +134,40 @@ func TestCheckAcyclicity(t *testing.T) {
 		t.Error("unexpected WA witness on acyclic set")
 	}
 	// All fail on Example 2.
-	rep = CheckAcyclicity(MustParseRules(`p(X,Y) -> p(Y,Z).`))
+	rep = acyclicityOf(t, MustParseRules(`p(X,Y) -> p(Y,Z).`))
 	if rep.RichlyAcyclic || rep.WeaklyAcyclic || rep.JointlyAcyclic {
 		t.Errorf("report: %+v", rep)
 	}
 	// JA holds where WA fails.
-	rep = CheckAcyclicity(MustParseRules("p(X) -> q(X,Y).\nq(X,Y), q(Y,X) -> p(Y)."))
+	rep = acyclicityOf(t, MustParseRules("p(X) -> q(X,Y).\nq(X,Y), q(Y,X) -> p(Y)."))
 	if rep.WeaklyAcyclic || !rep.JointlyAcyclic {
 		t.Errorf("report: %+v", rep)
 	}
 }
 
+// TestDecideSimpleLinearFastPathMethod: on constant-free simple-linear
+// sets the weak-acyclicity rung decides both ways (Theorem 1 makes its
+// failed check a non-termination proof, marked "(SL)"); with constants
+// in the rules a failed check proves nothing and the shape decider
+// takes over.
 func TestDecideSimpleLinearFastPathMethod(t *testing.T) {
-	rules := MustParseRules(`p(X,Y) -> q(Y,Z).`)
-	v, err := DecideTermination(rules, SemiOblivious)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		src, method, decidedBy string
+		want                   Ternary
+	}{
+		{`p(X,Y) -> q(Y,Z).`, "weak-acyclicity", "weak-acyclicity", Yes},
+		{`p(X,Y) -> p(Y,Z).`, "weak-acyclicity(SL)", "weak-acyclicity", No},
+		{`p(X,0) -> q(X,Z).`, "weak-acyclicity", "weak-acyclicity", Yes},
+		{`p(X,Y) -> p(Y,Z), q(0).`, "critical-weak-acyclicity", "linear-exact", No},
 	}
-	if v.Method != "weak-acyclicity(SL)" {
-		t.Errorf("method: %s", v.Method)
-	}
-	// With constants the shape decider takes over.
-	rules2 := MustParseRules(`p(X,0) -> q(X,Z).`)
-	v, err = DecideTermination(rules2, SemiOblivious)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Method != "critical-weak-acyclicity" {
-		t.Errorf("method with constants: %s", v.Method)
+	for _, tc := range cases {
+		v, err := decide(context.Background(), MustParseRules(tc.src), SemiOblivious)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Terminates != tc.want || v.Method != tc.method || v.DecidedBy != tc.decidedBy {
+			t.Errorf("%s: %v via %s decided by %s, want %v via %s decided by %s",
+				tc.src, v.Terminates, v.Method, v.DecidedBy, tc.want, tc.method, tc.decidedBy)
+		}
 	}
 }

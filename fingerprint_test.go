@@ -1,6 +1,8 @@
 package chaseterm
 
 import (
+	"context"
+	"reflect"
 	"regexp"
 	"sort"
 	"testing"
@@ -94,8 +96,8 @@ func TestPredicatesDeterministic(t *testing.T) {
 
 // TestVerdictDeterministic re-decides the same set from fresh parses and
 // requires byte-identical verdict details (method, witness, search
-// space) — these strings are surfaced by the service and must not leak
-// map-iteration order.
+// space, deciding rung, rung trace up to timings) — these strings are
+// surfaced by the service and must not leak map-iteration order.
 func TestVerdictDeterministic(t *testing.T) {
 	srcs := []string{
 		`person(X) -> hasFather(X,Y), person(Y).`,
@@ -104,19 +106,29 @@ func TestVerdictDeterministic(t *testing.T) {
 	}
 	for _, src := range srcs {
 		for _, v := range []Variant{Oblivious, SemiOblivious} {
-			first, err := DecideTermination(MustParseRules(src), v)
+			first, err := decide(context.Background(), MustParseRules(src), v)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 3; i++ {
-				again, err := DecideTermination(MustParseRules(src), v)
+				again, err := decide(context.Background(), MustParseRules(src), v)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if *again != *first {
+				if !reflect.DeepEqual(untimed(again), untimed(first)) {
 					t.Errorf("verdict for %q (%s) not deterministic:\n%+v\n%+v", src, v, first, again)
 				}
 			}
 		}
 	}
+}
+
+// untimed returns a copy of the verdict with the rung timings zeroed.
+func untimed(v *Verdict) Verdict {
+	out := *v
+	out.Rungs = append([]RungTiming(nil), v.Rungs...)
+	for i := range out.Rungs {
+		out.Rungs[i].Elapsed = 0
+	}
+	return out
 }

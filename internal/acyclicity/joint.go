@@ -185,14 +185,3 @@ func IsJointlyAcyclic(rs *logic.RuleSet) (bool, *Witness) {
 	}
 	return false, w
 }
-
-// IsJointlyAcyclicBool is the historical bool-only form of
-// IsJointlyAcyclic.
-//
-// Deprecated: Use IsJointlyAcyclic, which also returns the feeds-cycle
-// witness — the same (bool, *Witness) shape as the other acyclicity
-// checks.
-func IsJointlyAcyclicBool(rs *logic.RuleSet) bool {
-	ok, _ := IsJointlyAcyclic(rs)
-	return ok
-}

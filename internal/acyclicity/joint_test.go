@@ -1,6 +1,7 @@
 package acyclicity_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -70,7 +71,7 @@ func TestJAStrictlyGeneralizesWA(t *testing.T) {
 		t.Fatal("expected JA to hold")
 	}
 	// And the set really is terminating: the oracle saturates.
-	res, err := critical.Oracle(rs, chase.SemiOblivious, chase.Options{})
+	res, err := critical.OracleContext(context.Background(), rs, chase.SemiOblivious, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestQuickJASound(t *testing.T) {
 		if ok, _ := acyclicity.IsJointlyAcyclic(rs); !ok {
 			return true
 		}
-		res, err := critical.Oracle(rs, chase.SemiOblivious, chase.Options{MaxTriggers: 8000, MaxFacts: 8000})
+		res, err := critical.OracleContext(context.Background(), rs, chase.SemiOblivious, chase.Options{MaxTriggers: 8000, MaxFacts: 8000})
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -22,7 +23,7 @@ func saturatedEngine(t *testing.T, src string, db []logic.Atom, v Variant) (*Eng
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(in, rules, v, Options{})
+	res, err := RunContext(context.Background(), in, rules, v, Options{})
 	if err != nil || res.Outcome != Terminated {
 		t.Fatalf("saturation failed: %v %v", res, err)
 	}
@@ -202,7 +203,7 @@ func TestSteadyStateRunAllocsPerTrigger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := Run(in, rules, SemiOblivious, Options{}); err != nil || res.Outcome != Terminated {
+	if res, err := RunContext(context.Background(), in, rules, SemiOblivious, Options{}); err != nil || res.Outcome != Terminated {
 		t.Fatalf("saturation failed: %v %v", res, err)
 	}
 	e, err := NewEngine(in, rules, SemiOblivious, Options{})
@@ -212,7 +213,7 @@ func TestSteadyStateRunAllocsPerTrigger(t *testing.T) {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	res, err := e.Run()
+	res, err := e.RunContext(context.Background())
 	runtime.ReadMemStats(&m1)
 	if err != nil || res.Outcome != Terminated {
 		t.Fatalf("steady-state run failed: %v %v", res, err)

@@ -596,13 +596,6 @@ func canceled(done <-chan struct{}) bool {
 	}
 }
 
-// Run executes the chase to termination or budget exhaustion.
-//
-// Deprecated: use RunContext so the run can be canceled.
-func (e *Engine) Run() (*Result, error) {
-	return e.RunContext(context.Background())
-}
-
 // RunStreamContext is RunContext with incremental fact delivery: sink
 // observes every batch of derived facts at trigger-application
 // granularity, plus periodic progress heartbeats. A nil sink is exactly
@@ -615,7 +608,8 @@ func (e *Engine) RunStreamContext(ctx context.Context, sink StreamSink) (*Result
 	return e.RunContext(ctx)
 }
 
-// RunContext is Run with cooperative cancellation: the context is polled
+// RunContext executes the chase to termination or budget exhaustion,
+// with cooperative cancellation: the context is polled
 // before seeding each rule and every ctxCheckInterval trigger
 // applications. When it fires, the partial result — Outcome Canceled,
 // statistics up to the stopping point — is returned together with
@@ -800,15 +794,8 @@ func (e *Engine) discover(fid instance.FactID) {
 	}
 }
 
-// Run is the package-level convenience: compile and run in one call.
-//
-// Deprecated: use RunContext so the run can be canceled.
-func Run(in *instance.Instance, rs *logic.RuleSet, v Variant, opt Options) (*Result, error) {
-	return RunContext(context.Background(), in, rs, v, opt)
-}
-
-// RunContext is Run honoring a context; see Engine.RunContext for the
-// cancellation contract.
+// RunContext is the package-level convenience: compile and run in one
+// call. See Engine.RunContext for the cancellation contract.
 func RunContext(ctx context.Context, in *instance.Instance, rs *logic.RuleSet, v Variant, opt Options) (*Result, error) {
 	e, err := NewEngine(in, rs, v, opt)
 	if err != nil {
@@ -817,14 +804,8 @@ func RunContext(ctx context.Context, in *instance.Instance, rs *logic.RuleSet, v
 	return e.RunContext(ctx)
 }
 
-// RunFromAtoms runs the chase over a database given as ground atoms.
-//
-// Deprecated: use RunFromAtomsContext so the run can be canceled.
-func RunFromAtoms(db []logic.Atom, rs *logic.RuleSet, v Variant, opt Options) (*Result, error) {
-	return RunFromAtomsContext(context.Background(), db, rs, v, opt)
-}
-
-// RunFromAtomsContext is RunFromAtoms honoring a context.
+// RunFromAtomsContext runs the chase over a database given as ground
+// atoms.
 func RunFromAtomsContext(ctx context.Context, db []logic.Atom, rs *logic.RuleSet, v Variant, opt Options) (*Result, error) {
 	in, err := instance.FromAtoms(db)
 	if err != nil {

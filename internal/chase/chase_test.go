@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ func run(t *testing.T, facts, rules string, v Variant, opt Options) *Result {
 	t.Helper()
 	db := parse.MustParseFacts(facts)
 	rs := parse.MustParseRules(rules)
-	res, err := RunFromAtoms(db, rs, v, opt)
+	res, err := RunFromAtomsContext(context.Background(), db, rs, v, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ hasFather(X,Y) -> person(X).`
 	db := parse.MustParseFacts(`person(bob). person(alice).`)
 	rs := parse.MustParseRules(rules)
 	for _, v := range []Variant{Oblivious, SemiOblivious, Restricted} {
-		res, err := RunFromAtoms(db, rs, v, Options{})
+		res, err := RunFromAtomsContext(context.Background(), db, rs, v, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestRuleWithSameAtomTwice(t *testing.T) {
 // TestEmptyDatabase: no facts, nothing to do, still a valid terminated run.
 func TestEmptyDatabase(t *testing.T) {
 	rules := parse.MustParseRules(`p(X) -> q(X).`)
-	res, err := RunFromAtoms(nil, rules, SemiOblivious, Options{})
+	res, err := RunFromAtomsContext(context.Background(), nil, rules, SemiOblivious, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func mustRun(t *testing.T, facts string, rules *logic.RuleSet, v Variant, opts .
 	if len(opts) > 0 {
 		opt = opts[0]
 	}
-	res, err := RunFromAtoms(parse.MustParseFacts(facts), rules, v, opt)
+	res, err := RunFromAtomsContext(context.Background(), parse.MustParseFacts(facts), rules, v, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // restrictedCases pins restricted chase runs over scale-ontology TBoxes
 // (12 concepts, 6 roles, 40 axioms, as in BenchmarkEngineScaleOntology)
 // on 1500-fact ABoxes: tbox is the position, in the seed's stream of
-// TBoxes, of the first one core.DecideLinear certifies
+// TBoxes, of the first one core.DecideLinearContext certifies
 // semi-oblivious-terminating (found when the digests were recorded), and
 // digest hashes the outcome, every Stats field and every fact in FactID
 // order. The digests come from a planner that ignored the seeds of head

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"testing"
 
 	"chaseterm/internal/parse"
@@ -26,7 +27,7 @@ r(X,Y) -> r(Y,X).`)
 	// Rule-priority with σ2 first: reorder by swapping rule indexes.
 	swapped := parse.MustParseRules(`r(X,Y) -> r(Y,X).
 r(X,Y) -> r(Y,Z).`)
-	res, err := RunFromAtoms(db, swapped, Restricted, Options{Order: OrderRulePriority, MaxTriggers: 10000})
+	res, err := RunFromAtomsContext(context.Background(), db, swapped, Restricted, Options{Order: OrderRulePriority, MaxTriggers: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ r(X,Y) -> r(Y,Z).`)
 
 	// Invent-first priority diverges.
 	db2 := parse.MustParseFacts(`r(a,b).`)
-	res, err = RunFromAtoms(db2, rules, Restricted, Options{Order: OrderRulePriority, MaxTriggers: 300})
+	res, err = RunFromAtomsContext(context.Background(), db2, rules, Restricted, Options{Order: OrderRulePriority, MaxTriggers: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ r(X,Y) -> r(Y,Z).`)
 		"r(X,Y) -> r(Y,X).\nr(X,Y) -> r(Y,Z).",
 	} {
 		db := parse.MustParseFacts(`r(a,b).`)
-		res, err := RunFromAtoms(db, parse.MustParseRules(rs), Oblivious,
+		res, err := RunFromAtomsContext(context.Background(), db, parse.MustParseRules(rs), Oblivious,
 			Options{Order: OrderRulePriority, MaxTriggers: 300})
 		if err != nil {
 			t.Fatal(err)
@@ -73,7 +74,7 @@ r(X,Y) -> s(Y).`)
 	var want []string
 	for i, ord := range []Order{OrderFIFO, OrderLIFO, OrderRulePriority} {
 		db := parse.MustParseFacts(`e(a,b). e(b,c).`)
-		res, err := RunFromAtoms(db, rules, SemiOblivious, Options{Order: ord})
+		res, err := RunFromAtomsContext(context.Background(), db, rules, SemiOblivious, Options{Order: ord})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestLIFOOnTerminatingInput(t *testing.T) {
 	rules := parse.MustParseRules(`p(X) -> q(X).
 q(X) -> r(X).`)
 	db := parse.MustParseFacts(`p(a). p(b).`)
-	res, err := RunFromAtoms(db, rules, SemiOblivious, Options{Order: OrderLIFO})
+	res, err := RunFromAtomsContext(context.Background(), db, rules, SemiOblivious, Options{Order: OrderLIFO})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package chase_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -19,7 +20,7 @@ func TestQuickTerminatedResultIsModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seedVal))
 		rs := workload.RandomGuarded(rng, workload.Config{NumPreds: 2, MaxArity: 2, NumRules: 2})
 		for _, v := range []Variant{Oblivious, SemiOblivious, Restricted} {
-			res, err := critical.Oracle(rs, v, Options{MaxTriggers: 3000, MaxFacts: 3000})
+			res, err := critical.OracleContext(context.Background(), rs, v, Options{MaxTriggers: 3000, MaxFacts: 3000})
 			if err != nil {
 				return false
 			}
@@ -49,15 +50,15 @@ func TestQuickVariantWorkOrder(t *testing.T) {
 		rng := rand.New(rand.NewSource(seedVal))
 		rs := workload.RandomSL(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 3})
 		budget := Options{MaxTriggers: 3000, MaxFacts: 3000}
-		o, err := critical.Oracle(rs, Oblivious, budget)
+		o, err := critical.OracleContext(context.Background(), rs, Oblivious, budget)
 		if err != nil {
 			return false
 		}
-		so, err := critical.Oracle(rs, SemiOblivious, budget)
+		so, err := critical.OracleContext(context.Background(), rs, SemiOblivious, budget)
 		if err != nil {
 			return false
 		}
-		r, err := critical.Oracle(rs, Restricted, budget)
+		r, err := critical.OracleContext(context.Background(), rs, Restricted, budget)
 		if err != nil {
 			return false
 		}
@@ -94,7 +95,7 @@ func TestQuickObliviousOrderInvariance(t *testing.T) {
 		var outcomes []Outcome
 		var triggers []int
 		for _, ord := range []Order{OrderFIFO, OrderLIFO, OrderRulePriority} {
-			res, err := critical.Oracle(rs, Oblivious, Options{
+			res, err := critical.OracleContext(context.Background(), rs, Oblivious, Options{
 				MaxTriggers: budget, MaxFacts: budget, Order: ord,
 			})
 			if err != nil {

@@ -10,13 +10,13 @@ import (
 	"chaseterm/internal/parse"
 )
 
-// One representative rule set per dispatch path of Decide.
+// One representative rule set per dispatch path of DecideContext.
 var cancelSets = map[string]string{
 	"simple-linear": `person(X) -> hasFather(X,Y), person(Y).`,
 	"linear":        `p(X,X) -> p(X,Y).`,
 	"guarded":       `p(X,Y), q(Y) -> r(Y,Z).`,
 	// Not weakly acyclic (special cycle p.1 -> s.1 => p.1) and not
-	// guarded, so Decide reaches the bounded critical-instance oracle.
+	// guarded, so DecideContext reaches the bounded critical-instance oracle.
 	"general": `p(X), q(Y) -> s(X,Y). s(X,Y) -> p(Z), t(X,Z).`,
 }
 
@@ -96,17 +96,20 @@ func TestDecideGeneralCancelMidOracle(t *testing.T) {
 }
 
 // TestDecideContextBackgroundIdentical: the context plumbing must not
-// change any verdict under a background context.
+// change any verdict: a background context (nil Done channel, polls
+// compiled out) and a live, never-canceled one must agree.
 func TestDecideContextBackgroundIdentical(t *testing.T) {
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for name, src := range cancelSets {
 		rs := parse.MustParseRules(src)
-		plain, err1 := Decide(rs, VariantSemiOblivious, DecideOptions{})
-		ctxed, err2 := DecideContext(context.Background(), rs, VariantSemiOblivious, DecideOptions{})
+		plain, err1 := DecideContext(context.Background(), rs, VariantSemiOblivious, DecideOptions{})
+		ctxed, err2 := DecideContext(live, rs, VariantSemiOblivious, DecideOptions{})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: errors %v / %v", name, err1, err2)
 		}
 		if plain.Answer != ctxed.Answer || plain.Method != ctxed.Method {
-			t.Errorf("%s: Decide gave (%v,%s) but DecideContext gave (%v,%s)",
+			t.Errorf("%s: background context gave (%v,%s) but a live one gave (%v,%s)",
 				name, plain.Answer, plain.Method, ctxed.Answer, ctxed.Method)
 		}
 	}
@@ -117,13 +120,13 @@ func TestDecideContextBackgroundIdentical(t *testing.T) {
 // and fail every decision instantly with a budget error.
 func TestNegativeBudgetsClamped(t *testing.T) {
 	linear := parse.MustParseRules(cancelSets["linear"])
-	if res, err := DecideLinear(linear, VariantSemiOblivious, Options{MaxShapes: -1}); err != nil {
+	if res, err := DecideLinearContext(context.Background(), linear, VariantSemiOblivious, Options{MaxShapes: -1}); err != nil {
 		t.Errorf("linear with MaxShapes -1: %v, want a verdict", err)
 	} else if res.Verdict.ShapeCount == 0 {
 		t.Error("linear with MaxShapes -1 explored no shapes")
 	}
 	guarded := parse.MustParseRules(cancelSets["guarded"])
-	if _, err := DecideGuarded(guarded, Options{MaxNodeTypes: -1}); err != nil {
+	if _, err := DecideGuardedContext(context.Background(), guarded, Options{MaxNodeTypes: -1}); err != nil {
 		t.Errorf("guarded with MaxNodeTypes -1: %v, want a verdict", err)
 	}
 	dopt := DecideOptions{OracleMaxTriggers: -3, OracleMaxFacts: -3}.withDefaults()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -21,7 +22,7 @@ var oracleBudget = chase.Options{MaxTriggers: 8_000, MaxFacts: 8_000}
 // empirical returns the bounded-oracle answer for the given variant.
 func empirical(t *testing.T, rs *logic.RuleSet, v chase.Variant) Answer {
 	t.Helper()
-	res, err := critical.Oracle(rs, v, oracleBudget)
+	res, err := critical.OracleContext(context.Background(), rs, v, oracleBudget)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
@@ -47,11 +48,11 @@ func TestTheorem1SL(t *testing.T) {
 		wa, _ := acyclicity.IsWeaklyAcyclic(rs)
 		ra, _ := acyclicity.IsRichlyAcyclic(rs)
 
-		so, err := DecideLinear(rs, VariantSemiOblivious, Options{})
+		so, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		o, err := DecideLinear(rs, VariantOblivious, Options{})
+		o, err := DecideLinearContext(context.Background(), rs, VariantOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -82,11 +83,11 @@ func TestTheorem2Linear(t *testing.T) {
 	waIncomplete, raIncomplete := 0, 0
 	for i := 0; i < 400; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 3, MaxArity: 3, NumRules: 3, RepeatProb: 0.5})
-		so, err := DecideLinear(rs, VariantSemiOblivious, Options{})
+		so, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		o, err := DecideLinear(rs, VariantOblivious, Options{})
+		o, err := DecideLinearContext(context.Background(), rs, VariantOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -128,14 +129,14 @@ func TestTheorem4Guarded(t *testing.T) {
 		if rs.Classify() > logic.ClassGuarded {
 			t.Fatalf("case %d: generator produced non-guarded set:\n%s", i, rs)
 		}
-		so, err := DecideGuarded(rs, Options{})
+		so, err := DecideGuardedContext(context.Background(), rs, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v\n%s", i, err, rs)
 		}
 		if got := empirical(t, rs, chase.SemiOblivious); got != so.Verdict.Answer {
 			t.Errorf("case %d: so-oracle=%v decider=%v:\n%s", i, got, so.Verdict.Answer, rs)
 		}
-		o, err := DecideGuarded(critical.AuxTransform(rs), Options{})
+		o, err := DecideGuardedContext(context.Background(), critical.AuxTransform(rs), Options{})
 		if err != nil {
 			t.Fatalf("case %d (aux): %v\n%s", i, err, rs)
 		}
@@ -161,7 +162,7 @@ func TestTheorem4GuardedArity3(t *testing.T) {
 		rs := workload.RandomGuarded(rng, workload.Config{
 			NumPreds: 3, MaxArity: 3, NumRules: 2, MaxSideAtoms: 2, MaxHeadAtoms: 2,
 		})
-		so, err := DecideGuarded(rs, Options{})
+		so, err := DecideGuardedContext(context.Background(), rs, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v\n%s", i, err, rs)
 		}
@@ -184,7 +185,7 @@ func TestConstantsCrossval(t *testing.T) {
 		lin := workload.RandomLinear(rng, workload.Config{
 			NumPreds: 3, MaxArity: 2, NumRules: 3, RepeatProb: 0.3, ConstProb: 0.3,
 		})
-		dec, err := DecideLinear(lin, VariantSemiOblivious, Options{})
+		dec, err := DecideLinearContext(context.Background(), lin, VariantSemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -196,7 +197,7 @@ func TestConstantsCrossval(t *testing.T) {
 		g := workload.RandomGuarded(rng, workload.Config{
 			NumPreds: 2, MaxArity: 2, NumRules: 2, MaxSideAtoms: 1, ConstProb: 0.3,
 		})
-		dec, err := DecideGuarded(g, Options{})
+		dec, err := DecideGuardedContext(context.Background(), g, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -215,11 +216,11 @@ func TestGuardedAgreesWithLinearRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 200; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 2, MaxArity: 2, NumRules: 2, RepeatProb: 0.4})
-		lin, err := DecideLinear(rs, VariantSemiOblivious, Options{})
+		lin, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		gd, err := DecideGuarded(rs, Options{})
+		gd, err := DecideGuardedContext(context.Background(), rs, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -238,11 +239,11 @@ func TestAuxEquivalenceLinearRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 300; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 3, RepeatProb: 0.3})
-		direct, err := DecideLinear(rs, VariantOblivious, Options{})
+		direct, err := DecideLinearContext(context.Background(), rs, VariantOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		viaAux, err := DecideLinear(critical.AuxTransform(rs), VariantSemiOblivious, Options{})
+		viaAux, err := DecideLinearContext(context.Background(), critical.AuxTransform(rs), VariantSemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -261,11 +262,11 @@ func TestCTContainmentRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 300; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 3})
-		o, err := DecideLinear(rs, VariantOblivious, Options{})
+		o, err := DecideLinearContext(context.Background(), rs, VariantOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		so, err := DecideLinear(rs, VariantSemiOblivious, Options{})
+		so, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -296,7 +297,7 @@ func TestDecideDispatch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v, err := Decide(tc.rs, VariantSemiOblivious, DecideOptions{})
+			v, err := DecideContext(context.Background(), tc.rs, VariantSemiOblivious, DecideOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,7 +318,7 @@ func TestDecideGeneralUnknown(t *testing.T) {
 	// Non-guarded (three body variables, binary atoms) and diverging: each
 	// round re-seeds both body predicates with fresh values.
 	rs := mustRules(t, `e(X,Y), f(Y,Z) -> e(Z,W), f(W,V).`)
-	v, err := Decide(rs, VariantSemiOblivious, DecideOptions{
+	v, err := DecideContext(context.Background(), rs, VariantSemiOblivious, DecideOptions{
 		OracleMaxTriggers: 2000, OracleMaxFacts: 2000,
 	})
 	if err != nil {
@@ -335,7 +336,7 @@ func TestDecideGeneralUnknown(t *testing.T) {
 // guarded sets.
 func TestDecideObliviousDispatch(t *testing.T) {
 	rs := mustRules(t, `g(X,Y), gate(X) -> g(Y,Z).`)
-	v, err := Decide(rs, VariantOblivious, DecideOptions{})
+	v, err := DecideContext(context.Background(), rs, VariantOblivious, DecideOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,10 +33,6 @@ type DecideOptions struct {
 	// used as a semi-decision fallback for general TGDs (defaults 200k).
 	OracleMaxTriggers int
 	OracleMaxFacts    int
-	// OracleWorkers sets the oracle chase's match parallelism
-	// (chase.Options.Workers). 0 or 1 runs the sequential engine; any
-	// count yields bit-identical verdicts.
-	OracleWorkers int
 }
 
 func (o DecideOptions) withDefaults() DecideOptions {
@@ -53,30 +49,31 @@ func (o DecideOptions) withDefaults() DecideOptions {
 	return o
 }
 
-// Decide is the front door of the termination analysis: it classifies the
-// rule set syntactically and dispatches to the strongest procedure
-// available.
+// DecideContext is the direct class dispatch of the termination
+// analysis: it classifies the rule set syntactically and runs the
+// strongest procedure available.
 //
-//   - simple-linear and linear sets: DecideLinear — exact (Theorems 1–3);
-//   - guarded sets: DecideGuarded — exact (Theorem 4); the oblivious
-//     variant is decided on aux(Σ) (package critical), whose semi-oblivious
-//     chase applies exactly the oblivious triggers of Σ;
+//   - simple-linear and linear sets: DecideLinearContext — exact
+//     (Theorems 1–3);
+//   - guarded sets: DecideGuardedContext — exact (Theorem 4); the
+//     oblivious variant is decided on aux(Σ) (package critical), whose
+//     semi-oblivious chase applies exactly the oblivious triggers of Σ;
 //   - general sets: the problem is undecidable (Gogacz–Marcinkowski), so
-//     Decide falls back to sound partial answers: weak/rich acyclicity
-//     implies termination, and a critical-instance chase that saturates
-//     within budget proves termination (Marnette's lemma makes the critical
-//     instance complete for non-termination too, but an infinite run can
-//     only be cut off, so the negative direction stays Unknown).
+//     DecideContext falls back to sound partial answers: weak/rich
+//     acyclicity implies termination, and a critical-instance chase that
+//     saturates within budget proves termination (Marnette's lemma makes
+//     the critical instance complete for non-termination too, but an
+//     infinite run can only be cut off, so the negative direction stays
+//     Unknown).
 //
-// Deprecated: use DecideContext so long analyses can be canceled.
-func Decide(rs *logic.RuleSet, v ChaseVariant, opt DecideOptions) (*Verdict, error) {
-	return DecideContext(context.Background(), rs, v, opt)
-}
-
-// DecideContext is Decide honoring a context. All dispatched procedures
-// poll the context at their fixpoint/worklist boundaries, so a canceled
-// or expired context surfaces as ctx.Err() well before any search budget
-// is exhausted.
+// No library package calls it: every decide of the library climbs the
+// portfolio ladder (package portfolio), which runs the same procedures
+// as rungs behind cheaper sound criteria. DecideContext stays as the
+// reference the ladder is cross-validated and benchmarked against.
+//
+// All dispatched procedures poll the context at their fixpoint/worklist
+// boundaries, so a canceled or expired context surfaces as ctx.Err()
+// well before any search budget is exhausted.
 func DecideContext(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, opt DecideOptions) (*Verdict, error) {
 	opt = opt.withDefaults()
 	if err := rs.Validate(); err != nil {
@@ -185,7 +182,6 @@ func decideGeneral(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, opt D
 	res, err := critical.OracleContext(ctx, target, chase.SemiOblivious, chase.Options{
 		MaxTriggers: opt.OracleMaxTriggers,
 		MaxFacts:    opt.OracleMaxFacts,
-		Workers:     opt.OracleWorkers,
 	})
 	if err != nil {
 		return nil, err

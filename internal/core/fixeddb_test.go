@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -66,13 +67,13 @@ func TestFixedDBKnownCases(t *testing.T) {
 			db := parse.MustParseFacts(tc.db)
 			var got Answer
 			if rs.Classify() <= logic.ClassLinear {
-				res, err := DecideLinearOn(rs, db, VariantSemiOblivious, Options{})
+				res, err := DecideLinearOnContext(context.Background(), rs, db, VariantSemiOblivious, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				got = res.Verdict.Answer
 			} else {
-				res, err := DecideGuardedOn(rs, db, Options{})
+				res, err := DecideGuardedOnContext(context.Background(), rs, db, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,7 +83,7 @@ func TestFixedDBKnownCases(t *testing.T) {
 				t.Errorf("got %v, want %v", got, tc.want)
 			}
 			// Empirical corroboration on the actual database.
-			run, err := chase.RunFromAtoms(db, rs, chase.SemiOblivious,
+			run, err := chase.RunFromAtomsContext(context.Background(), db, rs, chase.SemiOblivious,
 				chase.Options{MaxTriggers: 5000, MaxFacts: 5000})
 			if err != nil {
 				t.Fatal(err)
@@ -108,11 +109,11 @@ func TestFixedDBRandomLinear(t *testing.T) {
 	for i := 0; i < 250; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 3, RepeatProb: 0.4})
 		db := workload.RandomABox(rng, rs, 4, 2)
-		dec, err := DecideLinearOn(rs, db, VariantSemiOblivious, Options{})
+		dec, err := DecideLinearOnContext(context.Background(), rs, db, VariantSemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		run, err := chase.RunFromAtoms(db, rs, chase.SemiOblivious,
+		run, err := chase.RunFromAtomsContext(context.Background(), db, rs, chase.SemiOblivious,
 			chase.Options{MaxTriggers: 8000, MaxFacts: 8000})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
@@ -137,11 +138,11 @@ func TestFixedDBRandomGuarded(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		rs := workload.RandomGuarded(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 2, MaxSideAtoms: 1})
 		db := workload.RandomABox(rng, rs, 3, 2)
-		dec, err := DecideGuardedOn(rs, db, Options{})
+		dec, err := DecideGuardedOnContext(context.Background(), rs, db, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		run, err := chase.RunFromAtoms(db, rs, chase.SemiOblivious,
+		run, err := chase.RunFromAtomsContext(context.Background(), db, rs, chase.SemiOblivious,
 			chase.Options{MaxTriggers: 8000, MaxFacts: 8000})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
@@ -163,7 +164,7 @@ func TestFixedDBImpliedByAllInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 120; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 3})
-		all, err := DecideLinear(rs, VariantSemiOblivious, Options{})
+		all, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestFixedDBImpliedByAllInstance(t *testing.T) {
 			continue
 		}
 		db := workload.RandomABox(rng, rs, 5, 3)
-		fixed, err := DecideLinearOn(rs, db, VariantSemiOblivious, Options{})
+		fixed, err := DecideLinearOnContext(context.Background(), rs, db, VariantSemiOblivious, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,10 +185,10 @@ func TestFixedDBImpliedByAllInstance(t *testing.T) {
 func TestFixedDBRejectsNonGround(t *testing.T) {
 	rs := parse.MustParseRules(`p(X) -> q(X).`)
 	bad := []logic.Atom{logic.NewAtom("p", logic.Variable("X"))}
-	if _, err := DecideLinearOn(rs, bad, VariantSemiOblivious, Options{}); err == nil {
+	if _, err := DecideLinearOnContext(context.Background(), rs, bad, VariantSemiOblivious, Options{}); err == nil {
 		t.Error("non-ground database accepted by DecideLinearOn")
 	}
-	if _, err := DecideGuardedOn(rs, bad, Options{}); err == nil {
+	if _, err := DecideGuardedOnContext(context.Background(), rs, bad, Options{}); err == nil {
 		t.Error("non-ground database accepted by DecideGuardedOn")
 	}
 }

@@ -344,36 +344,23 @@ type GuardedResult struct {
 	Verdict *Verdict
 }
 
-// DecideGuarded decides CT^so membership for a guarded rule set: the node
-// forest is rooted at the critical instance, so the verdict quantifies
-// over all databases. For CT^o, apply the aux-atom transformation first
-// (the Decide front door and the façade do this automatically).
-//
-// Deprecated: use DecideGuardedContext so the forest search can be canceled.
-func DecideGuarded(rs *logic.RuleSet, opt Options) (*GuardedResult, error) {
-	return decideGuardedSeeded(context.Background(), rs, nil, opt)
-}
-
-// DecideGuardedContext is DecideGuarded honoring a context: the global
-// and per-node fixpoint loops poll it, so a cancellation surfaces as
-// ctx.Err() long before the node-type budget is reached.
+// DecideGuardedContext decides CT^so membership for a guarded rule set:
+// the node forest is rooted at the critical instance, so the verdict
+// quantifies over all databases. For CT^o, apply the aux-atom
+// transformation first (the guarded-exact portfolio rung and the façade
+// do this automatically). The global and per-node fixpoint loops poll
+// the context, so a cancellation surfaces as ctx.Err() long before the
+// node-type budget is reached.
 func DecideGuardedContext(ctx context.Context, rs *logic.RuleSet, opt Options) (*GuardedResult, error) {
 	return decideGuardedSeeded(ctx, rs, nil, opt)
 }
 
-// DecideGuardedOn decides whether the semi-oblivious chase of the GIVEN
-// database under the guarded rule set terminates — the fixed-database
-// variant. The node-forest machinery never relied on the root being the
-// critical instance, only on it being ground, so rooting it at the
-// database decides termination for exactly that input (an extension beyond
-// the paper's all-instance theorem).
-//
-// Deprecated: use DecideGuardedOnContext so the forest search can be canceled.
-func DecideGuardedOn(rs *logic.RuleSet, db []logic.Atom, opt Options) (*GuardedResult, error) {
-	return DecideGuardedOnContext(context.Background(), rs, db, opt)
-}
-
-// DecideGuardedOnContext is DecideGuardedOn honoring a context.
+// DecideGuardedOnContext decides whether the semi-oblivious chase of
+// the GIVEN database under the guarded rule set terminates — the
+// fixed-database variant. The node-forest machinery never relied on the
+// root being the critical instance, only on it being ground, so rooting
+// it at the database decides termination for exactly that input (an
+// extension beyond the paper's all-instance theorem).
 func DecideGuardedOnContext(ctx context.Context, rs *logic.RuleSet, db []logic.Atom, opt Options) (*GuardedResult, error) {
 	for _, a := range db {
 		if !a.IsGround() {

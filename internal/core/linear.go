@@ -274,37 +274,24 @@ type LinearResult struct {
 	Shapes []string
 }
 
-// DecideLinear decides CT^o / CT^so membership for a set of linear TGDs
-// via critical-weak/rich acyclicity: the shape analysis is seeded with the
-// critical instance I*(Σ), making the verdict quantify over all databases
-// (Marnette's lemma; package critical). It returns an error if some rule
-// is not linear or a budget is exceeded.
-//
-// Deprecated: use DecideLinearContext so the shape search can be canceled.
-func DecideLinear(rs *logic.RuleSet, v ChaseVariant, opt Options) (*LinearResult, error) {
-	return decideLinearSeeded(context.Background(), rs, v, nil, opt)
-}
-
-// DecideLinearContext is DecideLinear honoring a context: the shape
-// worklist polls it and a cancellation surfaces as ctx.Err().
+// DecideLinearContext decides CT^o / CT^so membership for a set of
+// linear TGDs via critical-weak/rich acyclicity: the shape analysis is
+// seeded with the critical instance I*(Σ), making the verdict quantify
+// over all databases (Marnette's lemma; package critical). It returns an
+// error if some rule is not linear or a budget is exceeded. The shape
+// worklist polls the context and a cancellation surfaces as ctx.Err().
 func DecideLinearContext(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, opt Options) (*LinearResult, error) {
 	return decideLinearSeeded(ctx, rs, v, nil, opt)
 }
 
-// DecideLinearOn decides whether the ?-chase of the GIVEN database under
-// the linear rule set terminates — the fixed-database variant of the
-// problem (an extension beyond the paper, which notes the general-TGD
-// version stays undecidable even with the database given; for linear rules
-// the same shape abstraction applies, seeded with the database's atom
-// shapes instead of the critical instance: the pumping and provenance
-// arguments never used criticality of the seed, only its groundness).
-//
-// Deprecated: use DecideLinearOnContext so the shape search can be canceled.
-func DecideLinearOn(rs *logic.RuleSet, db []logic.Atom, v ChaseVariant, opt Options) (*LinearResult, error) {
-	return DecideLinearOnContext(context.Background(), rs, db, v, opt)
-}
-
-// DecideLinearOnContext is DecideLinearOn honoring a context.
+// DecideLinearOnContext decides whether the ?-chase of the GIVEN
+// database under the linear rule set terminates — the fixed-database
+// variant of the problem (an extension beyond the paper, which notes the
+// general-TGD version stays undecidable even with the database given; for
+// linear rules the same shape abstraction applies, seeded with the
+// database's atom shapes instead of the critical instance: the pumping
+// and provenance arguments never used criticality of the seed, only its
+// groundness).
 func DecideLinearOnContext(ctx context.Context, rs *logic.RuleSet, db []logic.Atom, v ChaseVariant, opt Options) (*LinearResult, error) {
 	for _, a := range db {
 		if !a.IsGround() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"chaseterm/internal/critical"
@@ -117,16 +118,16 @@ func TestDecideLinearKnownCases(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			rs := parse.MustParseRules(tc.src)
-			resO, err := DecideLinear(rs, VariantOblivious, Options{})
+			resO, err := DecideLinearContext(context.Background(), rs, VariantOblivious, Options{})
 			if err != nil {
-				t.Fatalf("DecideLinear(o): %v", err)
+				t.Fatalf("DecideLinearContext(context.Background(), o): %v", err)
 			}
 			if resO.Verdict.Answer != tc.o {
 				t.Errorf("CT^o: got %v, want %v (witness: %s)", resO.Verdict.Answer, tc.o, resO.Verdict.Witness)
 			}
-			resSO, err := DecideLinear(rs, VariantSemiOblivious, Options{})
+			resSO, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
 			if err != nil {
-				t.Fatalf("DecideLinear(so): %v", err)
+				t.Fatalf("DecideLinearContext(context.Background(), so): %v", err)
 			}
 			if resSO.Verdict.Answer != tc.so {
 				t.Errorf("CT^so: got %v, want %v (witness: %s)", resSO.Verdict.Answer, tc.so, resSO.Verdict.Witness)
@@ -150,12 +151,12 @@ func TestDecideLinearContainment(t *testing.T) {
 func TestDecideLinearAuxTransform(t *testing.T) {
 	for _, tc := range linearCases {
 		rs := parse.MustParseRules(tc.src)
-		direct, err := DecideLinear(rs, VariantOblivious, Options{})
+		direct, err := DecideLinearContext(context.Background(), rs, VariantOblivious, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		aux := critical.AuxTransform(rs)
-		viaAux, err := DecideLinear(aux, VariantSemiOblivious, Options{})
+		viaAux, err := DecideLinearContext(context.Background(), aux, VariantSemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("%s: aux: %v", tc.name, err)
 		}
@@ -168,7 +169,7 @@ func TestDecideLinearAuxTransform(t *testing.T) {
 
 func TestDecideLinearRejectsNonLinear(t *testing.T) {
 	rs := parse.MustParseRules(`p(X), q(X) -> r(X).`)
-	if _, err := DecideLinear(rs, VariantSemiOblivious, Options{}); err == nil {
+	if _, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{}); err == nil {
 		t.Fatal("expected an error for a non-linear rule")
 	}
 }
@@ -214,7 +215,7 @@ v(X) -> w(X).`,
 			if c := rs.Classify(); c > logic.ClassGuarded {
 				t.Fatalf("test case is not guarded: %v", c)
 			}
-			res, err := DecideGuarded(rs, Options{})
+			res, err := DecideGuardedContext(context.Background(), rs, Options{})
 			if err != nil {
 				t.Fatalf("DecideGuarded: %v", err)
 			}
@@ -230,11 +231,11 @@ v(X) -> w(X).`,
 func TestGuardedAgreesWithLinear(t *testing.T) {
 	for _, tc := range linearCases {
 		rs := parse.MustParseRules(tc.src)
-		lin, err := DecideLinear(rs, VariantSemiOblivious, Options{})
+		lin, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		gd, err := DecideGuarded(rs, Options{})
+		gd, err := DecideGuardedContext(context.Background(), rs, Options{})
 		if err != nil {
 			t.Fatalf("%s: guarded: %v", tc.name, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"chaseterm/internal/parse"
@@ -15,7 +16,7 @@ import (
 func TestGuardedRecordReturnRegression(t *testing.T) {
 	rs := parse.MustParseRules(`p0(X0,X1) -> p1(Z0), p1(X1).
 p1(X0) -> p1(X0), p0(Z0,X0).`)
-	res, err := DecideGuarded(rs, Options{})
+	res, err := DecideGuardedContext(context.Background(), rs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

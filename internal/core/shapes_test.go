@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 // p(✶,✶), then p(✶,n1) (invented second argument), then p(n1,n2).
 func TestShapesEnumeration(t *testing.T) {
 	rs := parse.MustParseRules(`p(X,Y) -> p(Y,Z).`)
-	res, err := DecideLinear(rs, VariantSemiOblivious, Options{})
+	res, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestShapesEnumeration(t *testing.T) {
 // with equal classes, so p(X,X) -> p(X,Z) reaches exactly two shapes.
 func TestShapesWithEqualities(t *testing.T) {
 	rs := parse.MustParseRules(`p(X,X) -> p(X,Z).`)
-	res, err := DecideLinear(rs, VariantSemiOblivious, Options{})
+	res, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestShapesWithEqualities(t *testing.T) {
 // the seed shapes.
 func TestShapesWithConstants(t *testing.T) {
 	rs := parse.MustParseRules(`p(X,0) -> q(X).`)
-	res, err := DecideLinear(rs, VariantSemiOblivious, Options{})
+	res, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestShapesWithConstants(t *testing.T) {
 // cycle in shape notation.
 func TestWitnessMentionsShapes(t *testing.T) {
 	rs := parse.MustParseRules(`p(X,Y) -> p(Y,Z).`)
-	res, err := DecideLinear(rs, VariantSemiOblivious, Options{})
+	res, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestWitnessMentionsShapes(t *testing.T) {
 // TestGuardedWitnessMentionsTypes: guarded witnesses render node types.
 func TestGuardedWitnessMentionsTypes(t *testing.T) {
 	rs := parse.MustParseRules(`g(X,Y), gate(X) -> g(Y,Z), gate(Y).`)
-	res, err := DecideGuarded(rs, Options{})
+	res, err := DecideGuardedContext(context.Background(), rs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,8 +151,9 @@ func AuxTransform(rs *logic.RuleSet) *logic.RuleSet {
 // AuxTransform.
 func IsAuxPredicate(name string) bool { return strings.HasPrefix(name, AuxPrefix) }
 
-// Oracle is the bounded empirical termination oracle: it runs the requested
-// chase variant on the critical instance with the given budgets.
+// OracleContext is the bounded empirical termination oracle: it runs the
+// requested chase variant on the critical instance with the given
+// budgets.
 //
 // By the critical-instance lemma (package comment), for the semi-oblivious
 // and oblivious variants a Terminated outcome proves Σ ∈ CT^so (resp.
@@ -160,15 +161,9 @@ func IsAuxPredicate(name string) bool { return strings.HasPrefix(name, AuxPrefix
 // to corroborate a decider's non-termination verdict (the budgets are
 // chosen far beyond the saturation sizes of the terminating workloads).
 //
-// Deprecated: use OracleContext so the chase can be canceled.
-func Oracle(rs *logic.RuleSet, v chase.Variant, opt chase.Options) (*chase.Result, error) {
-	return OracleContext(context.Background(), rs, v, opt)
-}
-
-// OracleContext is Oracle honoring a context: a canceled or expired
-// context stops the underlying chase within its check interval and is
-// returned as ctx.Err() alongside the partial result (Outcome
-// chase.Canceled).
+// A canceled or expired context stops the underlying chase within its
+// check interval and is returned as ctx.Err() alongside the partial
+// result (Outcome chase.Canceled).
 func OracleContext(ctx context.Context, rs *logic.RuleSet, v chase.Variant, opt chase.Options) (*chase.Result, error) {
 	in, err := Instance(rs)
 	if err != nil {
@@ -204,17 +199,10 @@ func (r MFAResult) String() string {
 	}
 }
 
-// MFA runs the critical Skolem chase with the cyclic-term stopping rule.
-// This is the classic sufficient acyclicity test positioned between weak
-// acyclicity and the paper's exact deciders; internal/core uses it as the
-// fallback for rule sets outside the guarded class.
-//
-// Deprecated: use MFAContext so the chase can be canceled.
-func MFA(rs *logic.RuleSet, opt chase.Options) (MFAResult, *chase.Result, error) {
-	return MFAContext(context.Background(), rs, opt)
-}
-
-// MFAContext is MFA honoring a context; cancellation surfaces as
+// MFAContext runs the critical Skolem chase with the cyclic-term
+// stopping rule. This is the classic sufficient acyclicity test
+// positioned between weak acyclicity and the paper's exact deciders;
+// the portfolio runs it as its mfa rung. Cancellation surfaces as
 // (MFABudget, partial result, ctx.Err()).
 func MFAContext(ctx context.Context, rs *logic.RuleSet, opt chase.Options) (MFAResult, *chase.Result, error) {
 	opt.StopOnCyclicSkolem = true

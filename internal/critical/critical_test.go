@@ -1,6 +1,7 @@
 package critical
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -100,11 +101,11 @@ q(X,Y) -> r(X).`,
 	for _, src := range srcs {
 		rs := parse.MustParseRules(src)
 		aux := AuxTransform(rs)
-		o, err := chase.RunFromAtoms(parse.MustParseFacts(db), rs, chase.Oblivious, chase.Options{MaxTriggers: 500})
+		o, err := chase.RunFromAtomsContext(context.Background(), parse.MustParseFacts(db), rs, chase.Oblivious, chase.Options{MaxTriggers: 500})
 		if err != nil {
 			t.Fatal(err)
 		}
-		so, err := chase.RunFromAtoms(parse.MustParseFacts(db), aux, chase.SemiOblivious, chase.Options{MaxTriggers: 500})
+		so, err := chase.RunFromAtomsContext(context.Background(), parse.MustParseFacts(db), aux, chase.SemiOblivious, chase.Options{MaxTriggers: 500})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +135,7 @@ q(X,Y) -> r(X).`,
 // from non-terminating sets on the paper's examples.
 func TestOracleMarnette(t *testing.T) {
 	diverges := parse.MustParseRules(`p(X,Y) -> p(Y,Z).`)
-	res, err := Oracle(diverges, chase.SemiOblivious, chase.Options{MaxTriggers: 100})
+	res, err := OracleContext(context.Background(), diverges, chase.SemiOblivious, chase.Options{MaxTriggers: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestOracleMarnette(t *testing.T) {
 		t.Error("diverging set saturated")
 	}
 	stops := parse.MustParseRules(`p(X,Y) -> p(X,Z).`)
-	res, err = Oracle(stops, chase.SemiOblivious, chase.Options{})
+	res, err = OracleContext(context.Background(), stops, chase.SemiOblivious, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,18 +154,18 @@ func TestOracleMarnette(t *testing.T) {
 
 func TestMFA(t *testing.T) {
 	// Weakly-acyclic-style set: no cyclic term, saturates.
-	r, _, err := MFA(parse.MustParseRules(`p(X,Y) -> q(Y,Z).`), chase.Options{})
+	r, _, err := MFAContext(context.Background(), parse.MustParseRules(`p(X,Y) -> q(Y,Z).`), chase.Options{})
 	if err != nil || r != MFATerminating {
 		t.Errorf("MFA: %v %v", r, err)
 	}
 	// Example 2: cyclic term appears.
-	r, _, err = MFA(parse.MustParseRules(`p(X,Y) -> p(Y,Z).`), chase.Options{MaxTriggers: 1000})
+	r, _, err = MFAContext(context.Background(), parse.MustParseRules(`p(X,Y) -> p(Y,Z).`), chase.Options{MaxTriggers: 1000})
 	if err != nil || r != MFACyclic {
 		t.Errorf("MFA: %v %v", r, err)
 	}
 	// The guarded gate: MFA is inconclusive (cyclic term) although the
 	// chase terminates — the incompleteness the cloud decider fixes.
-	r, _, err = MFA(parse.MustParseRules(`g(X,Y), gate(X) -> g(Y,Z).`), chase.Options{MaxTriggers: 1000})
+	r, _, err = MFAContext(context.Background(), parse.MustParseRules(`g(X,Y), gate(X) -> g(Y,Z).`), chase.Options{MaxTriggers: 1000})
 	if err != nil || r != MFACyclic {
 		t.Errorf("MFA on gate: %v %v", r, err)
 	}

@@ -133,19 +133,12 @@ func Loop(inst Instance) (*logic.RuleSet, error) {
 	return out, nil
 }
 
-// Entailed answers the entailment question directly by saturating D under
-// Σ with the semi-oblivious chase (exact for Datalog rule sets, which
-// always saturate; for rule sets with existentials the budget applies and
-// an inconclusive run returns an error).
-//
-// Deprecated: use EntailedContext, which bounds the saturation by a
-// caller-supplied context.
-func Entailed(inst Instance, opt chase.Options) (bool, error) {
-	return EntailedContext(context.Background(), inst, opt)
-}
-
-// EntailedContext is Entailed honoring a context: the underlying chase
-// polls it, so a canceled or expired context surfaces as ctx.Err().
+// EntailedContext answers the entailment question directly by saturating
+// D under Σ with the semi-oblivious chase (exact for Datalog rule sets,
+// which always saturate; for rule sets with existentials the budget
+// applies and an inconclusive run returns an error). The underlying
+// chase polls the context, so a canceled or expired context surfaces as
+// ctx.Err().
 func EntailedContext(ctx context.Context, inst Instance, opt chase.Options) (bool, error) {
 	res, err := chase.RunFromAtomsContext(ctx, inst.DB, inst.Rules, chase.SemiOblivious, opt)
 	if err != nil {

@@ -1,6 +1,7 @@
 package looping
 
 import (
+	"context"
 	"testing"
 
 	"chaseterm/internal/chase"
@@ -13,12 +14,12 @@ import (
 func TestChainEntailment(t *testing.T) {
 	for _, k := range []int{1, 3, 8} {
 		yes := Chain(k, true)
-		got, err := Entailed(yes, chase.Options{})
+		got, err := EntailedContext(context.Background(), yes, chase.Options{})
 		if err != nil || !got {
 			t.Errorf("Chain(%d,true): entailed=%v err=%v", k, got, err)
 		}
 		no := Chain(k, false)
-		got, err = Entailed(no, chase.Options{})
+		got, err = EntailedContext(context.Background(), no, chase.Options{})
 		if err != nil || got {
 			t.Errorf("Chain(%d,false): entailed=%v err=%v", k, got, err)
 		}
@@ -28,7 +29,7 @@ func TestChainEntailment(t *testing.T) {
 func TestCounterEntailment(t *testing.T) {
 	for _, b := range []int{1, 2, 4} {
 		inst := Counter(b)
-		got, err := Entailed(inst, chase.Options{})
+		got, err := EntailedContext(context.Background(), inst, chase.Options{})
 		if err != nil || !got {
 			t.Errorf("Counter(%d): entailed=%v err=%v", b, got, err)
 		}
@@ -40,7 +41,7 @@ func TestCounterStepCount(t *testing.T) {
 	// saturation applies exactly that many triggers (each counter value is
 	// derived once).
 	inst := Counter(4)
-	res, err := chase.RunFromAtoms(inst.DB, inst.Rules, chase.SemiOblivious, chase.Options{})
+	res, err := chase.RunFromAtomsContext(context.Background(), inst.DB, inst.Rules, chase.SemiOblivious, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +103,14 @@ func TestLoopReduction(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			if got, err := Entailed(tc.inst, chase.Options{}); err != nil || got != tc.entailed {
+			if got, err := EntailedContext(context.Background(), tc.inst, chase.Options{}); err != nil || got != tc.entailed {
 				t.Fatalf("entailment ground truth: %v err=%v", got, err)
 			}
 			looped, err := Loop(tc.inst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := core.DecideLinear(looped, core.VariantSemiOblivious, core.Options{})
+			res, err := core.DecideLinearContext(context.Background(), looped, core.VariantSemiOblivious, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +122,7 @@ func TestLoopReduction(t *testing.T) {
 				t.Errorf("decider: %v, want %v", res.Verdict.Answer, wantAnswer)
 			}
 			// Empirical corroboration on the critical instance.
-			oracle, err := critical.Oracle(looped, chase.SemiOblivious, chase.Options{MaxTriggers: 20000, MaxFacts: 20000})
+			oracle, err := critical.OracleContext(context.Background(), looped, chase.SemiOblivious, chase.Options{MaxTriggers: 20000, MaxFacts: 20000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +140,7 @@ func TestLoopObliviousVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.DecideLinear(looped, core.VariantOblivious, core.Options{})
+	res, err := core.DecideLinearContext(context.Background(), looped, core.VariantOblivious, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestLoopGuardedDecider(t *testing.T) {
 		DB:    parse.MustParseFacts(`edge(a,b). edge(b,c). reach(a).`),
 		Goal:  logic.NewAtom("reach", logic.Constant("c")),
 	}
-	if got, err := Entailed(reach, chase.Options{}); err != nil || !got {
+	if got, err := EntailedContext(context.Background(), reach, chase.Options{}); err != nil || !got {
 		t.Fatalf("ground truth: %v %v", got, err)
 	}
 	looped, err := Loop(reach)
@@ -166,7 +167,7 @@ func TestLoopGuardedDecider(t *testing.T) {
 	if got := looped.Classify(); got != logic.ClassGuarded {
 		t.Fatalf("class: %v", got)
 	}
-	res, err := core.DecideGuarded(looped, core.Options{})
+	res, err := core.DecideGuardedContext(context.Background(), looped, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestLoopGuardedDecider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := core.DecideGuarded(looped2, core.Options{})
+	res2, err := core.DecideGuardedContext(context.Background(), looped2, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestLoopErrors(t *testing.T) {
 }
 
 func TestEntailedMissingPredicate(t *testing.T) {
-	got, err := Entailed(Instance{
+	got, err := EntailedContext(context.Background(), Instance{
 		Rules: parse.MustParseRules(`p(X) -> q(X).`),
 		DB:    parse.MustParseFacts(`p(a).`),
 		Goal:  logic.NewAtom("zzz", logic.Constant("a")),

@@ -70,12 +70,12 @@ func TestCrossvalLinear(t *testing.T) {
 		rs := workload.RandomLinear(rng, workload.Config{
 			NumPreds: 3, MaxArity: 3, NumRules: 3, RepeatProb: 0.5, ConstProb: 0.2,
 		})
-		so, err := core.DecideLinear(rs, core.VariantSemiOblivious, core.Options{})
+		so, err := core.DecideLinearContext(context.Background(), rs, core.VariantSemiOblivious, core.Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		assertAgrees(t, i, rs, core.VariantSemiOblivious, so.Verdict.Answer)
-		o, err := core.DecideLinear(rs, core.VariantOblivious, core.Options{})
+		o, err := core.DecideLinearContext(context.Background(), rs, core.VariantOblivious, core.Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -94,38 +94,10 @@ func TestCrossvalGuarded(t *testing.T) {
 		rs := workload.RandomGuarded(rng, workload.Config{
 			NumPreds: 3, MaxArity: 2, NumRules: 3, MaxSideAtoms: 2,
 		})
-		so, err := core.DecideGuarded(rs, core.Options{})
+		so, err := core.DecideGuardedContext(context.Background(), rs, core.Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v\n%s", i, err, rs)
 		}
 		assertAgrees(t, i, rs, core.VariantSemiOblivious, so.Verdict.Answer)
-	}
-}
-
-// TestCrossvalRaceAgrees: racing the exact tier must not change any
-// answer — only, possibly, which decider produced it.
-func TestCrossvalRaceAgrees(t *testing.T) {
-	if testing.Short() {
-		t.Skip("randomized cross-validation")
-	}
-	rng := rand.New(rand.NewSource(13))
-	opts := crossvalOpts
-	opts.Race = true
-	for i := 0; i < 150; i++ {
-		rs := workload.RandomLinear(rng, workload.Config{
-			NumPreds: 3, MaxArity: 3, NumRules: 3, RepeatProb: 0.5,
-		})
-		direct, err := core.DecideLinear(rs, core.VariantSemiOblivious, core.Options{})
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		res, err := Run(context.Background(), rs, core.VariantSemiOblivious, opts)
-		if err != nil {
-			t.Fatalf("case %d: portfolio: %v\n%s", i, err, rs)
-		}
-		if want := fromAnswer(direct.Verdict.Answer); res.Verdict != want {
-			t.Errorf("case %d: raced portfolio=%v (by %s) direct=%v:\n%s",
-				i, res.Verdict, res.DecidedBy, want, rs)
-		}
 	}
 }

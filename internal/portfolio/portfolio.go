@@ -8,9 +8,8 @@
 // time, so the scheduler climbs a ladder of sound rungs — positional
 // acyclicity first, then a bounded MFA-style critical chase — and only
 // reaches for the exact deciders when every cheap rung is inconclusive.
-// Optionally the applicable exact deciders race in parallel goroutines,
-// the first decisive verdict cancelling the losers through the ordinary
-// context machinery.
+// Run is the library's only all-instance decision path: the facade's
+// AnalyzeDecide climbs this ladder for every request.
 //
 // Every rung is sound: a decisive verdict from any rung is correct for
 // the requested variant (RA ⇒ CT^o; WA/JA/MFA/saturation ⇒ CT^so; the
@@ -29,31 +28,6 @@ import (
 	"chaseterm/internal/critical"
 	"chaseterm/internal/logic"
 )
-
-// Tier orders deciders by worst-case cost; the scheduler runs cheaper
-// tiers first.
-type Tier int
-
-const (
-	// TierPositional: polynomial checks over the schema positions.
-	TierPositional Tier = iota
-	// TierSaturation: a budget-bounded chase of the critical instance.
-	TierSaturation
-	// TierExact: the paper's exact decision procedures (PSPACE for
-	// linear, 2EXPTIME for guarded rule sets).
-	TierExact
-)
-
-func (t Tier) String() string {
-	switch t {
-	case TierPositional:
-		return "positional"
-	case TierSaturation:
-		return "saturation"
-	default:
-		return "exact"
-	}
-}
 
 // Verdict is a rung's three-valued answer. Undecided means the rung ran
 // but could not decide — for a sound-only rung, the normal outcome on
@@ -90,13 +64,6 @@ type Options struct {
 	// core.DecideOptions).
 	OracleMaxTriggers int
 	OracleMaxFacts    int
-	// Workers sets the match parallelism of the saturation-tier chases
-	// (chase.Options.Workers). 0 or 1 runs the sequential engine; any
-	// count yields bit-identical verdicts.
-	Workers int
-	// Race runs the applicable exact deciders concurrently once the
-	// ladder is exhausted, cancelling the losers as soon as one decides.
-	Race bool
 }
 
 func (o Options) withDefaults() Options {
@@ -109,18 +76,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Decider is one termination-deciding component: a named, cost-tiered
-// procedure applicable to some rule sets and chase variants. Sound
-// deciders return only correct decisive verdicts; complete deciders
-// always return a decisive verdict on their applicability domain (so an
+// Decider is one termination-deciding component: a named procedure
+// applicable to some rule sets and chase variants. Sound deciders
+// return only correct decisive verdicts; complete deciders always
+// return a decisive verdict on their applicability domain (so an
 // Undecided from one is impossible short of an error). Implementations
-// must honor the context — the racing scheduler cancels losers through
-// it.
+// must honor the context: it carries the caller's deadline.
 type Decider interface {
 	// Name is the stable rung label used in reports and metrics.
 	Name() string
-	// Tier is the cost tier the scheduler orders by.
-	Tier() Tier
 	// Applicable reports whether the decider can run on this rule set
 	// and variant.
 	Applicable(rs *logic.RuleSet, v core.ChaseVariant) bool
@@ -148,7 +112,6 @@ type positionalRung struct {
 }
 
 func (r positionalRung) Name() string { return r.name }
-func (r positionalRung) Tier() Tier   { return TierPositional }
 func (r positionalRung) Sound() bool  { return true }
 
 // Complete is false even though the rung is exact on constant-free SL
@@ -177,7 +140,6 @@ func (r positionalRung) DecideContext(_ context.Context, rs *logic.RuleSet, _ co
 type jointRung struct{}
 
 func (jointRung) Name() string   { return "joint-acyclicity" }
-func (jointRung) Tier() Tier     { return TierPositional }
 func (jointRung) Sound() bool    { return true }
 func (jointRung) Complete() bool { return false }
 
@@ -194,7 +156,7 @@ func (jointRung) DecideContext(_ context.Context, rs *logic.RuleSet, _ core.Chas
 }
 
 // mfaRung runs the critical Skolem chase with the cyclic-Skolem-term
-// stopping rule (critical.MFA) — the model-faithful-acyclicity style
+// stopping rule (critical.MFAContext) — the model-faithful-acyclicity style
 // over-approximation. Saturation without a cyclic term proves CT^so
 // (Marnette's lemma); a cyclic term or an exhausted budget is
 // inconclusive. The oblivious variant is checked on aux(Σ), whose
@@ -202,7 +164,6 @@ func (jointRung) DecideContext(_ context.Context, rs *logic.RuleSet, _ core.Chas
 type mfaRung struct{}
 
 func (mfaRung) Name() string   { return "mfa" }
-func (mfaRung) Tier() Tier     { return TierSaturation }
 func (mfaRung) Sound() bool    { return true }
 func (mfaRung) Complete() bool { return false }
 
@@ -216,7 +177,6 @@ func (mfaRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v core.Chas
 	res, run, err := critical.MFAContext(ctx, target, chase.Options{
 		MaxTriggers: opt.OracleMaxTriggers,
 		MaxFacts:    opt.OracleMaxFacts,
-		Workers:     opt.Workers,
 	})
 	if err != nil {
 		return Undecided, Evidence{}, err
@@ -236,16 +196,15 @@ func (mfaRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v core.Chas
 }
 
 // saturationRung is the plain bounded critical-instance chase, the
-// fallback of core.Decide for general rule sets. It is applicable only
-// where no exact decider is (class General): inside the guarded class
-// the exact rungs answer, and a 200k-trigger chase before them would
-// just burn the budget the ladder exists to save. It can still prove
-// termination where the mfa rung stopped on a cyclic-but-harmless
-// Skolem term.
+// fallback of core.DecideContext for general rule sets. It is
+// applicable only where no exact decider is (class General): inside the
+// guarded class the exact rungs answer, and a 200k-trigger chase before
+// them would just burn the budget the ladder exists to save. It can
+// still prove termination where the mfa rung stopped on a
+// cyclic-but-harmless Skolem term.
 type saturationRung struct{}
 
 func (saturationRung) Name() string   { return "critical-saturation" }
-func (saturationRung) Tier() Tier     { return TierSaturation }
 func (saturationRung) Sound() bool    { return true }
 func (saturationRung) Complete() bool { return false }
 
@@ -261,7 +220,6 @@ func (saturationRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v co
 	res, err := critical.OracleContext(ctx, target, chase.SemiOblivious, chase.Options{
 		MaxTriggers: opt.OracleMaxTriggers,
 		MaxFacts:    opt.OracleMaxFacts,
-		Workers:     opt.Workers,
 	})
 	if err != nil {
 		return Undecided, Evidence{}, err
@@ -279,7 +237,6 @@ func (saturationRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v co
 type linearRung struct{}
 
 func (linearRung) Name() string   { return "linear-exact" }
-func (linearRung) Tier() Tier     { return TierExact }
 func (linearRung) Sound() bool    { return true }
 func (linearRung) Complete() bool { return true }
 
@@ -302,7 +259,6 @@ func (linearRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v core.C
 type guardedRung struct{}
 
 func (guardedRung) Name() string   { return "guarded-exact" }
-func (guardedRung) Tier() Tier     { return TierExact }
 func (guardedRung) Sound() bool    { return true }
 func (guardedRung) Complete() bool { return true }
 
@@ -341,7 +297,8 @@ func fromCoreVerdict(v *core.Verdict) (Verdict, Evidence, error) {
 }
 
 // Registry is an ordered collection of deciders; the scheduler runs the
-// applicable ones in registration order within each tier.
+// applicable ones in registration order, so a registry lists its rungs
+// cheapest first.
 type Registry struct {
 	deciders []Decider
 }

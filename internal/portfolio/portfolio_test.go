@@ -3,15 +3,9 @@ package portfolio
 import (
 	"context"
 	"errors"
-	"os"
-	"reflect"
-	"runtime"
-	"strconv"
 	"testing"
-	"time"
 
 	"chaseterm/internal/core"
-	"chaseterm/internal/logic"
 	"chaseterm/internal/parse"
 )
 
@@ -44,9 +38,6 @@ func TestLadderShortCircuit(t *testing.T) {
 	}
 	if len(res.Rungs) != 1 || res.Rungs[0].Rung != "weak-acyclicity" {
 		t.Errorf("rung trace %v, want exactly the weak-acyclicity rung", res.Rungs)
-	}
-	if res.Raced {
-		t.Error("nothing should race on a decisive ladder")
 	}
 }
 
@@ -110,189 +101,13 @@ func TestLadderFallsThroughToExact(t *testing.T) {
 	}
 }
 
-// TestRealRace: the same set with Race on — linear-exact and
-// guarded-exact both apply, both are sound and decisive, and whichever
-// returns first must win with the same verdict.
-func TestRealRace(t *testing.T) {
-	rs := parse.MustParseRules(`p(X,X) -> q(X,Y). q(X,Y) -> p(Y,Y).`)
-	res, err := Run(context.Background(), rs, core.VariantSemiOblivious, Options{Race: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != NonTerminating || !res.Raced {
-		t.Errorf("got %v raced=%v", res.Verdict, res.Raced)
-	}
-	if res.DecidedBy != "linear-exact" && res.DecidedBy != "guarded-exact" {
-		t.Errorf("decided by %q, want an exact rung", res.DecidedBy)
-	}
-	// Ladder (3 rungs) + both racers, drained.
-	if len(res.Rungs) != 5 {
-		t.Errorf("rung trace %v", res.Rungs)
-	}
-}
-
-// fakeExact is a controllable exact-tier decider for race tests. It
-// decides with the configured verdict after delay, or returns ctx.Err()
-// as soon as it is cancelled — the contract real deciders honor.
-type fakeExact struct {
-	name    string
-	delay   time.Duration
-	verdict Verdict
-	err     error
-}
-
-func (f fakeExact) Name() string                                      { return f.name }
-func (f fakeExact) Tier() Tier                                        { return TierExact }
-func (f fakeExact) Sound() bool                                       { return true }
-func (f fakeExact) Complete() bool                                    { return true }
-func (f fakeExact) Applicable(*logic.RuleSet, core.ChaseVariant) bool { return true }
-
-func (f fakeExact) DecideContext(ctx context.Context, _ *logic.RuleSet, _ core.ChaseVariant, _ Options) (Verdict, Evidence, error) {
-	if f.err != nil {
-		return Undecided, Evidence{}, f.err
-	}
-	select {
-	case <-time.After(f.delay):
-		return f.verdict, Evidence{Method: f.name}, nil
-	case <-ctx.Done():
-		return Undecided, Evidence{}, ctx.Err()
-	}
-}
-
-var raceRules = `p(X,X) -> q(X,Y).`
-
-// TestRaceWinnerCancelsLoser: the fast decider's verdict is adopted and
-// the slow one is cancelled long before its own delay — and its report
-// is marked Canceled, not treated as a failure.
-func TestRaceWinnerCancelsLoser(t *testing.T) {
-	rs := parse.MustParseRules(raceRules)
-	reg := NewRegistry(
-		fakeExact{name: "fast", delay: time.Millisecond, verdict: Terminating},
-		fakeExact{name: "slow", delay: time.Minute, verdict: NonTerminating},
-	)
-	t0 := time.Now()
-	res, err := RunWith(context.Background(), reg, rs, core.VariantSemiOblivious, Options{Race: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(t0); elapsed > 10*time.Second {
-		t.Errorf("race took %v — the loser was not cancelled", elapsed)
-	}
-	if res.Verdict != Terminating || res.DecidedBy != "fast" || !res.Raced {
-		t.Errorf("got %v decided by %q raced=%v", res.Verdict, res.DecidedBy, res.Raced)
-	}
-	var loser *RungReport
-	for i := range res.Rungs {
-		if res.Rungs[i].Rung == "slow" {
-			loser = &res.Rungs[i]
-		}
-	}
-	if loser == nil || !loser.Canceled {
-		t.Errorf("loser report %+v, want Canceled", loser)
-	}
-}
-
-// TestRaceDoesNotLeakGoroutines: RunWith drains every racer before
-// returning, so repeated races leave the goroutine count flat.
-func TestRaceDoesNotLeakGoroutines(t *testing.T) {
-	rs := parse.MustParseRules(raceRules)
-	reg := NewRegistry(
-		fakeExact{name: "fast", delay: time.Millisecond, verdict: Terminating},
-		fakeExact{name: "slow", delay: time.Minute, verdict: NonTerminating},
-		fakeExact{name: "slower", delay: time.Minute, verdict: NonTerminating},
-	)
-	base := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		if _, err := RunWith(context.Background(), reg, rs, core.VariantSemiOblivious, Options{Race: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The drained racers have sent their outcome but may not have fully
-	// exited yet; give the scheduler a beat before counting.
-	time.Sleep(50 * time.Millisecond)
-	if n := runtime.NumGoroutine(); n > base+2 {
-		t.Errorf("goroutines grew from %d to %d across 20 races", base, n)
-	}
-}
-
-// TestRaceErrorWithoutWinner: if every racer fails in its own right, the
-// first error surfaces rather than a fabricated verdict.
-func TestRaceErrorWithoutWinner(t *testing.T) {
-	rs := parse.MustParseRules(raceRules)
-	boom := errors.New("boom")
-	reg := NewRegistry(
-		fakeExact{name: "bad1", err: boom},
-		fakeExact{name: "bad2", err: boom},
-	)
-	_, err := RunWith(context.Background(), reg, rs, core.VariantSemiOblivious, Options{Race: true})
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want boom", err)
-	}
-}
-
 // TestCancellationPropagates: cancelling the caller's context aborts
 // the portfolio with ctx.Err, not a verdict.
 func TestCancellationPropagates(t *testing.T) {
-	rs := parse.MustParseRules(raceRules)
+	rs := parse.MustParseRules(`p(X,X) -> q(X,Y).`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := Run(ctx, rs, core.VariantSemiOblivious, Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
-	}
-}
-
-// testWorkers mirrors the internal/chase suite: CHASE_WORKERS overrides
-// the worker count the parallelism tests force (CI runs this package
-// with CHASE_WORKERS=8 under the race detector); the default is 8 so the
-// striped path runs even without the variable.
-func testWorkers(t *testing.T) int {
-	t.Helper()
-	if s := os.Getenv("CHASE_WORKERS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			t.Fatalf("bad CHASE_WORKERS=%q", s)
-		}
-		return n
-	}
-	return 8
-}
-
-// TestWorkersOptionIdenticalLadder: Options.Workers parallelizes the
-// mfa and saturation rung chases. The whole Result must be identical to
-// a sequential ladder run — rung order, per-rung verdicts, the adopted
-// decision, and the budget-exceeded witness strings, which are rendered
-// from chase statistics and so pin those bit-for-bit too.
-func TestWorkersOptionIdenticalLadder(t *testing.T) {
-	cases := []struct{ name, rules string }{
-		// Linear but neither weakly nor jointly acyclic: the mfa rung's
-		// critical chase runs parallel before linear-exact decides.
-		{"linear-through-mfa", `p(X,X) -> q(X,Y). q(X,Y) -> p(Y,Y).`},
-		// General (no guard covers both body variables) and not weakly
-		// acyclic (q[1] -> r[2] -> q[1] through a special edge): the mfa
-		// and saturation rungs both run their chases parallel, and the
-		// saturation oracle exceeds its shrunken budget at exactly the
-		// same statistics.
-		{"general-saturation", `p(X), q(Y) -> r(X,Y). r(X,Y) -> q(Z), s(Y,Z).`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rs := parse.MustParseRules(tc.rules)
-			run := func(workers int) *Result {
-				res, err := Run(context.Background(), rs, core.VariantSemiOblivious,
-					Options{OracleMaxTriggers: 4000, OracleMaxFacts: 4000, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range res.Rungs {
-					res.Rungs[i].Elapsed = 0
-				}
-				return res
-			}
-			seq := run(1)
-			par := run(testWorkers(t))
-			if !reflect.DeepEqual(par, seq) {
-				t.Errorf("workers=%d result %+v\nsequential %+v", testWorkers(t), par, seq)
-			}
-		})
 	}
 }

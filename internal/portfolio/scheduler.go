@@ -2,7 +2,6 @@ package portfolio
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"chaseterm/internal/core"
@@ -14,22 +13,17 @@ type RungReport struct {
 	Rung    string
 	Verdict Verdict
 	Elapsed time.Duration
-	// Canceled marks a racing loser stopped by the winner's
-	// cancellation rather than by its own verdict.
-	Canceled bool
 }
 
 // Result is the portfolio's decision together with its provenance: which
-// rung decided, whether the exact tier raced, and a per-rung trace.
+// rung decided and a per-rung trace.
 type Result struct {
 	Verdict  Verdict
 	Evidence Evidence
 	// DecidedBy names the rung whose verdict was adopted; empty when the
 	// whole portfolio ran without reaching a decision.
 	DecidedBy string
-	// Raced reports that the exact tier ran as a parallel race.
-	Raced bool
-	// Rungs traces every rung that ran, in completion order.
+	// Rungs traces every rung that ran, in ladder order.
 	Rungs []RungReport
 }
 
@@ -38,13 +32,9 @@ func Run(ctx context.Context, rs *logic.RuleSet, v core.ChaseVariant, opt Option
 	return RunWith(ctx, DefaultRegistry(), rs, v, opt)
 }
 
-// RunWith schedules a registry over the rule set: the cheap tiers run
-// bottom-up in registration order, short-circuiting on the first
-// decisive verdict of a sound rung; the exact tier then runs
-// sequentially, or as a cancellation race when opt.Race is set — the
-// first decisive verdict wins and the losers are cancelled through
-// their context. RunWith returns only after every started rung has
-// returned: a race never leaks goroutines.
+// RunWith schedules a registry over the rule set: the applicable
+// deciders run sequentially in registration order, the ladder climbing
+// until the first decisive verdict of a sound rung.
 func RunWith(ctx context.Context, reg *Registry, rs *logic.RuleSet, v core.ChaseVariant, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := rs.Validate(); err != nil {
@@ -54,130 +44,31 @@ func RunWith(ctx context.Context, reg *Registry, rs *logic.RuleSet, v core.Chase
 		return nil, err
 	}
 
-	var ladder, exact []Decider
-	for _, d := range reg.Deciders() {
-		if !d.Applicable(rs, v) {
-			continue
-		}
-		if d.Tier() == TierExact {
-			exact = append(exact, d)
-		} else {
-			ladder = append(ladder, d)
-		}
-	}
-
 	res := &Result{}
 	// lastEv keeps the most informative inconclusive evidence (e.g. the
 	// bounded-oracle diagnostic) for an exhausted portfolio.
 	var lastEv Evidence
-	runRung := func(d Decider) (bool, error) {
+	for _, d := range reg.Deciders() {
+		if !d.Applicable(rs, v) {
+			continue
+		}
 		t0 := time.Now()
 		verdict, ev, err := d.DecideContext(ctx, rs, v, opt)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		res.Rungs = append(res.Rungs, RungReport{Rung: d.Name(), Verdict: verdict, Elapsed: time.Since(t0)})
 		if verdict != Undecided && d.Sound() {
 			res.Verdict, res.Evidence, res.DecidedBy = verdict, ev, d.Name()
-			return true, nil
+			return res, nil
 		}
 		if ev.Method != "" {
 			lastEv = ev
 		}
-		return false, nil
 	}
-
-	for _, d := range ladder {
-		done, err := runRung(d)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return res, nil
-		}
-	}
-
-	if opt.Race && len(exact) > 1 {
-		res.Raced = true
-		return raceExact(ctx, exact, rs, v, opt, res, lastEv)
-	}
-	for _, d := range exact {
-		done, err := runRung(d)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return res, nil
-		}
-	}
-	return exhausted(res, lastEv), nil
-}
-
-func exhausted(res *Result, lastEv Evidence) *Result {
 	if lastEv.Method == "" {
 		lastEv.Method = "portfolio-exhausted"
 	}
 	res.Evidence = lastEv
-	return res
-}
-
-// raceExact runs the exact deciders concurrently and adopts the first
-// decisive verdict, cancelling the rest. It drains every racer before
-// returning, so no goroutine outlives the call.
-func raceExact(ctx context.Context, exact []Decider, rs *logic.RuleSet, v core.ChaseVariant, opt Options, res *Result, lastEv Evidence) (*Result, error) {
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type outcome struct {
-		idx     int
-		verdict Verdict
-		ev      Evidence
-		err     error
-		elapsed time.Duration
-	}
-	ch := make(chan outcome, len(exact))
-	for i, d := range exact {
-		//chaselint:owned every racer sends exactly one outcome on the buffered ch; the for range exact loop below receives them all
-		go func(i int, d Decider) {
-			t0 := time.Now()
-			verdict, ev, err := d.DecideContext(rctx, rs, v, opt)
-			ch <- outcome{idx: i, verdict: verdict, ev: ev, err: err, elapsed: time.Since(t0)}
-		}(i, d)
-	}
-
-	reports := make([]RungReport, len(exact))
-	var winner *outcome
-	var firstErr error
-	for range exact {
-		o := <-ch
-		rep := RungReport{Rung: exact[o.idx].Name(), Verdict: o.verdict, Elapsed: o.elapsed}
-		switch {
-		case o.err == nil:
-			if winner == nil && o.verdict != Undecided && exact[o.idx].Sound() {
-				o := o
-				winner = &o
-				// Kill the losers; keep draining until all report back.
-				cancel()
-			}
-		case winner != nil && errors.Is(o.err, context.Canceled) && ctx.Err() == nil:
-			// A loser stopped by our own cancellation — expected.
-			rep.Canceled = true
-		default:
-			if firstErr == nil {
-				firstErr = o.err
-			}
-		}
-		reports[o.idx] = rep
-	}
-	res.Rungs = append(res.Rungs, reports...)
-
-	if winner != nil {
-		res.Verdict, res.Evidence = winner.verdict, winner.ev
-		res.DecidedBy = exact[winner.idx].Name()
-		return res, nil
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return exhausted(res, lastEv), nil
+	return res, nil
 }

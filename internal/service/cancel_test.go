@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"chaseterm/api"
 )
 
 // TestWorkerFreedPromptlyAfterTimeout is the regression test for the
@@ -24,25 +26,25 @@ func TestWorkerFreedPromptlyAfterTimeout(t *testing.T) {
 	})
 	defer eng.Close()
 
-	heavy := Request{
-		Kind:        KindChase,
+	heavy := api.AnalyzeRequest{
+		Kind:        api.KindChase,
 		Rules:       example1,
 		MaxTriggers: maxRequestBudget,
 		MaxFacts:    maxRequestBudget,
 	}
 	start := time.Now()
-	_, err := eng.Do(context.Background(), heavy)
+	_, err := eng.Analyze(context.Background(), heavy)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("heavy job: got %v, want deadline exceeded", err)
 	}
 
-	light := Request{Kind: KindChase, Rules: example1, MaxTriggers: 10}
-	resp, err := eng.Do(context.Background(), light)
+	light := api.AnalyzeRequest{Kind: api.KindChase, Rules: example1, MaxTriggers: 10}
+	resp, err := eng.Analyze(context.Background(), light)
 	if err != nil {
 		t.Fatalf("light job after timeout: %v", err)
 	}
-	if resp.Outcome != "budget-exceeded" {
-		t.Fatalf("light job outcome %q, want budget-exceeded", resp.Outcome)
+	if resp.Chase.Outcome != "budget-exceeded" {
+		t.Fatalf("light job outcome %q, want budget-exceeded", resp.Chase.Outcome)
 	}
 	// Both jobs together: one 150ms timeout plus a trivial chase plus
 	// the cancellation latency of ~1024 trigger applications. Seconds of
@@ -61,14 +63,14 @@ func TestDecideJobHonorsTimeout(t *testing.T) {
 		JobTimeout: 100 * time.Millisecond,
 	})
 	defer eng.Close()
-	// Non-WA general set: Decide falls through to the bounded critical
+	// Non-WA general set: the ladder climbs to the bounded critical
 	// chase, which is the long-running part the timeout must interrupt.
-	req := Request{
-		Kind:  KindDecide,
+	req := api.AnalyzeRequest{
+		Kind:  api.KindDecide,
 		Rules: `p(X), q(Y) -> s(X,Y). s(X,Y) -> p(Z), t(X,Z).`,
 	}
 	start := time.Now()
-	_, err := eng.Do(context.Background(), req)
+	_, err := eng.Analyze(context.Background(), req)
 	// The default oracle budget (200k triggers) may or may not outlast
 	// 100ms on a fast machine; either the deadline fired or the analysis
 	// finished with an Unknown verdict. What must not happen is the
@@ -76,8 +78,8 @@ func TestDecideJobHonorsTimeout(t *testing.T) {
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want nil or deadline exceeded", err)
 	}
-	light := Request{Kind: KindChase, Rules: example1, MaxTriggers: 10}
-	if _, err := eng.Do(context.Background(), light); err != nil {
+	light := api.AnalyzeRequest{Kind: api.KindChase, Rules: example1, MaxTriggers: 10}
+	if _, err := eng.Analyze(context.Background(), light); err != nil {
 		t.Fatalf("light job after decide timeout: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
@@ -96,8 +98,8 @@ func TestCanceledClientCancelsChaseJob(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := eng.Do(ctx, Request{
-		Kind:        KindChase,
+	_, err := eng.Analyze(ctx, api.AnalyzeRequest{
+		Kind:        api.KindChase,
 		Rules:       example1,
 		MaxTriggers: maxRequestBudget,
 		MaxFacts:    maxRequestBudget,
@@ -105,7 +107,7 @@ func TestCanceledClientCancelsChaseJob(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if _, err := eng.Do(context.Background(), Request{Kind: KindChase, Rules: example1, MaxTriggers: 10}); err != nil {
+	if _, err := eng.Analyze(context.Background(), api.AnalyzeRequest{Kind: api.KindChase, Rules: example1, MaxTriggers: 10}); err != nil {
 		t.Fatalf("light job after client cancel: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {

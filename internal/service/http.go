@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -25,13 +24,6 @@ const maxBodyBytes = 8 << 20
 //	POST /v2/batch         api.BatchRequest    → api.BatchResponse
 //	POST /v2/chase/stream  api.AnalyzeRequest  → NDJSON api.StreamEvents
 //
-// The v1 compatibility shims (flat bodies, kind implied by the route):
-//
-//	POST /v1/classify  {"rules": "..."}
-//	POST /v1/decide    {"rules": "...", "variant": "so"}
-//	POST /v1/chase     {"rules": "...", "database": "...", "variant": "r"}
-//	POST /v1/batch     {"jobs": [{"kind": "decide", ...}, ...]}
-//
 // And the operational endpoints:
 //
 //	GET  /healthz
@@ -46,10 +38,8 @@ const maxBodyBytes = 8 << 20
 //
 // Status codes: client mistakes 400, oversized bodies 413, analyses
 // that exhausted their search budget 422, client hang-ups 499, engine
-// shutdown 503, job timeouts 504. v2 error bodies are the envelope
-// {"error": {"code": "...", "message": "..."}, "requestId": "..."}; v1
-// error bodies remain {"error": "..."} with the machine-readable
-// "code" and "requestId" added alongside.
+// shutdown 503, job timeouts 504. Error bodies are the envelope
+// {"error": {"code": "...", "message": "..."}, "requestId": "..."}.
 func NewHandler(e *Engine) http.Handler {
 	mux := http.NewServeMux()
 
@@ -138,25 +128,6 @@ func NewHandler(e *Engine) http.Handler {
 		}
 	})
 
-	mux.HandleFunc("POST /v1/classify", jobHandler(e, KindClassify))
-	mux.HandleFunc("POST /v1/decide", jobHandler(e, KindDecide))
-	mux.HandleFunc("POST /v1/chase", jobHandler(e, KindChase))
-	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		var body struct {
-			Jobs []Request `json:"jobs"`
-		}
-		if apiErr := decodeStrict(w, r, &body); apiErr != nil {
-			writeV1Error(w, r, apiErr)
-			return
-		}
-		resps, err := e.Batch(r.Context(), body.Jobs)
-		if err != nil {
-			writeV1Error(w, r, toAPIError(err))
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": resps})
-	})
-
 	// Health stays 200 even while the store is degraded: the process is
 	// serving (memory-only), and failing readiness over a cache tier
 	// would turn a disk hiccup into an outage. The body says which.
@@ -205,32 +176,6 @@ func withRequestID(next http.Handler) http.Handler {
 	})
 }
 
-// jobHandler serves one v1 single-job route. The route implies the
-// kind; a body that spells out a *different* kind is a client bug
-// (most likely a request meant for another endpoint) and is rejected
-// rather than silently rewritten.
-func jobHandler(e *Engine, kind Kind) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		if apiErr := decodeStrict(w, r, &req); apiErr != nil {
-			writeV1Error(w, r, apiErr)
-			return
-		}
-		if req.Kind != "" && req.Kind != kind {
-			err := fmt.Errorf("%w: body kind %q contradicts route kind %q", ErrKindMismatch, req.Kind, kind)
-			writeV1Error(w, r, toAPIError(err))
-			return
-		}
-		req.Kind = kind
-		resp, err := e.Do(r.Context(), req)
-		if err != nil {
-			writeV1Error(w, r, toAPIError(err))
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	}
-}
-
 // decodeStrict decodes the body as exactly one JSON value: unknown
 // fields are rejected (they are typos, not extensions), and so is
 // trailing data after the top-level value — a second Decode must report
@@ -274,40 +219,20 @@ func isSyntaxError(err error) bool {
 	return errors.As(err, &syn)
 }
 
-// retryAfterHint marks retryable failures (503s) with a Retry-After
-// header. The engine drains within one JobTimeout, so "1" is an honest
-// floor for a shutting-down replica; package client reads the hint and
-// waits it out instead of guessing.
-func retryAfterHint(w http.ResponseWriter, apiErr *api.Error) {
+// writeV2Error writes the versioned error envelope, carrying the
+// request's ID so a client can quote it against the server's logs.
+// Retryable failures (503s) also get a Retry-After header: the engine
+// drains within one JobTimeout, so "1" is an honest floor for a
+// shutting-down replica; package client reads the hint and waits it out
+// instead of guessing.
+func writeV2Error(w http.ResponseWriter, r *http.Request, apiErr *api.Error) {
 	if apiErr.Code.Retryable() {
 		w.Header().Set("Retry-After", "1")
 	}
-}
-
-// writeV2Error writes the versioned error envelope, carrying the
-// request's ID so a client can quote it against the server's logs.
-func writeV2Error(w http.ResponseWriter, r *http.Request, apiErr *api.Error) {
-	retryAfterHint(w, apiErr)
 	writeJSON(w, apiErr.Code.HTTPStatus(), api.ErrorEnvelope{
 		Error:     apiErr,
 		RequestID: obs.RequestIDFromContext(r.Context()),
 	})
-}
-
-// writeV1Error writes the flat v1 error body. The "error" string is the
-// original contract; the "code" and "requestId" fields are additive
-// improvements so v1 clients can branch on the error class and quote
-// the request in bug reports.
-func writeV1Error(w http.ResponseWriter, r *http.Request, apiErr *api.Error) {
-	body := map[string]string{
-		"error": apiErr.Message,
-		"code":  string(apiErr.Code),
-	}
-	if id := obs.RequestIDFromContext(r.Context()); id != "" {
-		body["requestId"] = id
-	}
-	retryAfterHint(w, apiErr)
-	writeJSON(w, apiErr.Code.HTTPStatus(), body)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"chaseterm"
+	"chaseterm/api"
 )
 
 func newTestServer(t *testing.T, opts Options) *httptest.Server {
@@ -64,14 +65,15 @@ func TestHealthz(t *testing.T) {
 
 func TestClassifyEndpoint(t *testing.T) {
 	srv := newTestServer(t, Options{Workers: 2})
-	resp, data := postJSON(t, srv.URL+"/v1/classify", Request{
+	resp, data := postJSON(t, srv.URL+"/v2/analyze", api.AnalyzeRequest{
+		Kind: api.KindClassify,
 		Rules: `gate(X,Y), live(X) -> out(Y,Z), live(Z).
 		        out(Y,Z) -> gate(Y,Z).`,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var out Response
+	var out api.AnalyzeResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -95,23 +97,26 @@ func TestClassifyEndpoint(t *testing.T) {
 
 func TestDecideEndpoint(t *testing.T) {
 	srv := newTestServer(t, Options{Workers: 2})
-	resp, data := postJSON(t, srv.URL+"/v1/decide", Request{Rules: example1, Variant: "so"})
+	req := api.AnalyzeRequest{Kind: api.KindDecide, Rules: example1, Variant: "so"}
+	resp, data := postJSON(t, srv.URL+"/v2/analyze", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var out Response
+	var out api.AnalyzeResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Terminates != "non-terminating" || out.Class != "simple-linear" {
-		t.Errorf("decide got %+v", out)
+	d := out.Decision
+	if d == nil || d.Terminates != "non-terminating" || d.Class != "simple-linear" {
+		t.Fatalf("decide got %+v", out)
 	}
-	if out.Method == "" || out.Witness == "" || out.Cached {
+	if d.Method == "" || d.Witness == "" || out.Cached {
 		t.Errorf("decide metadata wrong: %+v", out)
 	}
 
 	// The same request again is a cache hit.
-	_, data = postJSON(t, srv.URL+"/v1/decide", Request{Rules: example1, Variant: "so"})
+	_, data = postJSON(t, srv.URL+"/v2/analyze", req)
+	out = api.AnalyzeResponse{}
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +129,8 @@ func TestChaseEndpoint(t *testing.T) {
 	srv := newTestServer(t, Options{Workers: 2})
 	rules := `professor(X) -> teaches(X,C).
 	          teaches(X,C) -> course(C).`
-	resp, data := postJSON(t, srv.URL+"/v1/chase", Request{
+	resp, data := postJSON(t, srv.URL+"/v2/analyze", api.AnalyzeRequest{
+		Kind:        api.KindChase,
 		Rules:       rules,
 		Database:    `professor(turing).`,
 		Variant:     "r",
@@ -133,26 +139,27 @@ func TestChaseEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var out Response
+	var out api.AnalyzeResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Outcome != "terminated" || out.Chase == nil || out.Chase.FactsAdded == 0 {
-		t.Errorf("chase got %+v", out)
+	if out.Chase == nil || out.Chase.Outcome != "terminated" || out.Chase.Stats.FactsAdded == 0 {
+		t.Fatalf("chase got %+v", out)
 	}
 	found := false
-	for _, f := range out.Facts {
+	for _, f := range out.Chase.Facts {
 		if strings.HasPrefix(f, "course(") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("chase facts missing derived course atom: %v", out.Facts)
+		t.Errorf("chase facts missing derived course atom: %v", out.Chase.Facts)
 	}
 
 	// Empty database chases the critical instance (divergent here, so a
 	// tight budget must report budget-exceeded, not hang).
-	resp, data = postJSON(t, srv.URL+"/v1/chase", Request{
+	resp, data = postJSON(t, srv.URL+"/v2/analyze", api.AnalyzeRequest{
+		Kind:        api.KindChase,
 		Rules:       example1,
 		Variant:     "so",
 		MaxTriggers: 100,
@@ -161,29 +168,28 @@ func TestChaseEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("critical chase status %d: %s", resp.StatusCode, data)
 	}
+	out = api.AnalyzeResponse{}
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Outcome == "terminated" {
+	if out.Chase == nil || out.Chase.Outcome == "terminated" {
 		t.Errorf("critical chase of Example 1 cannot terminate: %+v", out)
 	}
 }
 
 func TestBatchEndpoint(t *testing.T) {
 	srv := newTestServer(t, Options{Workers: 4})
-	jobs := []Request{
-		{Kind: KindClassify, Rules: `p(X) -> q(X).`},
-		{Kind: KindDecide, Rules: example1, Variant: "so"},
-		{Kind: KindDecide, Rules: `broken`},
-		{Kind: KindChase, Rules: `p(X) -> q(X).`, Database: `p(a).`},
+	jobs := []api.AnalyzeRequest{
+		{Kind: api.KindClassify, Rules: `p(X) -> q(X).`},
+		{Kind: api.KindDecide, Rules: example1, Variant: "so"},
+		{Kind: api.KindDecide, Rules: `broken`},
+		{Kind: api.KindChase, Rules: `p(X) -> q(X).`, Database: `p(a).`},
 	}
-	resp, data := postJSON(t, srv.URL+"/v1/batch", map[string]any{"jobs": jobs})
+	resp, data := postJSON(t, srv.URL+"/v2/batch", api.BatchRequest{Jobs: jobs})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var out struct {
-		Results []Response `json:"results"`
-	}
+	var out api.BatchResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -193,21 +199,21 @@ func TestBatchEndpoint(t *testing.T) {
 	if out.Results[0].Class != "simple-linear" {
 		t.Errorf("result 0: %+v", out.Results[0])
 	}
-	if out.Results[1].Terminates != "non-terminating" {
+	if d := out.Results[1].Decision; d == nil || d.Terminates != "non-terminating" {
 		t.Errorf("result 1: %+v", out.Results[1])
 	}
-	if out.Results[2].Error == "" {
+	if out.Results[2].Error == nil {
 		t.Errorf("result 2 should carry the parse error: %+v", out.Results[2])
 	}
-	if out.Results[3].Outcome != "terminated" {
+	if c := out.Results[3].Chase; c == nil || c.Outcome != "terminated" {
 		t.Errorf("result 3: %+v", out.Results[3])
 	}
 }
 
 func TestStatsEndpoint(t *testing.T) {
 	srv := newTestServer(t, Options{Workers: 2})
-	postJSON(t, srv.URL+"/v1/decide", Request{Rules: example1})
-	postJSON(t, srv.URL+"/v1/decide", Request{Rules: example1})
+	postJSON(t, srv.URL+"/v2/analyze", api.AnalyzeRequest{Kind: api.KindDecide, Rules: example1})
+	postJSON(t, srv.URL+"/v2/analyze", api.AnalyzeRequest{Kind: api.KindDecide, Rules: example1})
 	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -225,6 +231,13 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// hasErrorMessage reports whether data is an error envelope carrying a
+// message.
+func hasErrorMessage(data []byte) bool {
+	var env api.ErrorEnvelope
+	return json.Unmarshal(data, &env) == nil && env.Error != nil && env.Error.Message != ""
+}
+
 func TestHTTPErrorMapping(t *testing.T) {
 	slow := make(chan struct{})
 	defer close(slow)
@@ -238,7 +251,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 	})
 
 	// Malformed JSON → 400.
-	resp, err := http.Post(srv.URL+"/v1/decide", "application/json", strings.NewReader(`{"rules": 5`))
+	resp, err := http.Post(srv.URL+"/v2/analyze", "application/json", strings.NewReader(`{"kind": "decide", "rules": 5`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,33 +261,32 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 
 	// Bad rules → 400 with a JSON error body.
-	resp, data := postJSON(t, srv.URL+"/v1/decide", Request{Rules: `nope nope`})
+	resp, data := postJSON(t, srv.URL+"/v2/analyze", api.AnalyzeRequest{Kind: api.KindDecide, Rules: `nope nope`})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad rules: status %d, want 400", resp.StatusCode)
 	}
-	var out map[string]string
-	if err := json.Unmarshal(data, &out); err != nil || out["error"] == "" {
+	if !hasErrorMessage(data) {
 		t.Errorf("bad rules: error body %s", data)
 	}
 
 	// Unknown field → 400 (DisallowUnknownFields guards against typos).
-	resp, _ = postJSON(t, srv.URL+"/v1/decide", map[string]any{"rules": example1, "varient": "so"})
+	resp, _ = postJSON(t, srv.URL+"/v2/analyze", map[string]any{"kind": "decide", "rules": example1, "varient": "so"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
 	}
 
 	// Wrong method → 405.
-	resp, err = http.Get(srv.URL + "/v1/decide")
+	resp, err = http.Get(srv.URL + "/v2/analyze")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET on decide: status %d, want 405", resp.StatusCode)
+		t.Errorf("GET on analyze: status %d, want 405", resp.StatusCode)
 	}
 
 	// Job timeout → 504.
-	resp, data = postJSON(t, srv.URL+"/v1/decide", Request{Rules: example1})
+	resp, data = postJSON(t, srv.URL+"/v2/analyze", api.AnalyzeRequest{Kind: api.KindDecide, Rules: example1})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("timeout: status %d (%s), want 504", resp.StatusCode, data)
 	}
@@ -284,8 +296,8 @@ func TestHTTPOversizedBodyMapsTo413(t *testing.T) {
 	srv := newTestServer(t, Options{Workers: 1})
 	// Valid JSON whose string payload crosses the byte cap, so the
 	// decoder actually reads past MaxBytesReader's limit.
-	big := `{"rules": "` + strings.Repeat("x", maxBodyBytes+1) + `"}`
-	resp, err := http.Post(srv.URL+"/v1/classify", "application/json", strings.NewReader(big))
+	big := `{"kind": "classify", "rules": "` + strings.Repeat("x", maxBodyBytes+1) + `"}`
+	resp, err := http.Post(srv.URL+"/v2/analyze", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +309,8 @@ func TestHTTPOversizedBodyMapsTo413(t *testing.T) {
 
 func TestHTTPBudgetExceededMapsTo422(t *testing.T) {
 	srv := newTestServer(t, Options{Workers: 1})
-	resp, data := postJSON(t, srv.URL+"/v1/decide", Request{
+	resp, data := postJSON(t, srv.URL+"/v2/analyze", api.AnalyzeRequest{
+		Kind: api.KindDecide,
 		Rules: `gate(X,Y), live(X) -> out(Y,Z), live(Z).
 		        out(Y,Z) -> gate(Y,Z).`,
 		MaxNodeTypes: 1,
@@ -305,8 +318,7 @@ func TestHTTPBudgetExceededMapsTo422(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("budget exceeded: status %d (%s), want 422", resp.StatusCode, data)
 	}
-	var out map[string]string
-	if err := json.Unmarshal(data, &out); err != nil || out["error"] == "" {
+	if !hasErrorMessage(data) {
 		t.Errorf("budget exceeded: error body %s", data)
 	}
 }

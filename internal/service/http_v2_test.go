@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -63,18 +62,19 @@ func TestAnalyzeEndpointDecide(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSharesCacheWithV1: the v1 shim and the v2 route are one
-// engine; a verdict computed through either is a hit through the other.
-func TestAnalyzeSharesCacheWithV1(t *testing.T) {
+// TestAnalyzeSharesCacheWithBatch: the batch route and the analyze
+// route are one engine; a verdict computed through either is a hit
+// through the other.
+func TestAnalyzeSharesCacheWithBatch(t *testing.T) {
 	srv := newTestServer(t, Options{Workers: 2})
-	postJSON(t, srv.URL+"/v1/decide", Request{Rules: example1})
+	postJSON(t, srv.URL+"/v2/batch", api.BatchRequest{Jobs: []api.AnalyzeRequest{{Kind: api.KindDecide, Rules: example1}}})
 	_, data := postJSON(t, srv.URL+"/v2/analyze", api.AnalyzeRequest{Kind: api.KindDecide, Rules: example1})
 	var out api.AnalyzeResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !out.Cached {
-		t.Error("v2 request missed the verdict the v1 shim computed")
+		t.Error("analyze request missed the verdict the batch job computed")
 	}
 }
 
@@ -154,7 +154,9 @@ func TestAnalyzeErrorEnvelope(t *testing.T) {
 		{"unknown kind", `{"kind": "mystery", "rules": "p(X) -> q(X)."}`, api.CodeBadRequest, 400},
 		{"missing kind", `{"rules": "p(X) -> q(X)."}`, api.CodeBadRequest, 400},
 		{"unknown field", `{"kind": "decide", "rules": "p(X) -> q(X).", "varient": "so"}`, api.CodeBadRequest, 400},
-		{"budget exceeded", `{"kind": "decide", "rules": "gate(X,Y), live(X) -> out(Y,Z), live(Z).", "maxNodeTypes": 1}`, api.CodeUnprocessable, 422},
+		// Not weakly acyclic, so the ladder climbs to the guarded-exact
+		// rung, where a node-type cap of one gives up.
+		{"budget exceeded", `{"kind": "decide", "rules": "gate(X,Y), live(X) -> out(Y,Z), live(Z). out(Y,Z) -> gate(Y,Z).", "maxNodeTypes": 1}`, api.CodeUnprocessable, 422},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -178,8 +180,10 @@ func TestAnalyzeErrorEnvelope(t *testing.T) {
 // value silently ignored — masking client bugs.
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 	srv := newTestServer(t, Options{Workers: 1})
-	good := `{"kind": "classify", "rules": "p(X) -> q(X)."}`
-	for _, route := range []string{"/v2/analyze", "/v1/classify"} {
+	job := `{"kind": "classify", "rules": "p(X) -> q(X)."}`
+	bodies := map[string]string{"/v2/analyze": job, "/v2/batch": `{"jobs": [` + job + `]}`}
+	for _, route := range []string{"/v2/analyze", "/v2/batch"} {
+		good := bodies[route]
 		t.Run(route, func(t *testing.T) {
 			// Sanity: the clean body succeeds.
 			resp, data := postRaw(t, srv.URL+route, good)
@@ -196,14 +200,14 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 			}
 		})
 	}
-	// The v1 error carries the additive machine-readable code.
-	resp, data := postRaw(t, srv.URL+"/v1/classify", good+`42`)
+	// The error envelope carries the machine-readable code.
+	resp, data := postRaw(t, srv.URL+"/v2/batch", bodies["/v2/batch"]+`42`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
-	var body map[string]string
-	if err := json.Unmarshal(data, &body); err != nil || body["code"] != string(api.CodeBadRequest) {
-		t.Errorf("v1 error body %s, want code %q", data, api.CodeBadRequest)
+	var env api.ErrorEnvelope
+	if err := json.Unmarshal(data, &env); err != nil || env.Error == nil || env.Error.Code != api.CodeBadRequest {
+		t.Errorf("error body %s, want code %q", data, api.CodeBadRequest)
 	}
 }
 
@@ -277,82 +281,6 @@ func TestDecodeOversizedTrailingMapsTo413(t *testing.T) {
 	}
 	if strings.Contains(env.Error.Message, "trailing data") {
 		t.Errorf("oversize mislabeled as trailing data: %s", env.Error.Message)
-	}
-}
-
-// TestV1KindMismatchRejected: a body-supplied kind that contradicts the
-// route is a client bug (a request meant for another endpoint) and must
-// be rejected, not silently rewritten to the route's kind.
-func TestV1KindMismatchRejected(t *testing.T) {
-	srv := newTestServer(t, Options{Workers: 1})
-	resp, data := postJSON(t, srv.URL+"/v1/decide", Request{Kind: KindChase, Rules: example1})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d (%s), want 400", resp.StatusCode, data)
-	}
-	var body map[string]string
-	if err := json.Unmarshal(data, &body); err != nil {
-		t.Fatal(err)
-	}
-	if body["code"] != string(api.CodeKindMismatch) {
-		t.Errorf("code %q, want %q", body["code"], api.CodeKindMismatch)
-	}
-	if !strings.Contains(body["error"], "chase") || !strings.Contains(body["error"], "decide") {
-		t.Errorf("error %q does not name both kinds", body["error"])
-	}
-
-	// A matching explicit kind is fine.
-	resp, data = postJSON(t, srv.URL+"/v1/decide", Request{Kind: KindDecide, Rules: example1})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("matching kind: status %d (%s)", resp.StatusCode, data)
-	}
-}
-
-// TestV1DecideIgnoresDatabase: the v1 decide contract always answered
-// the all-instance problem and ignored a stray database field; the shim
-// must preserve that — the fixed-database decision is v2-only.
-func TestV1DecideIgnoresDatabase(t *testing.T) {
-	srv := newTestServer(t, Options{Workers: 2})
-	resp, data := postJSON(t, srv.URL+"/v1/decide", Request{
-		Rules:    `p(X,Y) -> p(Y,Z).`,
-		Database: `q(a).`, // inert for this rule set
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var out Response
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	// All-instance: non-terminating. The fixed-db answer on this inert
-	// database would be "terminating" — that must not leak into v1.
-	if out.Terminates != "non-terminating" {
-		t.Errorf("v1 decide with a database answered %q — the shim switched to the fixed-database problem", out.Terminates)
-	}
-}
-
-// TestV1RejectsV2OnlyKinds: "acyclicity" is valid in the v2 model but
-// was never a v1 kind; the flat Response cannot carry its result, so
-// the shim must report the unknown kind instead of silently dropping
-// the analysis.
-func TestV1RejectsV2OnlyKinds(t *testing.T) {
-	eng := New(Options{Workers: 1})
-	defer eng.Close()
-	ctx := context.Background()
-	if _, err := eng.Do(ctx, Request{Kind: "acyclicity", Rules: `p(X) -> q(X).`}); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("Do accepted the v2-only kind: %v", err)
-	}
-	resps, err := eng.Batch(ctx, []Request{
-		{Kind: KindClassify, Rules: `p(X) -> q(X).`},
-		{Kind: "acyclicity", Rules: `p(X) -> q(X).`},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resps[0].Error != "" {
-		t.Errorf("healthy v1 job failed: %s", resps[0].Error)
-	}
-	if !strings.Contains(resps[1].Error, "unknown job kind") {
-		t.Errorf("batch entry error %q, want unknown job kind", resps[1].Error)
 	}
 }
 

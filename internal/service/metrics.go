@@ -54,7 +54,7 @@ func newMetrics(e *Engine) *metrics {
 		r.Counter(name, help, a.Load)
 	}
 	counter("chased_cache_hits_total", "Requests served from the verdict cache (stored entries and deduplicated flights).", &s.cacheHits)
-	counter("chased_cache_misses_total", "Requests that ran an underlying decision.", &s.cacheMisses)
+	counter("chased_cache_misses_total", "Decide requests the in-memory verdict cache missed (served by the persistent store or a fresh decision).", &s.cacheMisses)
 	counter("chased_jobs_total", "Analysis jobs served, failed ones included.", &s.jobsServed)
 	counter("chased_jobs_failed_total", "Analysis jobs that returned an error.", &s.jobsFailed)
 	counter("chased_streams_total", "Chase-stream requests that entered the engine.", &s.streams)
@@ -68,7 +68,7 @@ func newMetrics(e *Engine) *metrics {
 	counter("chased_store_hits_total", "Decide verdicts served from the persistent store.", &s.storeHits)
 	counter("chased_store_misses_total", "Persistent-store probes that fell through to a computation.", &s.storeMisses)
 	counter("chased_store_errors_total", "Persistent-store failures (degraded-mode short-circuits excluded).", &s.storeErrors)
-	counter("chased_portfolio_decides_total", "Decide requests that ran the termination portfolio (cache misses only).", &s.portfolioDecides)
+	counter("chased_portfolio_decides_total", "Fresh all-instance decides, each climbing the termination portfolio (cache and store hits excluded).", &s.portfolioDecides)
 	for _, rung := range chaseterm.PortfolioRungNames() {
 		r.LabeledCounter("chased_portfolio_rung_total",
 			"Portfolio decisions by the rung that decided.",

@@ -394,9 +394,9 @@ func TestTracedAnalyze(t *testing.T) {
 	}
 }
 
-// TestRequestIDOnErrors pins the request ID on the failure surfaces: the
-// v2 envelope and the v1 flat error body both carry it, and a generated
-// ID appears when the client sends none.
+// TestRequestIDOnErrors pins the request ID on the failure surface: the
+// error envelope carries the client's ID, and a generated ID appears
+// when the client sends none.
 func TestRequestIDOnErrors(t *testing.T) {
 	srv := newTestServer(t, Options{Workers: 1})
 
@@ -422,21 +422,21 @@ func TestRequestIDOnErrors(t *testing.T) {
 		t.Errorf("X-Request-ID header = %q on error", got)
 	}
 
-	// v1 errors carry the ID too, and the server generates one when the
-	// client sends none.
-	v1resp, data := postJSON(t, srv.URL+"/v1/decide", map[string]string{"rules": "nope("})
-	if v1resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("v1 status %d, want 400", v1resp.StatusCode)
+	// The server generates an ID when the client sends none, and the
+	// body carries the same one as the header.
+	genResp, data := postJSON(t, srv.URL+"/v2/analyze", map[string]string{"kind": "decide", "rules": "nope("})
+	if genResp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", genResp.StatusCode)
 	}
-	var flat map[string]string
-	if err := json.Unmarshal(data, &flat); err != nil {
+	var generated api.ErrorEnvelope
+	if err := json.Unmarshal(data, &generated); err != nil {
 		t.Fatal(err)
 	}
-	if flat["requestId"] == "" {
-		t.Errorf("v1 error body has no requestId: %v", flat)
+	if generated.RequestID == "" {
+		t.Errorf("error body has no requestId: %s", data)
 	}
-	if flat["requestId"] != v1resp.Header.Get("X-Request-ID") {
-		t.Errorf("v1 body requestId %q != header %q", flat["requestId"], v1resp.Header.Get("X-Request-ID"))
+	if generated.RequestID != genResp.Header.Get("X-Request-ID") {
+		t.Errorf("body requestId %q != header %q", generated.RequestID, genResp.Header.Get("X-Request-ID"))
 	}
 }
 

@@ -10,9 +10,10 @@
 // N concurrent identical requests cost a single decision.
 //
 // The engine speaks api.AnalyzeRequest/api.AnalyzeResponse end-to-end
-// (Analyze, AnalyzeBatch, served as POST /v2/analyze and /v2/batch);
-// the flat v1 request/response model is kept as a compatibility shim
-// (Request, Response, Do, Batch, the /v1/* routes).
+// (Analyze, AnalyzeBatch, served as POST /v2/analyze and /v2/batch).
+// Every all-instance decide climbs the facade's termination portfolio,
+// so every decision names its deciding rung; a request's portfolio flag
+// only adds the per-rung trace to the response.
 package service
 
 import (
@@ -34,11 +35,6 @@ import (
 // ErrBadRequest wraps client errors (malformed rules, unknown variant,
 // unknown job kind); the HTTP layer maps it to 400 / "bad_request".
 var ErrBadRequest = errors.New("bad request")
-
-// ErrKindMismatch wraps requests whose body-supplied kind contradicts
-// the kind implied by a v1 route. It is a bad request (400), but keeps
-// its own wire code "kind_mismatch" so clients can tell the two apart.
-var ErrKindMismatch = fmt.Errorf("%w: kind mismatch", ErrBadRequest)
 
 // ErrUnprocessable wraps analyses that ran but could not finish within
 // their search-space budgets (e.g. a shape or node-type cap from the
@@ -80,7 +76,10 @@ type Options struct {
 	ChaseWorkers int
 	// DecideFunc overrides the all-instance decision procedure — for
 	// tests and instrumentation wrappers. Nil means the library decider
-	// (chaseterm.Analyzer). Implementations must honor the context: it
+	// (chaseterm.Analyzer, which climbs the termination portfolio). Every
+	// all-instance decide, portfolio requests included, runs through it;
+	// the verdict's DecidedBy and Rungs are what the response reports as
+	// decidedBy and rungs. Implementations must honor the context: it
 	// carries the job's deadline, and ignoring it keeps a worker slot
 	// pinned after the client's request has already failed.
 	DecideFunc func(context.Context, *chaseterm.RuleSet, chaseterm.Variant, chaseterm.DecideOptions) (*chaseterm.Verdict, error)
@@ -170,7 +169,7 @@ func (e *Engine) StatsSnapshot() Snapshot { return e.stats.snapshot(e.cache.Len(
 
 // beginRequest starts the per-request instrumentation: it ensures the
 // context carries an obs.Trace (creating a pooled one when the caller —
-// a batch fan-out, a v1 route, a direct library call — did not), and
+// a batch fan-out, a direct library call — did not), and
 // returns the trace plus whether this call owns it and must recycle it.
 func (e *Engine) beginRequest(ctx context.Context) (context.Context, *obs.Trace, bool) {
 	tr := obs.FromContext(ctx)
@@ -361,7 +360,6 @@ func respFromReport(kind api.Kind, rep *chaseterm.Report, includeFacts bool) *ap
 	}
 	if rep.Verdict != nil {
 		resp.Decision = apiDecision(rep.Verdict)
-		decoratePortfolio(resp.Decision, rep.Portfolio)
 	}
 	if rep.Chase != nil {
 		resp.Chase = apiChaseRun(rep.Chase, includeFacts)
@@ -428,23 +426,18 @@ func (e *Engine) doDecide(ctx context.Context, req api.AnalyzeRequest, rules *ch
 		nodeTypes = 0
 	}
 	resp := baseResponse(api.KindDecide, rules)
-	// The portfolio mode is part of the content address: a portfolio
-	// decision carries provenance (decidedBy, rungs) a direct one lacks,
-	// and racing changes the trace, so the three modes never share an
-	// entry.
-	mode := ""
-	if req.Portfolio {
-		mode = "|p"
-		if req.PortfolioRace {
-			mode = "|pr"
-		}
-	}
-	key := fmt.Sprintf("decide|%s|%s|%d|%d%s", resp.Fingerprint, variant, shapes, nodeTypes, mode)
+	key := fmt.Sprintf("dv2|%s|%s|%d|%d", resp.Fingerprint, variantKeys[variant], shapes, nodeTypes)
+	// stored marks a leader served by the persistent store: that verdict
+	// was computed by a past process (or this one, pre-eviction), so it
+	// counts as cached even on a memory-cache miss. Only the leader runs
+	// the flight function, so the flag is never shared.
+	stored := false
 	val, hit, err := e.cache.Do(ctx, key, func() (any, error) {
 		// The store sits under the memory cache as a read-miss layer.
 		// Probing it inside the flight keeps the singleflight guarantee:
 		// N concurrent misses cost one store read, not N.
 		if d, ok := e.storeGet(key); ok {
+			stored = true
 			return d, nil
 		}
 		// The flight is shared: deduplicated waiters ride on this one
@@ -455,22 +448,22 @@ func (e *Engine) doDecide(ctx context.Context, req api.AnalyzeRequest, rules *ch
 		fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), e.opts.JobTimeout)
 		defer cancel()
 		fresh, err := e.pool.Do(fctx, func(ctx context.Context) (any, error) {
-			if req.Portfolio {
-				return e.decidePortfolio(ctx, rules, variant, chaseterm.DecideOptions{
-					MaxShapes:    shapes,
-					MaxNodeTypes: nodeTypes,
-				}, req.PortfolioRace)
-			}
-			return e.decide(ctx, rules, variant, chaseterm.DecideOptions{
+			v, err := e.decide(ctx, rules, variant, chaseterm.DecideOptions{
 				MaxShapes:    shapes,
 				MaxNodeTypes: nodeTypes,
 			})
+			if err != nil {
+				return nil, err
+			}
+			return apiDecision(v), nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		e.storePut(key, fresh)
-		return fresh, nil
+		d := fresh.(*api.Decision)
+		e.stats.recordPortfolio(d.DecidedBy)
+		e.storePut(key, d)
+		return d, nil
 	})
 	if err != nil {
 		return nil, wrapExecErr(err)
@@ -480,66 +473,26 @@ func (e *Engine) doDecide(ctx context.Context, req api.AnalyzeRequest, rules *ch
 	} else {
 		e.stats.cacheMisses.Add(1)
 	}
-	resp.Cached = hit
-	switch v := val.(type) {
-	case *chaseterm.Verdict:
-		resp.Decision = apiDecision(v)
-	case *portfolioDecision:
-		if !hit {
-			e.stats.recordPortfolio(v.portfolio.DecidedBy)
-		}
-		resp.Decision = apiDecision(v.verdict)
-		decoratePortfolio(resp.Decision, v.portfolio)
-	case *api.Decision:
-		// A verdict loaded from the persistent store — computed by a past
-		// process (or this one, pre-eviction), so it counts as cached even
-		// on a memory-cache miss. Shallow-copied so response post-processing
-		// can never scribble on the cached value.
-		d := *v
-		resp.Decision = &d
-		resp.Cached = true
+	resp.Cached = hit || stored
+	// Shallow-copied so response post-processing can never scribble on
+	// the cached value. Every decision names its deciding rung; the rung
+	// trace is returned only on request.
+	d := *val.(*api.Decision)
+	if !req.Portfolio {
+		d.Rungs = nil
 	}
+	resp.Decision = &d
 	return resp, nil
 }
 
-// portfolioDecision is the cached value of a portfolio decide: the
-// verdict plus its provenance.
-type portfolioDecision struct {
-	verdict   *chaseterm.Verdict
-	portfolio *chaseterm.PortfolioReport
-}
-
-// decidePortfolio runs the all-instance decision through the facade's
-// termination portfolio. It bypasses Options.DecideFunc — the override
-// has no way to produce rung provenance — so tests that stub the direct
-// decider exercise the real ladder here.
-func (e *Engine) decidePortfolio(ctx context.Context, rules *chaseterm.RuleSet, v chaseterm.Variant, opt chaseterm.DecideOptions, race bool) (*portfolioDecision, error) {
-	rep, err := e.facade.Analyze(ctx, chaseterm.NewRequest(chaseterm.AnalyzeDecide, rules,
-		chaseterm.WithVariant(v), chaseterm.WithDecideBudgets(opt),
-		chaseterm.WithPortfolio(chaseterm.PortfolioOptions{Race: race})))
-	if err != nil {
-		return nil, err
-	}
-	return &portfolioDecision{verdict: rep.Verdict, portfolio: rep.Portfolio}, nil
-}
-
-// decoratePortfolio attaches the portfolio provenance to a wire
-// decision.
-func decoratePortfolio(d *api.Decision, rep *chaseterm.PortfolioReport) {
-	if rep == nil {
-		return
-	}
-	d.DecidedBy = rep.DecidedBy
-	d.Raced = rep.Raced
-	for _, r := range rep.Rungs {
-		d.Rungs = append(d.Rungs, api.Rung{
-			Name:     r.Rung,
-			Verdict:  r.Verdict,
-			Millis:   millis(r.Elapsed),
-			Canceled: r.Canceled,
-		})
-	}
-}
+// variantKeys spells each variant in an all-instance decide's cache and
+// store key, "dv2|fingerprint|variant|maxShapes|maxNodeTypes", whose
+// cached value is an *api.Decision carrying its provenance (decidedBy,
+// rungs). Older binaries keyed their records "decide|…" and stored some
+// of them without provenance; the "dv2" prefix keeps those records from
+// ever being served. Keys stay short because the store holds every one
+// of them in its in-memory index: 75 bytes with the default budgets.
+var variantKeys = [...]string{chaseterm.Oblivious: "o", chaseterm.SemiOblivious: "so", chaseterm.Restricted: "r"}
 
 // doDecideOnDatabase answers the fixed-database decision problem. The
 // verdict depends on the database, which is not part of the verdict
@@ -626,8 +579,7 @@ func (e *Engine) doChase(ctx context.Context, req api.AnalyzeRequest, rules *cha
 	return respFromReport(api.KindChase, val.(*chaseterm.Report), req.ReturnFacts), nil
 }
 
-// checkBatchSize enforces the batch-level admission rules shared by the
-// v1 and v2 batch entry points.
+// checkBatchSize enforces the batch-level admission rules.
 func (e *Engine) checkBatchSize(n int) error {
 	if n == 0 {
 		return fmt.Errorf("%w: empty batch", ErrBadRequest)
@@ -672,15 +624,21 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, reqs []api.AnalyzeRequest) ([
 	return out, nil
 }
 
-// apiDecision converts a library verdict to its wire form.
+// apiDecision converts a library verdict, provenance included, to its
+// wire form.
 func apiDecision(v *chaseterm.Verdict) *api.Decision {
-	return &api.Decision{
+	d := &api.Decision{
 		Terminates:  v.Terminates.String(),
 		Class:       v.Class.String(),
 		Method:      v.Method,
 		Witness:     v.Witness,
 		SearchSpace: v.SearchSpace,
+		DecidedBy:   v.DecidedBy,
 	}
+	for _, r := range v.Rungs {
+		d.Rungs = append(d.Rungs, api.Rung{Name: r.Rung, Verdict: r.Verdict, Millis: millis(r.Elapsed)})
+	}
+	return d
 }
 
 // apiChaseRun converts a chase result to its wire form.
@@ -724,8 +682,6 @@ func apiAcyclicity(rep *chaseterm.AcyclicityReport) *api.Acyclicity {
 func toAPIError(err error) *api.Error {
 	code := api.CodeInternal
 	switch {
-	case errors.Is(err, ErrKindMismatch):
-		code = api.CodeKindMismatch
 	case errors.Is(err, ErrBadRequest):
 		code = api.CodeBadRequest
 	case errors.Is(err, ErrUnprocessable):

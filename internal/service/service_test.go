@@ -15,13 +15,25 @@ import (
 	"time"
 
 	"chaseterm"
+	"chaseterm/api"
 )
 
 const example1 = `person(X) -> hasFather(X,Y), person(Y).`
 
+// libraryDecide is the library's all-instance decision, for DecideFunc
+// stubs that wrap it.
+func libraryDecide(ctx context.Context, rules *chaseterm.RuleSet, v chaseterm.Variant, opt chaseterm.DecideOptions) (*chaseterm.Verdict, error) {
+	rep, err := chaseterm.Analyzer{}.Analyze(ctx, chaseterm.NewRequest(chaseterm.AnalyzeDecide, rules,
+		chaseterm.WithVariant(v), chaseterm.WithDecideBudgets(opt)))
+	if err != nil {
+		return nil, err
+	}
+	return rep.Verdict, nil
+}
+
 // TestDecideCollapsesConcurrentIdenticalRequests is the acceptance
-// check of the subsystem: 8 concurrent identical /v1/decide requests
-// must cost exactly one underlying DecideTermination call, and
+// check of the subsystem: 8 concurrent identical decide requests to
+// /v2/analyze must cost exactly one underlying decision, and
 // /v1/stats must report the corresponding hit/miss split (7 hits, 1
 // miss).
 func TestDecideCollapsesConcurrentIdenticalRequests(t *testing.T) {
@@ -31,7 +43,7 @@ func TestDecideCollapsesConcurrentIdenticalRequests(t *testing.T) {
 	eng = New(Options{
 		Workers:    4,
 		JobTimeout: 30 * time.Second,
-		DecideFunc: func(_ context.Context, rules *chaseterm.RuleSet, v chaseterm.Variant, opt chaseterm.DecideOptions) (*chaseterm.Verdict, error) {
+		DecideFunc: func(ctx context.Context, rules *chaseterm.RuleSet, v chaseterm.Variant, opt chaseterm.DecideOptions) (*chaseterm.Verdict, error) {
 			calls.Add(1)
 			// Hold the decision open until every client is inside the
 			// engine, so all of them overlap this single computation.
@@ -39,21 +51,21 @@ func TestDecideCollapsesConcurrentIdenticalRequests(t *testing.T) {
 			for eng.Stats().InFlight() < clients && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
-			return chaseterm.DecideTerminationOpts(rules, v, opt)
+			return libraryDecide(ctx, rules, v, opt)
 		},
 	})
 	defer eng.Close()
 	srv := httptest.NewServer(NewHandler(eng))
 	defer srv.Close()
 
-	body, _ := json.Marshal(Request{Rules: example1, Variant: "so"})
+	body, _ := json.Marshal(api.AnalyzeRequest{Kind: api.KindDecide, Rules: example1, Variant: "so"})
 	var wg sync.WaitGroup
 	var cachedCount atomic.Int64
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(srv.URL+"/v1/decide", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(srv.URL+"/v2/analyze", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Error(err)
 				return
@@ -64,13 +76,13 @@ func TestDecideCollapsesConcurrentIdenticalRequests(t *testing.T) {
 				t.Errorf("status %d: %s", resp.StatusCode, msg)
 				return
 			}
-			var out Response
+			var out api.AnalyzeResponse
 			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 				t.Error(err)
 				return
 			}
-			if out.Terminates != "non-terminating" {
-				t.Errorf("verdict %q, want non-terminating", out.Terminates)
+			if out.Decision == nil || out.Decision.Terminates != "non-terminating" {
+				t.Errorf("decision %+v, want non-terminating", out.Decision)
 			}
 			if out.Cached {
 				cachedCount.Add(1)
@@ -80,7 +92,7 @@ func TestDecideCollapsesConcurrentIdenticalRequests(t *testing.T) {
 	wg.Wait()
 
 	if n := calls.Load(); n != 1 {
-		t.Errorf("DecideTermination ran %d times for %d identical requests, want 1", n, clients)
+		t.Errorf("the decider ran %d times for %d identical requests, want 1", n, clients)
 	}
 	if n := cachedCount.Load(); n != clients-1 {
 		t.Errorf("%d responses marked cached, want %d", n, clients-1)
@@ -110,13 +122,13 @@ func TestBatchPreservesOrder(t *testing.T) {
 	eng := New(Options{Workers: 4})
 	defer eng.Close()
 	const n = 12
-	reqs := make([]Request, n)
+	reqs := make([]api.AnalyzeRequest, n)
 	for i := range reqs {
 		// Each job's rule set has a distinct predicate name, so its
 		// fingerprint identifies which input produced it.
-		reqs[i] = Request{Kind: KindClassify, Rules: fmt.Sprintf("p%d(X) -> q%d(X,Y).", i, i)}
+		reqs[i] = api.AnalyzeRequest{Kind: api.KindClassify, Rules: fmt.Sprintf("p%d(X) -> q%d(X,Y).", i, i)}
 	}
-	resps, err := eng.Batch(context.Background(), reqs)
+	resps, err := eng.AnalyzeBatch(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +137,8 @@ func TestBatchPreservesOrder(t *testing.T) {
 	}
 	for i, r := range resps {
 		want := chaseterm.MustParseRules(reqs[i].Rules).Fingerprint()
-		if r.Error != "" {
-			t.Errorf("job %d failed: %s", i, r.Error)
+		if r.Error != nil {
+			t.Errorf("job %d failed: %v", i, r.Error)
 			continue
 		}
 		if r.Fingerprint != want {
@@ -138,18 +150,18 @@ func TestBatchPreservesOrder(t *testing.T) {
 func TestBatchReportsPerJobErrors(t *testing.T) {
 	eng := New(Options{Workers: 2})
 	defer eng.Close()
-	resps, err := eng.Batch(context.Background(), []Request{
-		{Kind: KindClassify, Rules: `p(X) -> q(X).`},
-		{Kind: KindClassify, Rules: `this is not a rule`},
+	resps, err := eng.AnalyzeBatch(context.Background(), []api.AnalyzeRequest{
+		{Kind: api.KindClassify, Rules: `p(X) -> q(X).`},
+		{Kind: api.KindClassify, Rules: `this is not a rule`},
 		{Kind: "nonsense", Rules: `p(X) -> q(X).`},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resps[0].Error != "" {
-		t.Errorf("healthy job failed: %s", resps[0].Error)
+	if resps[0].Error != nil {
+		t.Errorf("healthy job failed: %v", resps[0].Error)
 	}
-	if resps[1].Error == "" || resps[2].Error == "" {
+	if resps[1].Error == nil || resps[2].Error == nil {
 		t.Errorf("broken jobs did not report errors: %+v", resps[1:])
 	}
 }
@@ -157,11 +169,11 @@ func TestBatchReportsPerJobErrors(t *testing.T) {
 func TestBatchLimits(t *testing.T) {
 	eng := New(Options{Workers: 1, MaxBatch: 2})
 	defer eng.Close()
-	if _, err := eng.Batch(context.Background(), nil); !errors.Is(err, ErrBadRequest) {
+	if _, err := eng.AnalyzeBatch(context.Background(), nil); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("empty batch: got %v, want ErrBadRequest", err)
 	}
-	over := []Request{{Kind: KindClassify}, {Kind: KindClassify}, {Kind: KindClassify}}
-	if _, err := eng.Batch(context.Background(), over); !errors.Is(err, ErrBadRequest) {
+	over := []api.AnalyzeRequest{{Kind: api.KindClassify}, {Kind: api.KindClassify}, {Kind: api.KindClassify}}
+	if _, err := eng.AnalyzeBatch(context.Background(), over); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("oversized batch: got %v, want ErrBadRequest", err)
 	}
 }
@@ -183,7 +195,7 @@ func TestJobTimeout(t *testing.T) {
 	// slot until the abandoned computation winds down (LIFO defers).
 	defer close(release)
 	start := time.Now()
-	_, err := eng.Do(context.Background(), Request{Kind: KindDecide, Rules: example1})
+	_, err := eng.Analyze(context.Background(), api.AnalyzeRequest{Kind: api.KindDecide, Rules: example1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want deadline exceeded", err)
 	}
@@ -204,23 +216,23 @@ func TestFlightSurvivesLeaderCancellation(t *testing.T) {
 	release := make(chan struct{})
 	eng := New(Options{
 		Workers: 2,
-		DecideFunc: func(_ context.Context, rules *chaseterm.RuleSet, v chaseterm.Variant, opt chaseterm.DecideOptions) (*chaseterm.Verdict, error) {
+		DecideFunc: func(ctx context.Context, rules *chaseterm.RuleSet, v chaseterm.Variant, opt chaseterm.DecideOptions) (*chaseterm.Verdict, error) {
 			close(started)
 			<-release
-			return chaseterm.DecideTerminationOpts(rules, v, opt)
+			return libraryDecide(ctx, rules, v, opt)
 		},
 	})
 	defer eng.Close()
 
-	req := Request{Kind: KindDecide, Rules: example1}
+	req := api.AnalyzeRequest{Kind: api.KindDecide, Rules: example1}
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	go eng.Do(leaderCtx, req) //nolint:errcheck // the leader's fate is not under test
+	go eng.Analyze(leaderCtx, req) //nolint:errcheck // the leader's fate is not under test
 	<-started
 
 	waiterErr := make(chan error, 1)
-	var waiterResp *Response
+	var waiterResp *api.AnalyzeResponse
 	go func() {
-		resp, err := eng.Do(context.Background(), req)
+		resp, err := eng.Analyze(context.Background(), req)
 		waiterResp = resp
 		waiterErr <- err
 	}()
@@ -236,7 +248,7 @@ func TestFlightSurvivesLeaderCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("waiter failed after leader cancellation: %v", err)
 		}
-		if waiterResp.Terminates != "non-terminating" {
+		if waiterResp.Decision == nil || waiterResp.Decision.Terminates != "non-terminating" {
 			t.Fatalf("waiter got %+v", waiterResp)
 		}
 	case <-time.After(10 * time.Second):
@@ -249,7 +261,7 @@ func TestFlightSurvivesLeaderCancellation(t *testing.T) {
 func TestClassifyEmitsZeroValues(t *testing.T) {
 	eng := New(Options{Workers: 1})
 	defer eng.Close()
-	resp, err := eng.Do(context.Background(), Request{Kind: KindClassify, Rules: `p -> q.`})
+	resp, err := eng.Analyze(context.Background(), api.AnalyzeRequest{Kind: api.KindClassify, Rules: `p -> q.`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,17 +283,17 @@ func TestExplicitDefaultBudgetHitsCache(t *testing.T) {
 	var calls atomic.Int64
 	eng := New(Options{
 		Workers: 2,
-		DecideFunc: func(_ context.Context, rules *chaseterm.RuleSet, v chaseterm.Variant, opt chaseterm.DecideOptions) (*chaseterm.Verdict, error) {
+		DecideFunc: func(ctx context.Context, rules *chaseterm.RuleSet, v chaseterm.Variant, opt chaseterm.DecideOptions) (*chaseterm.Verdict, error) {
 			calls.Add(1)
-			return chaseterm.DecideTerminationOpts(rules, v, opt)
+			return libraryDecide(ctx, rules, v, opt)
 		},
 	})
 	defer eng.Close()
 	ctx := context.Background()
-	if _, err := eng.Do(ctx, Request{Kind: KindDecide, Rules: example1}); err != nil {
+	if _, err := eng.Analyze(ctx, api.AnalyzeRequest{Kind: api.KindDecide, Rules: example1}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := eng.Do(ctx, Request{Kind: KindDecide, Rules: example1, MaxShapes: chaseterm.DefaultMaxShapes})
+	resp, err := eng.Analyze(ctx, api.AnalyzeRequest{Kind: api.KindDecide, Rules: example1, MaxShapes: chaseterm.DefaultMaxShapes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,8 +307,8 @@ func TestExplicitDefaultBudgetHitsCache(t *testing.T) {
 func TestBudgetErrorsAreUnprocessable(t *testing.T) {
 	eng := New(Options{Workers: 1})
 	defer eng.Close()
-	_, err := eng.Do(context.Background(), Request{
-		Kind: KindDecide,
+	_, err := eng.Analyze(context.Background(), api.AnalyzeRequest{
+		Kind: api.KindDecide,
 		// A guarded set whose forest needs several node types; a cap of
 		// one forces the decider to give up on its budget.
 		Rules: `gate(X,Y), live(X) -> out(Y,Z), live(Z).
@@ -312,20 +324,20 @@ func TestDoValidatesRequests(t *testing.T) {
 	eng := New(Options{Workers: 1})
 	defer eng.Close()
 	ctx := context.Background()
-	cases := []Request{
-		{Kind: KindDecide, Rules: `syntax error`},
-		{Kind: KindDecide, Rules: example1, Variant: "bogus"},
-		{Kind: KindChase, Rules: example1, Database: `not facts ->`},
+	cases := []api.AnalyzeRequest{
+		{Kind: api.KindDecide, Rules: `syntax error`},
+		{Kind: api.KindDecide, Rules: example1, Variant: "bogus"},
+		{Kind: api.KindChase, Rules: example1, Database: `not facts ->`},
 		{Kind: "mystery", Rules: example1},
 		// Budgets outside [0, maxRequestBudget] are rejected up front:
 		// a worker stays occupied until its computation winds down, so
 		// an absurd budget would let one request pin it for hours.
-		{Kind: KindChase, Rules: example1, MaxFacts: maxRequestBudget + 1},
-		{Kind: KindChase, Rules: example1, MaxTriggers: -5},
-		{Kind: KindDecide, Rules: example1, MaxShapes: maxRequestBudget + 1},
+		{Kind: api.KindChase, Rules: example1, MaxFacts: maxRequestBudget + 1},
+		{Kind: api.KindChase, Rules: example1, MaxTriggers: -5},
+		{Kind: api.KindDecide, Rules: example1, MaxShapes: maxRequestBudget + 1},
 	}
 	for _, req := range cases {
-		if _, err := eng.Do(ctx, req); !errors.Is(err, ErrBadRequest) {
+		if _, err := eng.Analyze(ctx, req); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%+v: got %v, want ErrBadRequest", req, err)
 		}
 	}
@@ -335,19 +347,19 @@ func TestDecideDistinctOptionsNotConflated(t *testing.T) {
 	var calls atomic.Int64
 	eng := New(Options{
 		Workers: 2,
-		DecideFunc: func(_ context.Context, rules *chaseterm.RuleSet, v chaseterm.Variant, opt chaseterm.DecideOptions) (*chaseterm.Verdict, error) {
+		DecideFunc: func(ctx context.Context, rules *chaseterm.RuleSet, v chaseterm.Variant, opt chaseterm.DecideOptions) (*chaseterm.Verdict, error) {
 			calls.Add(1)
-			return chaseterm.DecideTerminationOpts(rules, v, opt)
+			return libraryDecide(ctx, rules, v, opt)
 		},
 	})
 	defer eng.Close()
 	ctx := context.Background()
-	for _, req := range []Request{
-		{Kind: KindDecide, Rules: example1, Variant: "so"},
-		{Kind: KindDecide, Rules: example1, Variant: "o"},
-		{Kind: KindDecide, Rules: example1, Variant: "so", MaxShapes: 500},
+	for _, req := range []api.AnalyzeRequest{
+		{Kind: api.KindDecide, Rules: example1, Variant: "so"},
+		{Kind: api.KindDecide, Rules: example1, Variant: "o"},
+		{Kind: api.KindDecide, Rules: example1, Variant: "so", MaxShapes: 500},
 	} {
-		if _, err := eng.Do(ctx, req); err != nil {
+		if _, err := eng.Analyze(ctx, req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -356,7 +368,7 @@ func TestDecideDistinctOptionsNotConflated(t *testing.T) {
 	}
 	// Alpha-renamed, reordered rules hit the same key.
 	renamed := `person(P) -> hasFather(P,Dad), person(Dad).`
-	if _, err := eng.Do(ctx, Request{Kind: KindDecide, Rules: renamed, Variant: "so"}); err != nil {
+	if _, err := eng.Analyze(ctx, api.AnalyzeRequest{Kind: api.KindDecide, Rules: renamed, Variant: "so"}); err != nil {
 		t.Fatal(err)
 	}
 	if n := calls.Load(); n != 3 {

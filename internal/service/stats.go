@@ -34,9 +34,9 @@ type Stats struct {
 	storeMisses atomic.Int64
 	storeErrors atomic.Int64
 
-	// portfolioDecides counts decide requests that ran the termination
-	// portfolio (cache misses only — the rung ladder actually climbed);
-	// portfolioRungs splits them by the rung that decided. The key set is
+	// portfolioDecides counts fresh all-instance decides — every one
+	// climbs the termination portfolio; memory and store hits are not
+	// counted — and portfolioRungs splits them by the rung that decided. The key set is
 	// fixed at construction (chaseterm.PortfolioRungNames), so lookups
 	// after newStats are read-only and need no lock.
 	portfolioDecides atomic.Int64
@@ -59,8 +59,8 @@ func newStats() *Stats {
 	return s
 }
 
-// recordPortfolio counts one portfolio decision that actually ran (a
-// cache miss), attributed to the rung that decided it. An exhausted
+// recordPortfolio counts one fresh decide (neither cache nor store
+// served it), attributed to the rung that decided it. An exhausted
 // portfolio has no deciding rung and only bumps the total.
 func (s *Stats) recordPortfolio(decidedBy string) {
 	s.portfolioDecides.Add(1)
@@ -107,9 +107,9 @@ type Snapshot struct {
 	StoreErrors   int64 `json:"storeErrors"`
 	StoreDegraded bool  `json:"storeDegraded"`
 
-	// PortfolioDecides counts decide requests that ran the termination
-	// portfolio (cache misses only); PortfolioRungs attributes them to
-	// the rung that decided — every rung is listed, zeros included, so
+	// PortfolioDecides counts fresh all-instance decides, each of which
+	// climbs the termination portfolio (memory and store hits excluded);
+	// PortfolioRungs attributes them to the rung that decided — every rung is listed, zeros included, so
 	// dashboards see the full ladder.
 	PortfolioDecides int64            `json:"portfolioDecides"`
 	PortfolioRungs   map[string]int64 `json:"portfolioRungs"`
@@ -239,8 +239,9 @@ func (s *Stats) InFlight() int64 { return s.inFlight.Load() }
 // cache, counting singleflight-deduplicated waiters as hits.
 func (s *Stats) CacheHits() int64 { return s.cacheHits.Load() }
 
-// CacheMisses returns the number of requests that ran an underlying
-// decision.
+// CacheMisses returns the number of decide requests the in-memory
+// verdict cache missed: each was served by the persistent store
+// (StoreHits in the snapshot) or by a fresh decision.
 func (s *Stats) CacheMisses() int64 { return s.cacheMisses.Load() }
 
 // Streams returns the number of chase-stream requests that entered the

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 
-	"chaseterm"
 	"chaseterm/api"
 	"chaseterm/internal/store"
 )
@@ -47,21 +46,11 @@ func (e *Engine) storeGet(key string) (*api.Decision, bool) {
 }
 
 // storePut writes a freshly computed verdict through to the store. The
-// persisted payload is the wire-level api.Decision — it carries the
-// portfolio provenance too, so a store-warm response is
+// persisted payload is the wire-level api.Decision, the same value the
+// memory cache holds, provenance included, so a store-warm response is
 // indistinguishable from a memory-warm one.
-func (e *Engine) storePut(key string, val any) {
+func (e *Engine) storePut(key string, d *api.Decision) {
 	if e.store == nil {
-		return
-	}
-	var d *api.Decision
-	switch v := val.(type) {
-	case *chaseterm.Verdict:
-		d = apiDecision(v)
-	case *portfolioDecision:
-		d = apiDecision(v.verdict)
-		decoratePortfolio(d, v.portfolio)
-	default:
 		return
 	}
 	raw, err := json.Marshal(d)

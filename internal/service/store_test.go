@@ -52,9 +52,9 @@ func postDecide(t *testing.T, url, rules string) *api.AnalyzeResponse {
 func TestStoreWarmRestart(t *testing.T) {
 	fs := store.NewMemFS()
 	var calls atomic.Int64
-	decide := func(_ context.Context, rules *chaseterm.RuleSet, v chaseterm.Variant, opt chaseterm.DecideOptions) (*chaseterm.Verdict, error) {
+	decide := func(ctx context.Context, rules *chaseterm.RuleSet, v chaseterm.Variant, opt chaseterm.DecideOptions) (*chaseterm.Verdict, error) {
 		calls.Add(1)
-		return chaseterm.DecideTerminationOpts(rules, v, opt)
+		return libraryDecide(ctx, rules, v, opt)
 	}
 
 	// First process: compute and write through.
@@ -232,9 +232,9 @@ func TestStoreErrorFallsThroughToCompute(t *testing.T) {
 	eng := New(Options{
 		Workers: 2,
 		Store:   failingStore{},
-		DecideFunc: func(_ context.Context, rules *chaseterm.RuleSet, v chaseterm.Variant, opt chaseterm.DecideOptions) (*chaseterm.Verdict, error) {
+		DecideFunc: func(ctx context.Context, rules *chaseterm.RuleSet, v chaseterm.Variant, opt chaseterm.DecideOptions) (*chaseterm.Verdict, error) {
 			calls.Add(1)
-			return chaseterm.DecideTerminationOpts(rules, v, opt)
+			return libraryDecide(ctx, rules, v, opt)
 		},
 	})
 	defer eng.Close()

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -87,7 +88,7 @@ func TestOntologyTerminates(t *testing.T) {
 	if rs.Classify() != logic.ClassSimpleLinear {
 		t.Fatalf("ontology class: %v", rs.Classify())
 	}
-	res, err := chase.RunFromAtoms(OntologyDB(), rs, chase.Restricted, chase.Options{})
+	res, err := chase.RunFromAtomsContext(context.Background(), OntologyDB(), rs, chase.Restricted, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestDataExchangeUniversalSolution(t *testing.T) {
 	if err := rs.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := chase.RunFromAtoms(DataExchangeDB(), rs, chase.Restricted, chase.Options{})
+	res, err := chase.RunFromAtomsContext(context.Background(), DataExchangeDB(), rs, chase.Restricted, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestRandomABox(t *testing.T) {
 		}
 	}
 	// The facts must load into an instance without arity clashes.
-	res, err := chase.RunFromAtoms(db, rs, chase.Restricted, chase.Options{MaxTriggers: 50000, MaxFacts: 100000})
+	res, err := chase.RunFromAtomsContext(context.Background(), db, rs, chase.Restricted, chase.Options{MaxTriggers: 50000, MaxFacts: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}

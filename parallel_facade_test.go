@@ -45,12 +45,12 @@ func chaseWith(t *testing.T, opts ...chaseterm.RequestOption) *chaseterm.Report 
 }
 
 // TestWithParallelismChaseIdentical: a chase through the facade with
-// WithParallelism(8) must report the identical outcome, statistics,
-// engine counters (the stripe-aggregated TriggersEnqueued and
-// MaxTermDepth included), and final instance as a sequential run.
+// ChaseOptions{Workers: 8} must report the identical outcome,
+// statistics, engine counters (the stripe-aggregated TriggersEnqueued
+// and MaxTermDepth included), and final instance as a sequential run.
 func TestWithParallelismChaseIdentical(t *testing.T) {
 	seq := chaseWith(t)
-	par := chaseWith(t, chaseterm.WithParallelism(8))
+	par := chaseWith(t, chaseterm.WithChaseBudgets(chaseterm.ChaseOptions{Workers: 8}))
 	if par.Chase.Stats != seq.Chase.Stats {
 		t.Errorf("stats %+v, sequential %+v", par.Chase.Stats, seq.Chase.Stats)
 	}
@@ -59,46 +59,5 @@ func TestWithParallelismChaseIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(par.Chase.Facts(), seq.Chase.Facts()) {
 		t.Errorf("instances differ: %d vs %d facts", len(par.Chase.Facts()), len(seq.Chase.Facts()))
-	}
-}
-
-// TestWithParallelismDecideIdentical: WithParallelism also reaches the
-// deciders' internal oracle chases; on a general rule set that the
-// bounded critical chase decides, the verdict must be unchanged.
-func TestWithParallelismDecideIdentical(t *testing.T) {
-	// Two unguarded body atoms → class general; terminating, so the
-	// fallback ladder reaches a decisive verdict either way.
-	rules := chaseterm.MustParseRules(`p(X), q(Y) -> r(X,Y). r(X,Y) -> s(Y).`)
-	decide := func(opts ...chaseterm.RequestOption) *chaseterm.Verdict {
-		t.Helper()
-		rep, err := an.Analyze(context.Background(),
-			chaseterm.NewRequest(chaseterm.AnalyzeDecide, rules, opts...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Verdict
-	}
-	seq := decide()
-	par := decide(chaseterm.WithParallelism(8))
-	if !reflect.DeepEqual(par, seq) {
-		t.Errorf("parallel verdict %+v, sequential %+v", par, seq)
-	}
-	if seq.Terminates != chaseterm.Yes {
-		t.Errorf("verdict %v, want terminating", seq.Terminates)
-	}
-}
-
-// TestExplicitWorkersBeatsParallelism: an explicit Workers in the chase
-// budgets wins over the request-level WithParallelism default. Forcing
-// Workers 1 under WithParallelism(8) must run the sequential engine —
-// observable here only through equality with a plain sequential run,
-// which also pins that the precedence plumbing compiles into effect.
-func TestExplicitWorkersBeatsParallelism(t *testing.T) {
-	seq := chaseWith(t)
-	par := chaseWith(t,
-		chaseterm.WithChaseBudgets(chaseterm.ChaseOptions{Workers: 1}),
-		chaseterm.WithParallelism(8))
-	if par.Chase.Stats != seq.Chase.Stats {
-		t.Errorf("stats %+v, sequential %+v", par.Chase.Stats, seq.Chase.Stats)
 	}
 }

@@ -8,35 +8,7 @@ import (
 	"chaseterm/internal/portfolio"
 )
 
-// PortfolioOptions configure the portfolio scheduler of WithPortfolio.
-type PortfolioOptions struct {
-	// Race runs the applicable exact deciders concurrently once the
-	// cheap ladder is exhausted, adopting the first decisive verdict and
-	// cancelling the losers. With Race unset they run sequentially,
-	// cheapest class first.
-	Race bool
-}
-
-// WithPortfolio makes AnalyzeDecide run the termination portfolio
-// instead of dispatching straight to the exact decider for the rule
-// set's class: the ladder of cheap sound criteria — positional
-// acyclicity, then bounded critical-chase rungs — runs bottom-up and
-// short-circuits on the first decisive verdict, so the exact
-// (PSPACE/2EXPTIME) procedures only run when every cheap rung is
-// inconclusive. The report then carries Report.Portfolio: which rung
-// decided and a per-rung timing trace.
-//
-// The portfolio answers the all-instance question; a request that also
-// carries WithDatabase ignores the portfolio and decides the
-// fixed-database problem directly.
-func WithPortfolio(opt PortfolioOptions) RequestOption {
-	return func(r *Request) {
-		p := opt
-		r.portfolio = &p
-	}
-}
-
-// RungTiming is one rung's entry in a portfolio trace.
+// RungTiming is one rung's entry in a portfolio trace (Verdict.Rungs).
 type RungTiming struct {
 	// Rung is the stable rung name ("weak-acyclicity", "mfa",
 	// "guarded-exact", …).
@@ -46,38 +18,31 @@ type RungTiming struct {
 	Verdict string
 	// Elapsed is the rung's wall time.
 	Elapsed time.Duration
-	// Canceled marks a racing loser stopped by the winner.
-	Canceled bool
 }
 
-// PortfolioReport is the provenance of a portfolio decision
-// (Report.Portfolio).
-type PortfolioReport struct {
-	// DecidedBy names the rung whose verdict the report adopted — empty
-	// only when every applicable rung was inconclusive. For the
-	// restricted variant it names the rung that decided the underlying
-	// CT^so question, whether or not the Yes transferred.
-	DecidedBy string
-	// Raced reports that the exact deciders ran as a cancellation race.
-	Raced bool
-	// Rungs traces every rung that ran, in completion order.
-	Rungs []RungTiming
-}
-
-// decidePortfolio is the portfolio-scheduled all-instance decision
-// behind Analyzer.Analyze (WithPortfolio).
-func decidePortfolio(ctx context.Context, rules *RuleSet, v Variant, opt DecideOptions, popt PortfolioOptions) (*Verdict, *PortfolioReport, error) {
+// decidePortfolio is the all-instance decision behind Analyzer.Analyze:
+// the termination portfolio's ladder of cheap sound criteria —
+// positional acyclicity, then bounded critical-chase rungs — runs
+// bottom-up and short-circuits on the first decisive verdict, so the
+// paper's exact (PSPACE/2EXPTIME) procedures only run when every cheap
+// rung is inconclusive. The verdict carries its provenance: the rung
+// that decided and the per-rung trace.
+func decidePortfolio(ctx context.Context, rules *RuleSet, v Variant, opt DecideOptions) (*Verdict, error) {
 	class := rules.Classify()
 	if v == Restricted {
-		// Same transfer as decideRestricted: CT^so Yes implies restricted
-		// termination; anything else stays open.
-		so, prep, err := decidePortfolio(ctx, rules, SemiOblivious, opt, popt)
+		// The paper leaves the restricted chase open (Section 4); we
+		// report the sound answers available. Termination of the
+		// semi-oblivious chase implies termination of the restricted
+		// chase (the restricted chase applies a subset of the
+		// semi-oblivious triggers on every database), so a CT^so Yes
+		// transfers; anything else stays open.
+		so, err := decidePortfolio(ctx, rules, SemiOblivious, opt)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if so.Terminates == Yes {
 			so.Method += "→restricted"
-			return so, prep, nil
+			return so, nil
 		}
 		return &Verdict{
 			Terminates: Unknown,
@@ -85,7 +50,9 @@ func decidePortfolio(ctx context.Context, rules *RuleSet, v Variant, opt DecideO
 			Method:     "restricted-open",
 			Witness: "deciding restricted-chase termination is the paper's open problem; " +
 				"CT^so gave " + so.Terminates.String(),
-		}, prep, nil
+			DecidedBy: so.DecidedBy,
+			Rungs:     so.Rungs,
+		}, nil
 	}
 	cv := core.VariantSemiOblivious
 	if v == Oblivious {
@@ -98,17 +65,17 @@ func decidePortfolio(ctx context.Context, rules *RuleSet, v Variant, opt DecideO
 		},
 		OracleMaxTriggers: opt.OracleMaxTriggers,
 		OracleMaxFacts:    opt.OracleMaxFacts,
-		Workers:           opt.OracleWorkers,
-		Race:              popt.Race,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	verdict := &Verdict{
 		Class:       class,
 		Method:      res.Evidence.Method,
 		Witness:     res.Evidence.Witness,
 		SearchSpace: res.Evidence.SearchSpace,
+		DecidedBy:   res.DecidedBy,
+		Rungs:       make([]RungTiming, len(res.Rungs)),
 	}
 	switch res.Verdict {
 	case portfolio.Terminating:
@@ -118,16 +85,10 @@ func decidePortfolio(ctx context.Context, rules *RuleSet, v Variant, opt DecideO
 	default:
 		verdict.Terminates = Unknown
 	}
-	prep := &PortfolioReport{DecidedBy: res.DecidedBy, Raced: res.Raced}
-	for _, r := range res.Rungs {
-		prep.Rungs = append(prep.Rungs, RungTiming{
-			Rung:     r.Rung,
-			Verdict:  r.Verdict.String(),
-			Elapsed:  r.Elapsed,
-			Canceled: r.Canceled,
-		})
+	for i, r := range res.Rungs {
+		verdict.Rungs[i] = RungTiming{Rung: r.Rung, Verdict: r.Verdict.String(), Elapsed: r.Elapsed}
 	}
-	return verdict, prep, nil
+	return verdict, nil
 }
 
 // PortfolioRungNames lists the portfolio's rung names in ladder order —

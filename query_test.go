@@ -1,6 +1,7 @@
 package chaseterm
 
 import (
+	"context"
 	"testing"
 )
 
@@ -16,7 +17,7 @@ advises(X,Y) -> student(Y).
 advises(turing, ada).
 teaches(church, logic101).
 `)
-	res, err := RunChase(db, rules, Restricted, ChaseOptions{})
+	res, err := chaseOn(context.Background(), db, rules, Restricted, ChaseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestQueryBoolean(t *testing.T) {
 func TestQueryDedupAndSort(t *testing.T) {
 	rules := MustParseRules(`e(X,Y) -> conn(X), conn(Y).`)
 	db := MustParseDatabase(`e(b,a). e(a,b). e(c,a).`)
-	res, err := RunChase(db, rules, Restricted, ChaseOptions{})
+	res, err := chaseOn(context.Background(), db, rules, Restricted, ChaseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestQueryErrors(t *testing.T) {
 func TestQueryRepeatedVariable(t *testing.T) {
 	rules := MustParseRules(`likes(X,Y) -> knows(X,Y).`)
 	db := MustParseDatabase(`likes(a,a). likes(a,b).`)
-	res, err := RunChase(db, rules, Restricted, ChaseOptions{})
+	res, err := chaseOn(context.Background(), db, rules, Restricted, ChaseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
