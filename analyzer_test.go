@@ -57,6 +57,18 @@ func TestAnalyzeDecideOnDatabase(t *testing.T) {
 	if rep.Verdict.Terminates != chaseterm.No {
 		t.Errorf("all-instance decide: %+v", rep.Verdict)
 	}
+	// A database constant that prints quoted is the rules' 'Bob': the
+	// database feeds the recursion.
+	rules = chaseterm.MustParseRules(`p('Bob',X) -> p('Bob',Y), q(X,Y).`)
+	db = chaseterm.MustParseDatabase(`p('Bob',a).`)
+	rep, err = an.Analyze(context.Background(), chaseterm.NewRequest(chaseterm.AnalyzeDecide, rules,
+		chaseterm.WithDatabase(db), chaseterm.WithVariant(chaseterm.SemiOblivious)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verdict.Terminates != chaseterm.No {
+		t.Errorf("fixed-db decide with a quoted constant: %+v", rep.Verdict)
+	}
 }
 
 func TestAnalyzeChase(t *testing.T) {

@@ -128,7 +128,7 @@ func DecideContext(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, opt D
 // literal NL procedure behind Theorem 3(1). It returns an error if some
 // rule is not simple-linear (constants in rules are also rejected: the
 // positional graphs ignore them, and only the constant-free setting of the
-// theorem guarantees exactness — DecideLinear handles constants).
+// theorem guarantees exactness — DecideLinearContext handles constants).
 func DecideSimpleLinear(rs *logic.RuleSet, v ChaseVariant) (*Verdict, error) {
 	if err := rs.Validate(); err != nil {
 		return nil, err
@@ -139,7 +139,7 @@ func DecideSimpleLinear(rs *logic.RuleSet, v ChaseVariant) (*Verdict, error) {
 		}
 	}
 	if cs := rs.Constants(); len(cs) > 0 {
-		return nil, fmt.Errorf("core: positional SL decision requires constant-free rules (found %v); use DecideLinear", cs)
+		return nil, fmt.Errorf("core: positional SL decision requires constant-free rules (found %v); use DecideLinearContext", cs)
 	}
 	var ok bool
 	var w *acyclicity.Witness

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -58,6 +59,14 @@ func TestFixedDBKnownCases(t *testing.T) {
 			rules: `g(X,Y), gate(X) -> g(Y,Z), gate(Y).`,
 			db:    `g(a,a).`,
 			want:  Terminating,
+		},
+		{
+			// A database constant that prints quoted is the same constant
+			// as the rules' 'Bob', so the database feeds the recursion.
+			name:  "quoted-constant",
+			rules: `p('Bob',X) -> p('Bob',Y), q(X,Y).`,
+			db:    `p('Bob',a).`,
+			want:  NonTerminating,
 		},
 	}
 	for _, tc := range cases {
@@ -190,5 +199,42 @@ func TestFixedDBRejectsNonGround(t *testing.T) {
 	}
 	if _, err := DecideGuardedOnContext(context.Background(), rs, bad, Options{}); err == nil {
 		t.Error("non-ground database accepted by DecideGuardedOn")
+	}
+}
+
+// TestFixedDBManyConstants: a database over 260 distinct constants (more
+// than a one-byte id could name) is decided, and each verdict agrees with
+// a bounded chase of that database.
+func TestFixedDBManyConstants(t *testing.T) {
+	db := parse.MustParseFacts(`g(c0,c1).`)
+	for i := 0; i < 260; i++ {
+		db = append(db, logic.NewAtom("gate", logic.Constant(fmt.Sprintf("c%d", i))))
+	}
+	for _, tc := range []struct {
+		rules string
+		want  Answer
+	}{
+		// The gate holds of constants only: the recursion stops two
+		// steps below the database.
+		{`g(X,Y), gate(X) -> g(Y,Z).`, Terminating},
+		// The head re-arms the gate for every invented value.
+		{`g(X,Y), gate(X) -> g(Y,Z), gate(Y).`, NonTerminating},
+	} {
+		rs := parse.MustParseRules(tc.rules)
+		dec, err := DecideGuardedOnContext(context.Background(), rs, db, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.rules, err)
+		}
+		if dec.Verdict.Answer != tc.want {
+			t.Errorf("%s: decider says %v, want %v", tc.rules, dec.Verdict.Answer, tc.want)
+		}
+		run, err := chase.RunFromAtomsContext(context.Background(), db, rs, chase.SemiOblivious,
+			chase.Options{MaxTriggers: 5000, MaxFacts: 5000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if emp := run.Outcome == chase.Terminated; emp != (tc.want == Terminating) {
+			t.Errorf("%s: bounded chase outcome %v, want %v", tc.rules, run.Outcome, tc.want)
+		}
 	}
 }

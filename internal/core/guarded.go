@@ -3,14 +3,16 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
+	"chaseterm/internal/critical"
+	"chaseterm/internal/instance"
 	"chaseterm/internal/logic"
 )
 
 // ---------------------------------------------------------------------------
-// DecideGuarded: the CT^? ∩ G decision procedure (Theorem 4).
+// DecideGuardedContext: the CT^? ∩ G decision procedure (Theorem 4).
 //
 // The paper proves 2EXPTIME-completeness (EXPTIME for bounded arity) with an
 // alternating algorithm running in exponential space. We implement the
@@ -49,9 +51,7 @@ import (
 // (σ, h|frontier); the record is inherited by children as long as its terms
 // survive, so the same trigger can never fire twice along one branch. (If a
 // term of the tuple is dropped, the tuple can never be re-assembled below:
-// fresh Skolem values are new terms.) Records of a child whose terms are
-// all inherited are also merged back into the parent, pruning duplicate
-// exploration of cousins.
+// fresh Skolem values are new terms.)
 //
 // Node types. A node's behaviour — its saturated cloud and the types of the
 // children it creates — is a function of (cloud, fired) up to renaming of
@@ -82,22 +82,30 @@ import (
 // CT^o is decided on aux(Σ) (package critical): the aux-atom transformation
 // turns every body variable into a frontier variable, making semi-oblivious
 // trigger identity coincide with oblivious identity, and it preserves
-// guardedness. The caller (Decide / the façade) performs the transform; the
-// procedure here is the CT^so core.
+// guardedness. The caller (the guarded-exact portfolio rung, or the façade
+// for a fixed database) performs the transform; the procedure here is the
+// CT^so core.
+//
+// Representation. Node-local ids are instance.TermID values: 0..nc-1 name
+// the constants, nc.. the node's nulls. A node's cloud and its fired
+// records are instance.TupleSets (tag = predicate, resp. rule). A node type
+// is interned to a dense id through one TupleSet over its encoded canonical
+// seed, so the fixpoint's tables are slices indexed by type id.
 //
 // Imperfect canonicalization is sound: if two isomorphic types receive
-// different keys the type space merely grows (it stays finite, since keys
-// are drawn from the finite encoding space), so both directions of the
-// equivalence above survive; we therefore cap the permutation search used
-// for canonical null naming without risking wrong answers.
+// different keys the type space merely grows (it stays finite, since a key
+// is a function of the seed and seeds range over the atoms and records of
+// a bounded universe), so both directions of the equivalence above
+// survive; we therefore cap the permutation search used for canonical null
+// naming without risking wrong answers.
 // ---------------------------------------------------------------------------
 
 const guardedMaxPerm = 5040 // 7! — cap on canonicalization permutations
 
 type gSlot struct {
 	isVar bool
-	v     int // variable index
-	c     int // constant id
+	v     int             // variable index
+	c     instance.TermID // constant id
 }
 
 type gHeadSlot struct {
@@ -106,18 +114,18 @@ type gHeadSlot struct {
 }
 
 type gPatAtom struct {
-	pred  int
+	pred  int32
 	slots []gSlot
 }
 
 type gHeadAtom struct {
-	pred  int
+	pred  int32
 	slots []gHeadSlot
+	fresh bool // some slot holds an invented value
 }
 
 type gRule struct {
-	src      *logic.TGD
-	idx      int
+	idx      int32
 	body     []gPatAtom
 	nvars    int
 	frontier []int // variable indexes, frontier order
@@ -125,211 +133,57 @@ type gRule struct {
 	head     []gHeadAtom
 }
 
-// gAtomKey encodes an atom over a node universe as a compact string —
-// used only on cold canonicalization paths; the hot dedup sets below are
-// integer-keyed.
-func gAtomKey(pred int, args []int) string {
-	b := make([]byte, 0, 2+len(args))
-	b = append(b, byte(pred>>8), byte(pred))
-	for _, a := range args {
-		b = append(b, byte(a))
-	}
-	return string(b)
-}
-
-func gRecKey(rule int, tuple []int) string {
-	b := make([]byte, 0, 2+len(tuple))
-	b = append(b, byte(rule>>8), byte(rule))
-	for _, a := range tuple {
-		b = append(b, byte(a))
-	}
-	return string(b)
-}
-
-// intSet is an insert-only open-addressed hash set of (tag, tuple) keys
-// over node-universe ids — the guarded decider's counterpart of the
-// instance package's TupleSet. Member tuples live in a flat arena and
-// probes compare against it directly, so membership tests (the inner-loop
-// steady state of the saturation) allocate nothing.
-type intSet struct {
-	slots []int32 // id+1; 0 = empty
-	tags  []int32
-	offs  []int32 // len(tags)+1 bounds
-	arena []int32
-}
-
-// The three hash helpers keep the mixing constants in one place; insert,
-// contains and grow all compose them.
-
-func intSetSeed(tag int32, n int) uint64 {
-	return 0x9e3779b97f4a7c15 ^ (uint64(uint32(tag)) | uint64(n)<<32)
-}
-
-func intSetMix(h uint64, v uint32) uint64 {
-	h ^= uint64(v)
-	h *= 0x9e3779b185ebca87
-	return h
-}
-
-func intSetFinish(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
-}
-
-func intSetHash(tag int32, tuple []int) uint64 {
-	h := intSetSeed(tag, len(tuple))
-	for _, t := range tuple {
-		h = intSetMix(h, uint32(int32(t)))
-	}
-	return intSetFinish(h)
-}
-
-// intSetHashMem hashes a member tuple already stored in the arena.
-func intSetHashMem(tag int32, mem []int32) uint64 {
-	h := intSetSeed(tag, len(mem))
-	for _, t := range mem {
-		h = intSetMix(h, uint32(t))
-	}
-	return intSetFinish(h)
-}
-
-func (s *intSet) match(id int32, tag int32, tuple []int) bool {
-	if s.tags[id] != tag {
-		return false
-	}
-	mem := s.arena[s.offs[id]:s.offs[id+1]]
-	if len(mem) != len(tuple) {
-		return false
-	}
-	for i, t := range tuple {
-		if mem[i] != int32(t) {
-			return false
-		}
-	}
-	return true
-}
-
-// insert adds (tag, tuple), reporting whether it was newly added.
-func (s *intSet) insert(tag int, tuple []int) bool {
-	if len(s.slots) == 0 {
-		s.grow(32)
-		s.offs = append(s.offs, 0)
-	} else if len(s.tags)*4 >= len(s.slots)*3 {
-		s.grow(len(s.slots) * 2)
-	}
-	mask := uint64(len(s.slots) - 1)
-	i := intSetHash(int32(tag), tuple) & mask
-	for {
-		v := s.slots[i]
-		if v == 0 {
-			s.tags = append(s.tags, int32(tag))
-			for _, t := range tuple {
-				s.arena = append(s.arena, int32(t))
-			}
-			s.offs = append(s.offs, int32(len(s.arena)))
-			s.slots[i] = int32(len(s.tags))
-			return true
-		}
-		if s.match(v-1, int32(tag), tuple) {
-			return false
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// contains reports membership of (tag, tuple) without inserting.
-func (s *intSet) contains(tag int, tuple []int) bool {
-	if len(s.slots) == 0 {
-		return false
-	}
-	mask := uint64(len(s.slots) - 1)
-	i := intSetHash(int32(tag), tuple) & mask
-	for {
-		v := s.slots[i]
-		if v == 0 {
-			return false
-		}
-		if s.match(v-1, int32(tag), tuple) {
-			return true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (s *intSet) grow(size int) {
-	s.slots = make([]int32, size)
-	mask := uint64(size - 1)
-	for id := range s.tags {
-		i := intSetHashMem(s.tags[id], s.arena[s.offs[id]:s.offs[id+1]]) & mask
-		for s.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.slots[i] = int32(id) + 1
-	}
-}
-
-// gCloud is a node's atom set with a per-predicate view for matching.
+// gCloud is a node's atom set (tag = predicate) with each predicate's
+// member ids in insertion order, for matching.
 type gCloud struct {
-	set    intSet
-	byPred [][][]int // pred -> list of arg tuples
+	set    instance.TupleSet
+	byPred [][]int32
 }
 
-func newGCloud(npred int) *gCloud {
-	return &gCloud{byPred: make([][][]int, npred)}
-}
-
-func (c *gCloud) add(pred int, args []int) bool {
-	if !c.set.insert(pred, args) {
-		return false
+func (c *gCloud) add(pred int32, args []instance.TermID) bool {
+	id, isNew := c.set.Insert(pred, args)
+	if isNew {
+		c.byPred[pred] = append(c.byPred[pred], id)
 	}
-	own := make([]int, len(args))
-	copy(own, args)
-	c.byPred[pred] = append(c.byPred[pred], own)
-	return true
+	return isNew
 }
 
-// gSeed is the creation state of a node type: the number of null slots,
-// the atoms, and the inherited fired records, all in local ids
-// (0..nc-1 constants, nc.. nulls).
+// gSeed is the creation state of a node: the number of null slots, the
+// atoms (tag = predicate) and the inherited fired records (tag = rule),
+// all in node-local ids.
 type gSeed struct {
 	nulls int
-	atoms []gFact // sorted canonical order not required here
-	recs  []gRec
-}
-
-type gFact struct {
-	pred int
-	args []int
-}
-
-type gRec struct {
-	rule  int
-	tuple []int
+	atoms instance.TupleSet
+	recs  instance.TupleSet
 }
 
 // satVal is the memoized saturation of a node type.
 type satVal struct {
-	cloudSet *intSet // atom set at fixpoint (shared with the cloud that built it)
-	cloud    []gFact
-	recs     []gRec
-	recSet   *intSet
-	children []string // canonical keys of child types (latest computation)
+	cloud    *gCloud
+	fired    *instance.TupleSet
+	children []int32 // child types (latest computation)
 }
 
 type guardedDecider struct {
 	rules     []*gRule
 	npred     int
 	predName  []string
-	predArity []int
 	nc        int // constants: 0..nc-1
 	constName []string
 	opt       Options
-	cache     map[string]*satVal
-	seeds     map[string]*gSeed
-	rootKey   string
-	maxNulls  int
+	// types interns node types: the member id is the type id, the tag the
+	// null count, the tuple the encoded canonical seed (see canonicalize).
+	types instance.TupleSet
+	cache []*satVal // by type id; nil until first saturated
+	root  int32
+
+	// Scratch reused across calls; the decider is single-goroutine.
+	sat     saturation
+	canon   canonScratch
+	toChild []instance.TermID // parent id -> child id while spawning
+	backMap []instance.TermID // child canonical id -> parent id
+	args    []instance.TermID
+
 	// ctx/done carry the run's cancellation signal; the fixpoint loops
 	// poll done at node-type granularity.
 	ctx  context.Context
@@ -373,6 +227,8 @@ func DecideGuardedOnContext(ctx context.Context, rs *logic.RuleSet, db []logic.A
 	return decideGuardedSeeded(ctx, rs, db, opt)
 }
 
+// decideGuardedSeeded runs the node-type fixpoint rooted at the ground
+// database db; a nil db means the critical instance.
 func decideGuardedSeeded(ctx context.Context, rs *logic.RuleSet, db []logic.Atom, opt Options) (*GuardedResult, error) {
 	opt = opt.withDefaults()
 	if err := rs.Validate(); err != nil {
@@ -388,149 +244,82 @@ func decideGuardedSeeded(ctx context.Context, rs *logic.RuleSet, db []logic.Atom
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	d := &guardedDecider{
-		opt:   opt,
-		cache: make(map[string]*satVal),
-		seeds: make(map[string]*gSeed),
-		ctx:   ctx,
-		done:  ctx.Done(),
-	}
-	if err := d.compile(rs, db); err != nil {
-		return nil, err
-	}
 	if db == nil {
-		d.buildCriticalRoot(rs)
-	} else {
-		d.buildRootFromDB(db)
+		db = critical.Facts(rs)
 	}
+	d := newGuardedDecider(ctx, rs, db, opt)
 
 	// Global fixpoint: recompute the saturation of every registered type
-	// until nothing grows. Values are monotone (unions with previous), so
-	// the loop terminates within the finite type space.
-	for round := 0; ; round++ {
+	// until nothing changes. Types registered during a round are
+	// saturated in the next one.
+	for {
 		changed := false
-		before := len(d.seeds)
-		keys := make([]string, 0, len(d.seeds))
-		for k := range d.seeds {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		before := d.types.Len()
+		for id := int32(0); int(id) < before; id++ {
 			if err := d.canceled(); err != nil {
 				return nil, err
 			}
-			v, err := d.computeSat(d.seeds[k])
+			v, err := d.computeSat(id)
 			if err != nil {
 				return nil, err
 			}
-			if d.merge(k, v) {
+			if d.merge(id, v) {
 				changed = true
 			}
 		}
-		if len(d.seeds) > d.opt.MaxNodeTypes {
-			return nil, fmt.Errorf("core: guarded node-type budget exceeded (%d types)", len(d.seeds))
-		}
-		// Newly registered node types have not been saturated yet; another
-		// round is required even if every computed value was stable.
-		if len(d.seeds) != before {
-			changed = true
-		}
-		if !changed {
+		if !changed && d.types.Len() == before {
 			break
 		}
 	}
-
-	// Reachability + cycle detection over final children edges.
-	verdict := &Verdict{Answer: Terminating, Variant: VariantSemiOblivious, Method: "guarded-forest"}
-	color := make(map[string]int) // 0 unvisited, 1 on stack, 2 done
-	var stack []string
-	var cyc []string
-	var dfs func(k string) bool
-	dfs = func(k string) bool {
-		color[k] = 1
-		stack = append(stack, k)
-		if v, ok := d.cache[k]; ok {
-			for _, ck := range v.children {
-				switch color[ck] {
-				case 0:
-					if dfs(ck) {
-						return true
-					}
-				case 1:
-					// cycle: suffix of stack from ck
-					for i := len(stack) - 1; i >= 0; i-- {
-						cyc = append(cyc, stack[i])
-						if stack[i] == ck {
-							break
-						}
-					}
-					return true
-				}
-			}
-		}
-		stack = stack[:len(stack)-1]
-		color[k] = 2
-		return false
-	}
-	if dfs(d.rootKey) {
-		verdict.Answer = NonTerminating
-		var parts []string
-		for i := len(cyc) - 1; i >= 0; i-- { // cyc was collected bottom-up
-			parts = append(parts, d.renderSeed(d.seeds[cyc[i]]))
-			if len(parts) == 3 && len(cyc) > 3 {
-				parts = append(parts, fmt.Sprintf("… (%d more)", len(cyc)-3))
-				break
-			}
-		}
-		verdict.Witness = fmt.Sprintf("pumpable node-type cycle of length %d in the guarded chase forest: %s",
-			len(cyc), strings.Join(parts, " -> "))
-	}
-	verdict.NodeTypeCount = len(color)
-	return &GuardedResult{Verdict: verdict}, nil
+	return &GuardedResult{Verdict: d.verdict()}, nil
 }
 
-func (d *guardedDecider) compile(rs *logic.RuleSet, db []logic.Atom) error {
-	predID := make(map[string]int)
-	addPred := func(name string, arity int) {
-		if _, ok := predID[name]; ok {
-			return
+// newGuardedDecider compiles the rules over dense predicate, constant and
+// variable ids and interns the root type: the database as a null-free
+// seed.
+func newGuardedDecider(ctx context.Context, rs *logic.RuleSet, db []logic.Atom, opt Options) *guardedDecider {
+	d := &guardedDecider{opt: opt, ctx: ctx, done: ctx.Done()}
+	predID := make(map[string]int32)
+	addPred := func(name string) int32 {
+		if id, ok := predID[name]; ok {
+			return id
 		}
-		predID[name] = len(d.predName)
+		id := int32(len(d.predName))
+		predID[name] = id
 		d.predName = append(d.predName, name)
-		d.predArity = append(d.predArity, arity)
+		return id
 	}
-	for _, p := range rs.Schema() {
-		addPred(p.Name, p.Arity)
-	}
-	for _, a := range db {
-		addPred(a.Pred, len(a.Args))
-	}
-	d.npred = len(d.predName)
-	constID := make(map[string]int)
-	addConst := func(name string) int {
+	constID := make(map[string]instance.TermID)
+	addConst := func(name string) instance.TermID {
 		if id, ok := constID[name]; ok {
 			return id
 		}
-		id := len(d.constName)
+		id := instance.TermID(len(d.constName))
 		constID[name] = id
 		d.constName = append(d.constName, name)
 		return id
 	}
-	if db == nil {
-		addConst("✶")
+	for _, p := range rs.Schema() {
+		addPred(p.Name)
+	}
+	root := &gSeed{}
+	for _, a := range db {
+		args := d.args[:0]
+		for _, t := range a.Args {
+			args = append(args, addConst(string(t.(logic.Constant))))
+		}
+		d.args = args
+		root.atoms.Insert(addPred(a.Pred), args)
 	}
 	for _, c := range rs.Constants() {
 		addConst(string(c))
 	}
-	for _, a := range db {
-		for _, t := range a.Args {
-			addConst(string(t.(logic.Constant)))
-		}
-	}
+	d.npred = len(d.predName)
 	d.nc = len(d.constName)
 
+	maxNulls, maxVars := 0, 0
 	for i, r := range rs.Rules {
-		gr := &gRule{src: r, idx: i}
+		gr := &gRule{idx: int32(i)}
 		varIdx := make(map[logic.Variable]int)
 		vID := func(v logic.Variable) int {
 			if id, ok := varIdx[v]; ok {
@@ -548,7 +337,7 @@ func (d *guardedDecider) compile(rs *logic.RuleSet, db []logic.Atom) error {
 				case logic.Variable:
 					pa.slots = append(pa.slots, gSlot{isVar: true, v: vID(t)})
 				case logic.Constant:
-					pa.slots = append(pa.slots, gSlot{c: addConst(string(t))})
+					pa.slots = append(pa.slots, gSlot{c: constID[string(t)]})
 				}
 			}
 			gr.body = append(gr.body, pa)
@@ -575,119 +364,68 @@ func (d *guardedDecider) compile(rs *logic.RuleSet, db []logic.Atom) error {
 						ha.slots = append(ha.slots, gHeadSlot{kind: 0, idx: j})
 					} else {
 						ha.slots = append(ha.slots, gHeadSlot{kind: 1, idx: exIdx[t]})
+						ha.fresh = true
 					}
 				case logic.Constant:
-					ha.slots = append(ha.slots, gHeadSlot{kind: 2, idx: addConst(string(t))})
+					ha.slots = append(ha.slots, gHeadSlot{kind: 2, idx: int(constID[string(t)])})
 				}
 			}
 			gr.head = append(gr.head, ha)
 		}
 		d.rules = append(d.rules, gr)
-		if n := len(gr.frontier) + gr.nExist; n > d.maxNulls {
-			d.maxNulls = n
-		}
+		maxNulls = max(maxNulls, len(gr.frontier)+gr.nExist)
+		maxVars = max(maxVars, gr.nvars)
 	}
-	// Universe ids are encoded in single bytes.
-	if d.nc+d.maxNulls > 250 {
-		return fmt.Errorf("core: universe too large for guarded decider (%d constants + %d nulls)", d.nc, d.maxNulls)
+
+	// A node's universe holds at most maxNulls nulls: a child inherits
+	// only frontier values and adds one null per existential.
+	d.toChild = make([]instance.TermID, d.nc+maxNulls)
+	for i := 0; i < d.nc; i++ {
+		d.toChild[i] = instance.TermID(i)
 	}
-	return nil
+	d.sat.binding = slices.Repeat([]instance.TermID{instance.NoTerm}, maxVars)
+	d.sat.lens = make([]int, d.npred)
+	d.root, _ = d.canonicalize(root)
+	return d
 }
 
-// buildCriticalRoot roots the forest at the critical instance I*(Σ).
-func (d *guardedDecider) buildCriticalRoot(rs *logic.RuleSet) {
-	seed := &gSeed{nulls: 0}
-	for p := 0; p < d.npred; p++ {
-		arity := d.predArity[p]
-		tuple := make([]int, arity)
-		for {
-			args := make([]int, arity)
-			copy(args, tuple)
-			seed.atoms = append(seed.atoms, gFact{pred: p, args: args})
-			i := arity - 1
-			for ; i >= 0; i-- {
-				tuple[i]++
-				if tuple[i] < d.nc {
-					break
-				}
-				tuple[i] = 0
-			}
-			if i < 0 {
-				break
-			}
-		}
-	}
-	d.installRoot(seed)
-}
-
-// buildRootFromDB roots the forest at the given ground database.
-func (d *guardedDecider) buildRootFromDB(db []logic.Atom) {
-	seed := &gSeed{nulls: 0}
-	predID := make(map[string]int, d.npred)
-	for i, n := range d.predName {
-		predID[n] = i
-	}
-	constID := make(map[string]int, d.nc)
-	for i, n := range d.constName {
-		constID[n] = i
-	}
-	dedup := make(map[string]bool)
-	for _, a := range db {
-		args := make([]int, len(a.Args))
-		for i, t := range a.Args {
-			args[i] = constID[string(t.(logic.Constant))]
-		}
-		k := gAtomKey(predID[a.Pred], args)
-		if !dedup[k] {
-			dedup[k] = true
-			seed.atoms = append(seed.atoms, gFact{pred: predID[a.Pred], args: args})
-		}
-	}
-	d.installRoot(seed)
-}
-
-func (d *guardedDecider) installRoot(seed *gSeed) {
-	key, canonSeed := d.canonicalize(seed)
-	d.rootKey = key
-	d.seeds[key] = canonSeed
-}
-
-// merge unions a newly computed saturation into the cache; children are
-// replaced by the latest set (stale child keys must not linger: reachability
-// uses only current edges). It reports whether anything grew or changed.
-func (d *guardedDecider) merge(key string, v *satVal) bool {
-	old, ok := d.cache[key]
-	if !ok {
-		d.cache[key] = v
+// merge stores a newly computed saturation; children are replaced by the
+// latest set (stale child types must not linger: reachability uses only
+// current edges). It reports whether anything grew or changed.
+func (d *guardedDecider) merge(id int32, v *satVal) bool {
+	old := d.cache[id]
+	d.cache[id] = v
+	if old == nil {
 		return true
 	}
-	changed := false
-	for _, f := range v.cloud {
-		if !old.cloudSet.contains(f.pred, f.args) {
-			changed = true
-			break
+	return !subset(&v.cloud.set, &old.cloud.set) || !subset(v.fired, old.fired) ||
+		!slices.Equal(v.children, old.children)
+}
+
+// subset reports whether every member of a is a member of b.
+func subset(a, b *instance.TupleSet) bool {
+	for id := int32(0); int(id) < a.Len(); id++ {
+		if !b.Contains(a.Tag(id), a.Tuple(id)) {
+			return false
 		}
 	}
-	if !changed {
-		for _, r := range v.recs {
-			if !old.recSet.contains(r.rule, r.tuple) {
-				changed = true
-				break
-			}
-		}
-	}
-	if !changed && len(v.children) == len(old.children) {
-		for i := range v.children {
-			if v.children[i] != old.children[i] {
-				changed = true
-				break
-			}
-		}
-	} else if !changed {
-		changed = true
-	}
-	d.cache[key] = v
-	return changed
+	return true
+}
+
+// saturation is the working state of one computeSat call. The matching
+// scratch (binding, trail, lens, tuple, args) outlives the call.
+type saturation struct {
+	cloud      *gCloud
+	fired      *instance.TupleSet
+	exTriggers []int32 // fired ids of existential-rule triggers fired here
+	changed    bool
+
+	rule    *gRule
+	binding []instance.TermID // by variable; NoTerm = unbound (all, between matches)
+	trail   []int             // variables bound by the current match, for undo
+	lens    []int             // per-predicate extent sizes when the rule started
+	tuple   []instance.TermID
+	args    []instance.TermID
 }
 
 // computeSat runs the local saturation of one node type using the current
@@ -701,130 +439,55 @@ func (d *guardedDecider) merge(key string, v *satVal) bool {
 // know at the current global round — and their cached returns are merged
 // back. If the returns grew the cloud, the outer loop repeats, which also
 // rebuilds the children with the fuller inherited state.
-func (d *guardedDecider) computeSat(seed *gSeed) (*satVal, error) {
-	cloud := newGCloud(d.npred)
-	for _, f := range seed.atoms {
-		cloud.add(f.pred, f.args)
+func (d *guardedDecider) computeSat(id int32) (*satVal, error) {
+	cloud := &gCloud{byPred: make([][]int32, d.npred)}
+	fired := new(instance.TupleSet)
+	atoms, recs := splitSeed(d.types.Tuple(id))
+	for len(atoms) > 0 {
+		tag, args, rest := nextItem(atoms)
+		cloud.add(tag, args)
+		atoms = rest
 	}
-	fired := new(intSet)
-	var recs []gRec
-	for _, r := range seed.recs {
-		if fired.insert(r.rule, r.tuple) {
-			recs = append(recs, r)
-		}
+	for len(recs) > 0 {
+		tag, args, rest := nextItem(recs)
+		fired.Insert(tag, args)
+		recs = rest
 	}
-	var exTriggers []gRec // existential-rule triggers fired at this node
-	var children []string
+	s := &d.sat
+	s.cloud, s.fired, s.exTriggers = cloud, fired, s.exTriggers[:0]
+	var children []int32
 
 	for {
-		// Inner fixpoint: fire triggers.
+		// Inner fixpoint: fire triggers. Each rule matches against the
+		// extents as they stood when it started.
 		for {
 			if err := d.canceled(); err != nil {
 				return nil, err
 			}
-			changed := false
+			s.changed = false
 			for _, gr := range d.rules {
-				gr := gr
-				snapshot := make([][][]int, d.npred)
-				for p := range snapshot {
-					snapshot[p] = cloud.byPred[p]
+				for p := range s.lens {
+					s.lens[p] = len(cloud.byPred[p])
 				}
-				binding := make([]int, gr.nvars)
-				for i := range binding {
-					binding[i] = -1
-				}
-				var rec func(ai int)
-				rec = func(ai int) {
-					if ai == len(gr.body) {
-						tuple := make([]int, len(gr.frontier))
-						for i, v := range gr.frontier {
-							tuple[i] = binding[v]
-						}
-						if !fired.insert(gr.idx, tuple) {
-							return
-						}
-						recs = append(recs, gRec{rule: gr.idx, tuple: tuple})
-						changed = true
-						if gr.nExist > 0 {
-							exTriggers = append(exTriggers, gRec{rule: gr.idx, tuple: tuple})
-						}
-						// Head atoms without invented values live in this
-						// universe regardless of the rule kind.
-						for _, ha := range gr.head {
-							hasEx := false
-							for _, s := range ha.slots {
-								if s.kind == 1 {
-									hasEx = true
-									break
-								}
-							}
-							if hasEx {
-								continue
-							}
-							args := make([]int, len(ha.slots))
-							for i, s := range ha.slots {
-								switch s.kind {
-								case 0:
-									args[i] = tuple[s.idx]
-								case 2:
-									args[i] = s.idx
-								}
-							}
-							cloud.add(ha.pred, args)
-						}
-						return
-					}
-					pa := &gr.body[ai]
-					for _, cand := range snapshot[pa.pred] {
-						var bound []int
-						ok := true
-						for i, s := range pa.slots {
-							t := cand[i]
-							if !s.isVar {
-								if s.c != t {
-									ok = false
-									break
-								}
-								continue
-							}
-							if b := binding[s.v]; b != -1 {
-								if b != t {
-									ok = false
-									break
-								}
-								continue
-							}
-							binding[s.v] = t
-							bound = append(bound, s.v)
-						}
-						if ok {
-							rec(ai + 1)
-						}
-						for _, v := range bound {
-							binding[v] = -1
-						}
-					}
-				}
-				rec(0)
+				s.rule = gr
+				s.match(0)
 			}
-			if !changed {
+			if !s.changed {
 				break
 			}
 		}
 		// Spawn/refresh children from the final local state; merge returns.
 		children = children[:0]
-		childSeen := make(map[string]bool)
 		progress := false
-		for _, tr := range exTriggers {
-			ci, err := d.spawnChild(d.rules[tr.rule], tr.tuple, cloud, recs)
+		for _, rid := range s.exTriggers {
+			child, err := d.spawnChild(d.rules[fired.Tag(rid)], fired.Tuple(rid), cloud, fired)
 			if err != nil {
 				return nil, err
 			}
-			if !childSeen[ci.key] {
-				childSeen[ci.key] = true
-				children = append(children, ci.key)
+			if !slices.Contains(children, child) {
+				children = append(children, child)
 			}
-			if d.applyReturns(ci, cloud) {
+			if d.applyReturns(child, cloud) {
 				progress = true
 			}
 		}
@@ -832,163 +495,179 @@ func (d *guardedDecider) computeSat(seed *gSeed) (*satVal, error) {
 			break
 		}
 	}
+	return &satVal{cloud: cloud, fired: fired, children: children}, nil
+}
 
-	v := &satVal{
-		cloudSet: &cloud.set,
-		recSet:   fired,
-		children: children,
+// match extends the current binding over body atoms ai.. of the rule and
+// fires every complete match.
+func (s *saturation) match(ai int) {
+	gr := s.rule
+	if ai == len(gr.body) {
+		s.fire()
+		return
 	}
-	for p := range cloud.byPred {
-		for _, args := range cloud.byPred[p] {
-			v.cloud = append(v.cloud, gFact{pred: p, args: args})
+	pa := &gr.body[ai]
+	for _, aid := range s.cloud.byPred[pa.pred][:s.lens[pa.pred]] {
+		mark := len(s.trail)
+		if s.bind(pa, s.cloud.set.Tuple(aid)) {
+			s.match(ai + 1)
 		}
+		for _, v := range s.trail[mark:] {
+			s.binding[v] = instance.NoTerm
+		}
+		s.trail = s.trail[:mark]
 	}
-	v.recs = recs
-	return v, nil
 }
 
-// childInfo caches the mapping needed to interpret a child's returns.
-type childInfo struct {
-	key string
-	// backMap maps canonical child ids to parent universe ids; fresh child
-	// slots map to -1.
-	backMap []int
+// bind unifies a body atom with a cloud atom, recording new bindings on
+// the trail.
+func (s *saturation) bind(pa *gPatAtom, cand []instance.TermID) bool {
+	for i, sl := range pa.slots {
+		t := cand[i]
+		if !sl.isVar {
+			if sl.c != t {
+				return false
+			}
+			continue
+		}
+		if b := s.binding[sl.v]; b != instance.NoTerm {
+			if b != t {
+				return false
+			}
+			continue
+		}
+		s.binding[sl.v] = t
+		s.trail = append(s.trail, sl.v)
+	}
+	return true
 }
 
-// spawnChild builds the child node type created by firing (rule, tuple),
-// registers its seed, and returns the information needed to read back its
-// returns.
-func (d *guardedDecider) spawnChild(gr *gRule, tuple []int, cloud *gCloud, recs []gRec) (*childInfo, error) {
+// fire records the trigger of a complete match unless it already fired
+// here or at an ancestor.
+func (s *saturation) fire() {
+	gr := s.rule
+	s.tuple = s.tuple[:0]
+	for _, v := range gr.frontier {
+		s.tuple = append(s.tuple, s.binding[v])
+	}
+	rid, isNew := s.fired.Insert(gr.idx, s.tuple)
+	if !isNew {
+		return
+	}
+	s.changed = true
+	if gr.nExist > 0 {
+		s.exTriggers = append(s.exTriggers, rid)
+	}
+	// Head atoms without invented values live in this universe regardless
+	// of the rule kind.
+	for i := range gr.head {
+		ha := &gr.head[i]
+		if ha.fresh {
+			continue
+		}
+		s.args = s.args[:0]
+		for _, sl := range ha.slots {
+			if sl.kind == 0 {
+				s.args = append(s.args, s.tuple[sl.idx])
+			} else {
+				s.args = append(s.args, instance.TermID(sl.idx))
+			}
+		}
+		s.cloud.add(ha.pred, s.args)
+	}
+}
+
+// spawnChild builds and interns the child node type created by firing
+// (rule, tuple) and leaves in d.backMap the map from the child's canonical
+// ids back to parent ids, for reading its returns.
+func (d *guardedDecider) spawnChild(gr *gRule, tuple []instance.TermID, cloud *gCloud, fired *instance.TupleSet) (int32, error) {
 	// Local child ids: constants unchanged; inherited nulls = null values
 	// among the frontier tuple, renumbered in order of first occurrence;
 	// fresh slots appended.
-	toChild := make(map[int]int) // parent id -> child id (nulls only)
-	childNulls := 0
-	mapTerm := func(t int) int {
-		if t < d.nc {
-			return t
-		}
-		if c, ok := toChild[t]; ok {
-			return c
-		}
-		c := d.nc + childNulls
-		childNulls++
-		toChild[t] = c
-		return c
+	nc := instance.TermID(d.nc)
+	toChild := d.toChild
+	for i := nc; int(i) < len(toChild); i++ {
+		toChild[i] = instance.NoTerm
 	}
-	childTuple := make([]int, len(tuple))
-	for i, t := range tuple {
-		childTuple[i] = mapTerm(t)
+	childNulls := instance.TermID(0)
+	for _, t := range tuple {
+		if toChild[t] == instance.NoTerm {
+			toChild[t] = nc + childNulls
+			childNulls++
+		}
 	}
-	inheritedNulls := childNulls
-	freshBase := d.nc + childNulls
-	childNulls += gr.nExist
+	freshBase := nc + childNulls
+	seed := &gSeed{nulls: int(childNulls) + gr.nExist}
 
-	seed := &gSeed{nulls: childNulls}
-	var seedSet intSet
-	addAtom := func(pred int, args []int) {
-		if seedSet.insert(pred, args) {
-			seed.atoms = append(seed.atoms, gFact{pred: pred, args: args})
-		}
-	}
 	// New head atoms.
 	for _, ha := range gr.head {
-		args := make([]int, len(ha.slots))
-		for i, s := range ha.slots {
+		args := d.args[:0]
+		for _, s := range ha.slots {
 			switch s.kind {
 			case 0:
-				args[i] = childTuple[s.idx]
+				args = append(args, toChild[tuple[s.idx]])
 			case 1:
-				args[i] = freshBase + s.idx
+				args = append(args, freshBase+instance.TermID(s.idx))
 			case 2:
-				args[i] = s.idx
+				args = append(args, instance.TermID(s.idx))
 			}
 		}
-		addAtom(ha.pred, args)
+		d.args = args
+		seed.atoms.Insert(ha.pred, args)
 	}
-	// Inherited atoms: parent-cloud atoms entirely over constants and
-	// inherited nulls.
-	mappable := func(t int) (int, bool) {
-		if t < d.nc {
-			return t, true
-		}
-		c, ok := toChild[t]
-		return c, ok
-	}
-	for p := range cloud.byPred {
-		for _, args := range cloud.byPred[p] {
-			mapped := make([]int, len(args))
-			ok := true
-			for i, t := range args {
-				m, can := mappable(t)
-				if !can {
-					ok = false
-					break
-				}
-				mapped[i] = m
-			}
-			if ok {
-				addAtom(p, mapped)
-			}
-		}
-	}
-	// Inherited fired records (including the creating trigger's own record,
-	// which the caller added to fired/recs before calling us).
-	var recSet intSet
-	for _, r := range recs {
-		mapped := make([]int, len(r.tuple))
-		ok := true
-		for i, t := range r.tuple {
-			m, can := mappable(t)
-			if !can {
-				ok = false
-				break
-			}
-			mapped[i] = m
-		}
-		if !ok {
-			continue
-		}
-		if recSet.insert(r.rule, mapped) {
-			seed.recs = append(seed.recs, gRec{rule: r.rule, tuple: mapped})
-		}
-	}
-	_ = inheritedNulls
+	// Inherited atoms and fired records (including the creating trigger's
+	// own record): those entirely over constants and inherited nulls.
+	d.inherit(&seed.atoms, &cloud.set, toChild)
+	d.inherit(&seed.recs, fired, toChild)
 
-	key, canonSeed, perm := d.canonicalizeWithPerm(seed)
-	if _, ok := d.seeds[key]; !ok {
-		d.seeds[key] = canonSeed
-		if len(d.seeds) > d.opt.MaxNodeTypes {
-			return nil, fmt.Errorf("core: guarded node-type budget exceeded (%d types)", len(d.seeds))
+	id, perm := d.canonicalize(seed)
+	if d.types.Len() > d.opt.MaxNodeTypes {
+		return 0, fmt.Errorf("core: guarded node-type budget exceeded (%d types)", d.types.Len())
+	}
+	// backMap: constants identity; inherited nulls via the inverse of
+	// toChild; fresh nulls NoTerm.
+	n := d.nc + seed.nulls
+	d.backMap = slices.Grow(d.backMap[:0], n)[:n]
+	for i := range d.backMap {
+		d.backMap[i] = instance.NoTerm
+		if i < d.nc {
+			d.backMap[i] = instance.TermID(i)
 		}
 	}
+	for p := nc; int(p) < len(toChild); p++ {
+		if c := toChild[p]; c != instance.NoTerm {
+			d.backMap[perm[c]] = p
+		}
+	}
+	return id, nil
+}
 
-	// backMap: canonical child id -> parent id (constants identity;
-	// inherited nulls via toChild inverse; fresh -> -1).
-	fromChild := make([]int, d.nc+childNulls)
-	for i := 0; i < d.nc; i++ {
-		fromChild[i] = i
+// inherit inserts into dst every member of src whose terms all map
+// through m (NoTerm marks an unmapped id), renamed.
+func (d *guardedDecider) inherit(dst, src *instance.TupleSet, m []instance.TermID) {
+	for id := int32(0); int(id) < src.Len(); id++ {
+		if args, ok := d.mapTuple(m, src.Tuple(id)); ok {
+			dst.Insert(src.Tag(id), args)
+		}
 	}
-	for i := d.nc; i < len(fromChild); i++ {
-		fromChild[i] = -1
+}
+
+// mapTuple renames tuple through m into the d.args scratch, reporting
+// false if some term is unmapped.
+func (d *guardedDecider) mapTuple(m, tuple []instance.TermID) ([]instance.TermID, bool) {
+	d.args = d.args[:0]
+	for _, t := range tuple {
+		if m[t] == instance.NoTerm {
+			return nil, false
+		}
+		d.args = append(d.args, m[t])
 	}
-	for parent, child := range toChild {
-		fromChild[child] = parent
-	}
-	// perm maps local child ids -> canonical ids; invert it over nulls.
-	backMap := make([]int, d.nc+childNulls)
-	for i := 0; i < d.nc; i++ {
-		backMap[i] = i
-	}
-	for i := d.nc; i < d.nc+childNulls; i++ {
-		backMap[perm[i]] = fromChild[i]
-	}
-	return &childInfo{key: key, backMap: backMap}, nil
+	return d.args, true
 }
 
 // applyReturns copies the child's saturated atoms that are entirely over
-// inherited terms back into the parent's cloud. It reports whether anything
-// was new.
+// inherited terms back into the parent's cloud, through d.backMap. It
+// reports whether anything was new.
 //
 // Fired records deliberately do NOT flow upward. The record set of a node
 // must be exactly "fired at this node or an ancestor": that is what makes
@@ -1000,221 +679,284 @@ func (d *guardedDecider) spawnChild(gr *gRule, tuple []int, cloud *gCloud, recs 
 // returning records is that a trigger whose body image lies entirely
 // within two incomparable universes may be explored twice — harmless for
 // termination detection, since both copies unfold isomorphically.
-func (d *guardedDecider) applyReturns(ci *childInfo, cloud *gCloud) bool {
-	v, ok := d.cache[ci.key]
-	if !ok {
+func (d *guardedDecider) applyReturns(child int32, cloud *gCloud) bool {
+	v := d.cache[child]
+	if v == nil {
 		return false
 	}
 	progress := false
-	for _, f := range v.cloud {
-		args := make([]int, len(f.args))
-		ok := true
-		for i, t := range f.args {
-			if t >= len(ci.backMap) || ci.backMap[t] == -1 {
-				ok = false
-				break
-			}
-			args[i] = ci.backMap[t]
-		}
-		if ok && cloud.add(f.pred, args) {
+	set := &v.cloud.set
+	for id := int32(0); int(id) < set.Len(); id++ {
+		if args, ok := d.mapTuple(d.backMap, set.Tuple(id)); ok && cloud.add(set.Tag(id), args) {
 			progress = true
 		}
 	}
 	return progress
 }
 
-// canonicalize renames the null slots of a seed to a canonical order and
-// returns the canonical key and renamed seed.
-func (d *guardedDecider) canonicalize(seed *gSeed) (string, *gSeed) {
-	k, s, _ := d.canonicalizeWithPerm(seed)
-	return k, s
+// canonScratch holds canonicalize's reusable buffers.
+type canonScratch struct {
+	nc         instance.TermID
+	sigOff     []int32 // per null: bounds of its signature in sig
+	sig        []int64 // concatenated sorted occurrence descriptors
+	cursor     []int32 // per null: next free slot of its row in sig
+	order      []instance.TermID
+	groups     []int // bounds of equal-signature runs in order
+	perm       []instance.TermID
+	bestPerm   []instance.TermID
+	items      []instance.TermID // renamed members, each tag, len, args…
+	itemOff    []int32
+	sorted     []int32
+	cand, best []instance.TermID
 }
 
-// canonicalizeWithPerm additionally returns the applied permutation as a
-// full id map (identity on constants).
-func (d *guardedDecider) canonicalizeWithPerm(seed *gSeed) (string, *gSeed, []int) {
+// canonicalize renames the null slots of a seed to a canonical order,
+// interns the result as a node type and returns the type id with the
+// applied renaming: perm maps the seed's ids to canonical ids (the
+// identity on constants) and is valid until the next call.
+//
+// A null's signature is the sorted list of its occurrence descriptors
+// (predicate or rule, position). Nulls are ordered by signature; every
+// order of each equal-signature group is tried, up to guardedMaxPerm
+// candidates in all, and the smallest encoding wins. Above the cap the
+// signature-sorted order stands.
+//
+// The encoding is the atom section's length followed by the atoms and
+// then the records, each section sorted, each member written as tag,
+// length, terms.
+func (d *guardedDecider) canonicalize(seed *gSeed) (int32, []instance.TermID) {
+	c := &d.canon
+	c.nc = instance.TermID(d.nc)
 	n := d.nc + seed.nulls
-	if seed.nulls == 0 {
-		perm := make([]int, n)
-		for i := range perm {
-			perm[i] = i
-		}
-		s := sortedSeed(seed, perm, d.nc)
-		return encodeSeed(s), s, perm
+
+	// Signatures: count each null's occurrences, lay the rows out, fill
+	// and sort them.
+	c.sigOff = slices.Grow(c.sigOff[:0], seed.nulls+1)[:seed.nulls+1]
+	clear(c.sigOff)
+	c.countNulls(&seed.atoms)
+	c.countNulls(&seed.recs)
+	for i := 1; i < len(c.sigOff); i++ {
+		c.sigOff[i] += c.sigOff[i-1]
 	}
-	// Signature per null: sorted multiset of occurrence descriptors.
-	sig := make([]string, n)
-	var sb strings.Builder
-	for _, f := range seed.atoms {
-		for pos, t := range f.args {
-			if t >= d.nc {
-				sb.Reset()
-				fmt.Fprintf(&sb, "a%d.%d;", f.pred, pos)
-				sig[t] += sb.String()
-			}
-		}
+	c.sig = slices.Grow(c.sig[:0], int(c.sigOff[seed.nulls]))[:c.sigOff[seed.nulls]]
+	c.cursor = append(c.cursor[:0], c.sigOff[:seed.nulls]...)
+	c.describe(&seed.atoms, 0)
+	c.describe(&seed.recs, int64(d.npred))
+	c.order = c.order[:0]
+	for t := c.nc; int(t) < n; t++ {
+		slices.Sort(c.sigOf(t))
+		c.order = append(c.order, t)
 	}
-	for _, r := range seed.recs {
-		for pos, t := range r.tuple {
-			if t >= d.nc {
-				sb.Reset()
-				fmt.Fprintf(&sb, "r%d.%d;", r.rule, pos)
-				sig[t] += sb.String()
-			}
-		}
-	}
-	// Normalize signatures (sort descriptor lists).
-	for t := d.nc; t < n; t++ {
-		parts := strings.Split(sig[t], ";")
-		sort.Strings(parts)
-		sig[t] = strings.Join(parts, ";")
-	}
-	nulls := make([]int, seed.nulls)
-	for i := range nulls {
-		nulls[i] = d.nc + i
-	}
-	sort.SliceStable(nulls, func(a, b int) bool { return sig[nulls[a]] < sig[nulls[b]] })
-	// Group boundaries of equal signatures.
-	var groups [][]int
-	for i := 0; i < len(nulls); {
-		j := i
-		for j < len(nulls) && sig[nulls[j]] == sig[nulls[i]] {
-			j++
-		}
-		groups = append(groups, nulls[i:j])
-		i = j
-	}
+
+	// Order nulls by signature and find the equal-signature groups.
+	slices.SortStableFunc(c.order, func(a, b instance.TermID) int { return slices.Compare(c.sigOf(a), c.sigOf(b)) })
+	c.groups = append(c.groups[:0], 0)
 	permCount := 1
-	for _, gp := range groups {
-		for f := 2; f <= len(gp); f++ {
+	for i := 1; i <= len(c.order); i++ {
+		if i < len(c.order) && slices.Equal(c.sigOf(c.order[i]), c.sigOf(c.order[i-1])) {
+			continue
+		}
+		for f := 2; f <= i-c.groups[len(c.groups)-1] && permCount <= guardedMaxPerm; f++ {
 			permCount *= f
 		}
+		c.groups = append(c.groups, i)
 	}
-	basePerm := func(order []int) []int {
-		perm := make([]int, n)
-		for i := 0; i < d.nc; i++ {
-			perm[i] = i
+
+	c.perm = slices.Grow(c.perm[:0], n)[:n]
+	c.bestPerm = slices.Grow(c.bestPerm[:0], n)[:n]
+	for i := instance.TermID(0); i < c.nc; i++ {
+		c.perm[i] = i
+	}
+	for first := true; ; first = false {
+		for rank, t := range c.order {
+			c.perm[t] = c.nc + instance.TermID(rank)
 		}
-		for rank, t := range order {
-			perm[t] = d.nc + rank
+		c.cand = append(c.cand[:0], 0)
+		c.cand = c.appendSorted(c.cand, &seed.atoms)
+		c.cand[0] = instance.TermID(len(c.cand) - 1)
+		c.cand = c.appendSorted(c.cand, &seed.recs)
+		if first || slices.Compare(c.cand, c.best) < 0 {
+			c.cand, c.best = c.best, c.cand
+			copy(c.bestPerm, c.perm)
 		}
-		return perm
+		if permCount > guardedMaxPerm || !c.nextOrder() {
+			break
+		}
 	}
-	if permCount > guardedMaxPerm {
-		perm := basePerm(nulls)
-		s := sortedSeed(seed, perm, d.nc)
-		return encodeSeed(s), s, perm
+
+	id, isNew := d.types.Insert(int32(seed.nulls), c.best)
+	if isNew {
+		d.cache = append(d.cache, nil)
 	}
-	bestKey := ""
-	var bestSeed *gSeed
-	var bestPerm []int
-	var rec func(gi int, order []int)
-	rec = func(gi int, order []int) {
-		if gi == len(groups) {
-			perm := basePerm(order)
-			s := sortedSeed(seed, perm, d.nc)
-			k := encodeSeed(s)
-			if bestKey == "" || k < bestKey {
-				bestKey, bestSeed, bestPerm = k, s, perm
+	return id, c.bestPerm
+}
+
+// sigOf returns null t's signature row.
+func (c *canonScratch) sigOf(t instance.TermID) []int64 {
+	return c.sig[c.sigOff[t-c.nc]:c.sigOff[t-c.nc+1]]
+}
+
+// countNulls adds the null occurrences of set's members to the row
+// bounds, shifted by one for the prefix sum.
+func (c *canonScratch) countNulls(set *instance.TupleSet) {
+	for id := int32(0); int(id) < set.Len(); id++ {
+		for _, t := range set.Tuple(id) {
+			if t >= c.nc {
+				c.sigOff[t-c.nc+1]++
 			}
-			return
 		}
-		permuteAll(groups[gi], func(g []int) {
-			rec(gi+1, append(order, g...))
-		})
 	}
-	rec(0, nil)
-	return bestKey, bestSeed, bestPerm
 }
 
-// permuteAll calls yield with every permutation of xs (xs is reused; yield
-// must not retain it).
-func permuteAll(xs []int, yield func([]int)) {
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(xs) {
-			yield(xs)
-			return
-		}
-		for i := k; i < len(xs); i++ {
-			xs[k], xs[i] = xs[i], xs[k]
-			rec(k + 1)
-			xs[k], xs[i] = xs[i], xs[k]
+// describe writes the occurrence descriptor (base+tag)<<32 | position of
+// every null occurrence in set's members into the null's row.
+func (c *canonScratch) describe(set *instance.TupleSet, base int64) {
+	for id := int32(0); int(id) < set.Len(); id++ {
+		tag := base + int64(set.Tag(id))
+		for pos, t := range set.Tuple(id) {
+			if t >= c.nc {
+				c.sig[c.cursor[t-c.nc]] = tag<<32 | int64(pos)
+				c.cursor[t-c.nc]++
+			}
 		}
 	}
-	rec(0)
 }
 
-// sortedSeed applies a permutation and sorts atoms and records.
-func sortedSeed(seed *gSeed, perm []int, nc int) *gSeed {
-	s := &gSeed{nulls: seed.nulls}
-	for _, f := range seed.atoms {
-		args := make([]int, len(f.args))
-		for i, t := range f.args {
-			args[i] = perm[t]
+// appendSorted appends the members of set, renamed by c.perm, to dst in
+// sorted order.
+func (c *canonScratch) appendSorted(dst []instance.TermID, set *instance.TupleSet) []instance.TermID {
+	c.items, c.itemOff, c.sorted = c.items[:0], c.itemOff[:0], c.sorted[:0]
+	for id := int32(0); int(id) < set.Len(); id++ {
+		tuple := set.Tuple(id)
+		c.itemOff = append(c.itemOff, int32(len(c.items)))
+		c.items = append(c.items, instance.TermID(set.Tag(id)), instance.TermID(len(tuple)))
+		for _, t := range tuple {
+			c.items = append(c.items, c.perm[t])
 		}
-		s.atoms = append(s.atoms, gFact{pred: f.pred, args: args})
+		c.sorted = append(c.sorted, id)
 	}
-	for _, r := range seed.recs {
-		tuple := make([]int, len(r.tuple))
-		for i, t := range r.tuple {
-			tuple[i] = perm[t]
+	c.itemOff = append(c.itemOff, int32(len(c.items)))
+	item := func(i int32) []instance.TermID { return c.items[c.itemOff[i]:c.itemOff[i+1]] }
+	slices.SortFunc(c.sorted, func(a, b int32) int { return slices.Compare(item(a), item(b)) })
+	for _, i := range c.sorted {
+		dst = append(dst, item(i)...)
+	}
+	return dst
+}
+
+// nextOrder advances c.order to the next combination of within-group
+// orders, odometer-style; it reports false once every combination has
+// been visited.
+func (c *canonScratch) nextOrder() bool {
+	for g := len(c.groups) - 2; g >= 0; g-- {
+		if nextPermutation(c.order[c.groups[g]:c.groups[g+1]]) {
+			return true
 		}
-		s.recs = append(s.recs, gRec{rule: r.rule, tuple: tuple})
 	}
-	sort.Slice(s.atoms, func(a, b int) bool {
-		return gAtomKey(s.atoms[a].pred, s.atoms[a].args) < gAtomKey(s.atoms[b].pred, s.atoms[b].args)
-	})
-	sort.Slice(s.recs, func(a, b int) bool {
-		return gRecKey(s.recs[a].rule, s.recs[a].tuple) < gRecKey(s.recs[b].rule, s.recs[b].tuple)
-	})
-	return s
+	return false
+}
+
+// nextPermutation rearranges xs into the next lexicographic permutation.
+// After the last one it restores ascending order and reports false.
+func nextPermutation(xs []instance.TermID) bool {
+	i := len(xs) - 2
+	for i >= 0 && xs[i] >= xs[i+1] {
+		i--
+	}
+	if i < 0 {
+		slices.Reverse(xs)
+		return false
+	}
+	j := len(xs) - 1
+	for xs[j] <= xs[i] {
+		j--
+	}
+	xs[i], xs[j] = xs[j], xs[i]
+	slices.Reverse(xs[i+1:])
+	return true
+}
+
+// splitSeed splits an encoded seed into its atom and record sections.
+func splitSeed(enc []instance.TermID) (atoms, recs []instance.TermID) {
+	n := 1 + int(enc[0])
+	return enc[1:n], enc[n:]
+}
+
+// nextItem decodes the first member of an encoded section.
+func nextItem(sec []instance.TermID) (tag int32, args, rest []instance.TermID) {
+	n := 2 + int(sec[1])
+	return int32(sec[0]), sec[2:n], sec[n:]
+}
+
+// verdict searches the child-type graph reachable from the root for a
+// cycle and renders one as the non-termination witness.
+func (d *guardedDecider) verdict() *Verdict {
+	v := &Verdict{Answer: Terminating, Variant: VariantSemiOblivious, Method: "guarded-forest"}
+	color := make([]uint8, d.types.Len()) // 0 unvisited, 1 on stack, 2 done
+	var stack, cyc []int32
+	var dfs func(id int32) bool
+	dfs = func(id int32) bool {
+		color[id] = 1
+		v.NodeTypeCount++
+		stack = append(stack, id)
+		for _, c := range d.cache[id].children {
+			switch color[c] {
+			case 0:
+				if dfs(c) {
+					return true
+				}
+			case 1:
+				cyc = stack[slices.Index(stack, c):]
+				return true
+			}
+		}
+		stack = stack[:len(stack)-1]
+		color[id] = 2
+		return false
+	}
+	if dfs(d.root) {
+		v.Answer = NonTerminating
+		var parts []string
+		for _, id := range cyc {
+			parts = append(parts, d.renderSeed(id))
+			if len(parts) == 3 && len(cyc) > 3 {
+				parts = append(parts, fmt.Sprintf("… (%d more)", len(cyc)-3))
+				break
+			}
+		}
+		v.Witness = fmt.Sprintf("pumpable node-type cycle of length %d in the guarded chase forest: %s",
+			len(cyc), strings.Join(parts, " -> "))
+	}
+	return v
 }
 
 // renderSeed renders a node type's atoms for witnesses: constants by name,
 // null slots as n0, n1, …. Inherited fired records are omitted (they gate
 // behaviour but rarely aid a human reader); the atom set identifies the
 // type well enough to follow the pump.
-func (d *guardedDecider) renderSeed(seed *gSeed) string {
-	if seed == nil {
-		return "?"
-	}
-	term := func(t int) string {
-		if t < d.nc {
-			return d.constName[t]
-		}
-		return fmt.Sprintf("n%d", t-d.nc)
-	}
-	parts := make([]string, 0, len(seed.atoms))
-	for _, f := range seed.atoms {
-		args := make([]string, len(f.args))
-		for i, a := range f.args {
-			args[i] = term(a)
-		}
+func (d *guardedDecider) renderSeed(id int32) string {
+	atoms, _ := splitSeed(d.types.Tuple(id))
+	var parts []string
+	for len(atoms) > 0 {
+		pred, args, rest := nextItem(atoms)
+		atoms = rest
 		if len(args) == 0 {
-			parts = append(parts, d.predName[f.pred])
-		} else {
-			parts = append(parts, d.predName[f.pred]+"("+strings.Join(args, ",")+")")
+			parts = append(parts, d.predName[pred])
+			continue
 		}
+		names := make([]string, len(args))
+		for i, t := range args {
+			if int(t) < d.nc {
+				names[i] = d.constName[t]
+			} else {
+				names[i] = fmt.Sprintf("n%d", int(t)-d.nc)
+			}
+		}
+		parts = append(parts, d.predName[pred]+"("+strings.Join(names, ",")+")")
 	}
 	out := "{" + strings.Join(parts, " ") + "}"
 	if len(out) > 120 {
 		out = out[:117] + "…}"
 	}
 	return out
-}
-
-func encodeSeed(s *gSeed) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n%d|", s.nulls)
-	for _, f := range s.atoms {
-		b.WriteString(gAtomKey(f.pred, f.args))
-		b.WriteByte('\x01')
-	}
-	b.WriteByte('\x02')
-	for _, r := range s.recs {
-		b.WriteString(gRecKey(r.rule, r.tuple))
-		b.WriteByte('\x01')
-	}
-	return b.String()
 }

@@ -2,19 +2,24 @@
 // contribution of "Chase Termination for Guarded Existential Rules"
 // (Calautti, Gottlob, Pieris; PODS 2015):
 //
-//   - DecideLinear — critical-weak/rich acyclicity, the exact
+//   - DecideLinearContext — critical-weak/rich acyclicity, the exact
 //     characterization of CT^so ∩ L and CT^o ∩ L (Theorem 2), which on
 //     simple-linear inputs coincides with plain weak/rich acyclicity
-//     (Theorem 1) and yields the complexity landscape of Theorem 3;
-//   - DecideGuarded — the decision procedure for CT^? ∩ G (Theorem 4),
-//     implemented as a deterministic memoized fixpoint over node types of
-//     the guarded chase forest of the critical instance;
-//   - Decide — the front door that classifies a rule set and dispatches.
+//     (Theorem 1, DecideSimpleLinear) and yields the complexity
+//     landscape of Theorem 3;
+//   - DecideGuardedContext — the decision procedure for CT^? ∩ G
+//     (Theorem 4), implemented as a deterministic memoized fixpoint over
+//     node types of the guarded chase forest of the critical instance;
+//   - DecideLinearOnContext / DecideGuardedOnContext — the same
+//     procedures rooted at a given database instead of the critical
+//     instance;
+//   - DecideContext — the direct class dispatch, kept as the reference
+//     the portfolio ladder (package portfolio) is checked against.
 //
-// All procedures decide termination of the chase on the critical instance
-// I*(Σ); by the critical-instance lemma (package critical) this equals
-// all-instance termination for the semi-oblivious chase, and via the
-// aux-atom transformation also for the oblivious chase.
+// The all-instance procedures decide termination of the chase on the
+// critical instance I*(Σ); by the critical-instance lemma (package
+// critical) this equals all-instance termination for the semi-oblivious
+// chase, and via the aux-atom transformation also for the oblivious chase.
 package core
 
 import (
@@ -23,6 +28,7 @@ import (
 	"sort"
 	"strings"
 
+	"chaseterm/internal/critical"
 	"chaseterm/internal/graph"
 	"chaseterm/internal/logic"
 )
@@ -80,10 +86,10 @@ const (
 
 // Options bound the deciders. Zero values select generous defaults.
 type Options struct {
-	// MaxShapes caps the abstract-shape space of DecideLinear
+	// MaxShapes caps the abstract-shape space of DecideLinearContext
 	// (default DefaultMaxShapes).
 	MaxShapes int
-	// MaxNodeTypes caps the node-type space of DecideGuarded
+	// MaxNodeTypes caps the node-type space of DecideGuardedContext
 	// (default DefaultMaxNodeTypes).
 	MaxNodeTypes int
 }
@@ -118,7 +124,7 @@ type Verdict struct {
 }
 
 // ---------------------------------------------------------------------------
-// DecideLinear: critical-weak/rich acyclicity (Theorems 1–3).
+// DecideLinearContext: critical-weak/rich acyclicity (Theorems 1–3).
 //
 // Abstraction. Over the critical instance, every atom produced by a linear
 // chase is abstracted to its *shape*: the predicate plus the partition of
@@ -304,8 +310,8 @@ func DecideLinearOnContext(ctx context.Context, rs *logic.RuleSet, db []logic.At
 	return decideLinearSeeded(ctx, rs, v, db, opt)
 }
 
-// decideLinearSeeded runs the shape analysis; a nil seed means "critical
-// instance".
+// decideLinearSeeded runs the shape analysis seeded with the ground
+// database seedDB; a nil seedDB means the critical instance.
 func decideLinearSeeded(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, seedDB []logic.Atom, opt Options) (*LinearResult, error) {
 	opt = opt.withDefaults()
 	if err := rs.Validate(); err != nil {
@@ -355,49 +361,21 @@ func decideLinearSeeded(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, 
 		return s, true
 	}
 
-	var worklist []*shape
+	// Seed: shapes of the database atoms — by default the critical
+	// instance, every predicate filled with every tuple over {✶} ∪ consts(Σ).
+	// Constants are spelled raw, as the rules' are.
 	if seedDB == nil {
-		// Seed: shapes of the critical instance — every predicate filled
-		// with every tuple over {✶} ∪ consts(Σ).
-		consts := []string{"✶"}
-		for _, c := range rs.Constants() {
-			consts = append(consts, string(c))
+		seedDB = critical.Facts(rs)
+	}
+	var worklist []*shape
+	for _, a := range seedDB {
+		terms := make([]shapeTerm, len(a.Args))
+		for i, tm := range a.Args {
+			terms[i] = shapeTerm{kind: 1, name: string(tm.(logic.Constant))}
 		}
-		for _, p := range rs.Schema() {
-			tuple := make([]int, p.Arity)
-			for {
-				terms := make([]shapeTerm, p.Arity)
-				for i, ci := range tuple {
-					terms[i] = shapeTerm{kind: 1, name: consts[ci]}
-				}
-				s, _ := buildShape(p.Name, terms)
-				if s2, isNew := intern(s); isNew {
-					worklist = append(worklist, s2)
-				}
-				i := p.Arity - 1
-				for ; i >= 0; i-- {
-					tuple[i]++
-					if tuple[i] < len(consts) {
-						break
-					}
-					tuple[i] = 0
-				}
-				if i < 0 {
-					break
-				}
-			}
-		}
-	} else {
-		// Seed: shapes of the given database atoms.
-		for _, a := range seedDB {
-			terms := make([]shapeTerm, len(a.Args))
-			for i, tm := range a.Args {
-				terms[i] = shapeTerm{kind: 1, name: tm.(logic.Constant).String()}
-			}
-			s, _ := buildShape(a.Pred, terms)
-			if s2, isNew := intern(s); isNew {
-				worklist = append(worklist, s2)
-			}
+		s, _ := buildShape(a.Pred, terms)
+		if s2, isNew := intern(s); isNew {
+			worklist = append(worklist, s2)
 		}
 	}
 

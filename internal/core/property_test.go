@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"chaseterm/internal/instance"
 	"chaseterm/internal/logic"
 	"chaseterm/internal/parse"
 	"chaseterm/internal/workload"
@@ -19,14 +20,12 @@ import (
 func TestQuickCanonicalizationInvariance(t *testing.T) {
 	d := &guardedDecider{
 		opt:       Options{}.withDefaults(),
-		cache:     map[string]*satVal{},
-		seeds:     map[string]*gSeed{},
 		npred:     3,
 		predName:  []string{"p", "q", "r"},
-		predArity: []int{2, 1, 3},
 		nc:        2, // two "constants": ids 0, 1
 		constName: []string{"✶", "0"},
 	}
+	predArity := []int{2, 1, 3}
 	f := func(seedVal int64) bool {
 		rng := rand.New(rand.NewSource(seedVal))
 		nulls := 1 + rng.Intn(5)
@@ -35,32 +34,34 @@ func TestQuickCanonicalizationInvariance(t *testing.T) {
 		natoms := 1 + rng.Intn(6)
 		for i := 0; i < natoms; i++ {
 			p := rng.Intn(d.npred)
-			args := make([]int, d.predArity[p])
+			args := make([]instance.TermID, predArity[p])
 			for j := range args {
-				args[j] = rng.Intn(n)
+				args[j] = instance.TermID(rng.Intn(n))
 			}
-			seed.atoms = append(seed.atoms, gFact{pred: p, args: args})
+			seed.atoms.Insert(int32(p), args)
 		}
 		for i := 0; i < rng.Intn(4); i++ {
 			tl := rng.Intn(3)
-			tuple := make([]int, tl)
+			tuple := make([]instance.TermID, tl)
 			for j := range tuple {
-				tuple[j] = rng.Intn(n)
+				tuple[j] = instance.TermID(rng.Intn(n))
 			}
-			seed.recs = append(seed.recs, gRec{rule: rng.Intn(2), tuple: tuple})
+			seed.recs.Insert(int32(rng.Intn(2)), tuple)
 		}
 		key1, _ := d.canonicalize(seed)
 
 		// Random permutation of the null ids.
-		perm := make([]int, n)
+		perm := make([]instance.TermID, n)
 		for i := 0; i < d.nc; i++ {
-			perm[i] = i
+			perm[i] = instance.TermID(i)
 		}
 		order := rng.Perm(nulls)
 		for i := 0; i < nulls; i++ {
-			perm[d.nc+i] = d.nc + order[i]
+			perm[d.nc+i] = instance.TermID(d.nc + order[i])
 		}
-		permuted := sortedSeed(seed, perm, d.nc)
+		permuted := &gSeed{nulls: nulls}
+		d.inherit(&permuted.atoms, &seed.atoms, perm)
+		d.inherit(&permuted.recs, &seed.recs, perm)
 		key2, _ := d.canonicalize(permuted)
 		return key1 == key2
 	}

@@ -57,6 +57,7 @@ func termsEqual(a, b []TermID) bool {
 // The zero value is ready to use. TupleSet is the trigger-identity store
 // of the chase engine and the frontier dedup of the sequence explorer;
 // like Instance it is single-writer (see the package comment).
+// Its ids may be node-local, as in the guarded decider's node types.
 type TupleSet struct {
 	slots []int32  // id+1; 0 = empty
 	tags  []int32  // per id

@@ -77,22 +77,18 @@ func (o Options) withDefaults() Options {
 }
 
 // Decider is one termination-deciding component: a named procedure
-// applicable to some rule sets and chase variants. Sound deciders
-// return only correct decisive verdicts; complete deciders always
-// return a decisive verdict on their applicability domain (so an
-// Undecided from one is impossible short of an error). Implementations
-// must honor the context: it carries the caller's deadline.
+// applicable to some rule sets and chase variants. Every Decider must be
+// sound: a decisive verdict (Terminating or NonTerminating) is always
+// correct for the requested variant, which is what lets the scheduler
+// adopt the first one. Undecided is the answer for everything else.
+// Implementations must honor the context: it carries the caller's
+// deadline.
 type Decider interface {
 	// Name is the stable rung label used in reports and metrics.
 	Name() string
 	// Applicable reports whether the decider can run on this rule set
 	// and variant.
 	Applicable(rs *logic.RuleSet, v core.ChaseVariant) bool
-	// Sound reports that a decisive verdict is always correct.
-	Sound() bool
-	// Complete reports that the decider always reaches a decisive
-	// verdict where applicable.
-	Complete() bool
 	// DecideContext runs the procedure.
 	DecideContext(ctx context.Context, rs *logic.RuleSet, v core.ChaseVariant, opt Options) (Verdict, Evidence, error)
 }
@@ -112,12 +108,6 @@ type positionalRung struct {
 }
 
 func (r positionalRung) Name() string { return r.name }
-func (r positionalRung) Sound() bool  { return true }
-
-// Complete is false even though the rung is exact on constant-free SL
-// sets: completeness here is a property of the whole applicability
-// domain.
-func (r positionalRung) Complete() bool { return false }
 
 func (r positionalRung) Applicable(_ *logic.RuleSet, v core.ChaseVariant) bool {
 	return v == r.variant
@@ -139,9 +129,7 @@ func (r positionalRung) DecideContext(_ context.Context, rs *logic.RuleSet, _ co
 // already covers the simple-linear exactness case.
 type jointRung struct{}
 
-func (jointRung) Name() string   { return "joint-acyclicity" }
-func (jointRung) Sound() bool    { return true }
-func (jointRung) Complete() bool { return false }
+func (jointRung) Name() string { return "joint-acyclicity" }
 
 func (jointRung) Applicable(_ *logic.RuleSet, v core.ChaseVariant) bool {
 	return v == core.VariantSemiOblivious
@@ -163,9 +151,7 @@ func (jointRung) DecideContext(_ context.Context, rs *logic.RuleSet, _ core.Chas
 // semi-oblivious chase applies exactly the oblivious triggers of Σ.
 type mfaRung struct{}
 
-func (mfaRung) Name() string   { return "mfa" }
-func (mfaRung) Sound() bool    { return true }
-func (mfaRung) Complete() bool { return false }
+func (mfaRung) Name() string { return "mfa" }
 
 func (mfaRung) Applicable(_ *logic.RuleSet, _ core.ChaseVariant) bool { return true }
 
@@ -204,9 +190,7 @@ func (mfaRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v core.Chas
 // cyclic-but-harmless Skolem term.
 type saturationRung struct{}
 
-func (saturationRung) Name() string   { return "critical-saturation" }
-func (saturationRung) Sound() bool    { return true }
-func (saturationRung) Complete() bool { return false }
+func (saturationRung) Name() string { return "critical-saturation" }
 
 func (saturationRung) Applicable(rs *logic.RuleSet, _ core.ChaseVariant) bool {
 	return rs.Classify() == logic.ClassGeneral
@@ -236,9 +220,7 @@ func (saturationRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v co
 // weak/rich acyclicity over the shape abstraction).
 type linearRung struct{}
 
-func (linearRung) Name() string   { return "linear-exact" }
-func (linearRung) Sound() bool    { return true }
-func (linearRung) Complete() bool { return true }
+func (linearRung) Name() string { return "linear-exact" }
 
 func (linearRung) Applicable(rs *logic.RuleSet, _ core.ChaseVariant) bool {
 	c := rs.Classify()
@@ -258,9 +240,7 @@ func (linearRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v core.C
 // decided on aux(Σ).
 type guardedRung struct{}
 
-func (guardedRung) Name() string   { return "guarded-exact" }
-func (guardedRung) Sound() bool    { return true }
-func (guardedRung) Complete() bool { return true }
+func (guardedRung) Name() string { return "guarded-exact" }
 
 func (guardedRung) Applicable(rs *logic.RuleSet, _ core.ChaseVariant) bool {
 	return rs.Classify() != logic.ClassGeneral

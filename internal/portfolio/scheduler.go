@@ -34,7 +34,7 @@ func Run(ctx context.Context, rs *logic.RuleSet, v core.ChaseVariant, opt Option
 
 // RunWith schedules a registry over the rule set: the applicable
 // deciders run sequentially in registration order, the ladder climbing
-// until the first decisive verdict of a sound rung.
+// until the first decisive verdict.
 func RunWith(ctx context.Context, reg *Registry, rs *logic.RuleSet, v core.ChaseVariant, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := rs.Validate(); err != nil {
@@ -58,7 +58,7 @@ func RunWith(ctx context.Context, reg *Registry, rs *logic.RuleSet, v core.Chase
 			return nil, err
 		}
 		res.Rungs = append(res.Rungs, RungReport{Rung: d.Name(), Verdict: verdict, Elapsed: time.Since(t0)})
-		if verdict != Undecided && d.Sound() {
+		if verdict != Undecided {
 			res.Verdict, res.Evidence, res.DecidedBy = verdict, ev, d.Name()
 			return res, nil
 		}
