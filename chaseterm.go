@@ -629,9 +629,8 @@ func decideOnDatabase(ctx context.Context, db *Database, rules *RuleSet, v Varia
 		if err != nil {
 			return nil, err
 		}
-		res.Verdict.Method = method
-		out := fromCoreVerdict(res.Verdict, class)
-		return out, nil
+		res.Method = method
+		return fromCoreVerdict(res, class), nil
 	default:
 		budgets := ChaseOptions{MaxTriggers: 200_000, MaxFacts: 200_000}
 		if opt.OracleMaxTriggers > 0 {

@@ -338,10 +338,10 @@ func runE8(w io.Writer, quick bool) error {
 		if err != nil {
 			return err
 		}
-		if res.Verdict.Answer == core.Terminating {
+		if res.Answer == core.Terminating {
 			terminating++
 		}
-		if oracle(rs, chase.SemiOblivious, 6000) == res.Verdict.Answer {
+		if oracle(rs, chase.SemiOblivious, 6000) == res.Answer {
 			agree++
 		}
 	}
@@ -363,7 +363,7 @@ func runE8(w io.Writer, quick bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "| %d | %d | %v |\n", arity, res.Verdict.NodeTypeCount, time.Since(t0).Round(time.Microsecond))
+		fmt.Fprintf(w, "| %d | %d | %v |\n", arity, res.NodeTypeCount, time.Since(t0).Round(time.Microsecond))
 	}
 	fmt.Fprintln(w, "\nExpected: 100% agreement (Theorem 4 decidability); steep growth in w\n"+
 		"(EXPTIME for bounded arity, 2EXPTIME in general).")
@@ -498,7 +498,7 @@ func runE12(w io.Writer, quick bool) error {
 		if err != nil {
 			return err
 		}
-		if oracle(rs, chase.Oblivious, 6000) == res.Verdict.Answer {
+		if oracle(rs, chase.Oblivious, 6000) == res.Answer {
 			agreeG++
 		}
 	}

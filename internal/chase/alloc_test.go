@@ -230,3 +230,32 @@ func TestSteadyStateRunAllocsPerTrigger(t *testing.T) {
 			perTrigger, m1.Mallocs-m0.Mallocs, res.Stats.TriggersApplied)
 	}
 }
+
+// TestGrowthRunAllocs pins the growth path: a chase that derives 4,000
+// facts and, semi-obliviously, interns 4,000 Skolem terms from a
+// 2,000-fact database. Facts, Skolem terms and queued triggers all live
+// in the arenas of instance.TupleSets, so a run allocates only for the
+// amortized growth of those arenas and of the indexes (about 350 times,
+// FromAtoms included) — never once per fact, term or trigger.
+func TestGrowthRunAllocs(t *testing.T) {
+	rules := parse.MustParseRules("e(X,Y) -> r(Y,Z).\nr(X,Y) -> s(X,Y,W).")
+	db := chainDB(2000)
+	for _, v := range []Variant{SemiOblivious, Oblivious, Restricted} {
+		var res *Result
+		n := testing.AllocsPerRun(3, func() {
+			in, err := instance.FromAtoms(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err = RunContext(context.Background(), in, rules, v, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if res.Outcome != Terminated || res.Stats.FactsAdded != 4000 {
+			t.Fatalf("%v: %v after %d derived facts, want terminated after 4000", v, res.Outcome, res.Stats.FactsAdded)
+		}
+		if n > 500 {
+			t.Errorf("%v: growth run allocates %v times, want <= 500", v, n)
+		}
+	}
+}

@@ -124,8 +124,6 @@ type Options struct {
 	MaxFacts int
 	// MaxDepth caps the invented-term depth (default 1<<30, i.e. off).
 	MaxDepth int32
-	// RecordSequence keeps the applied trigger sequence in the result.
-	RecordSequence bool
 	// StopOnCyclicSkolem stops the run with Outcome CyclicTerm as soon as
 	// the semi-oblivious chase invents a Skolem term whose function symbol
 	// occurs transitively inside one of its arguments. This implements the
@@ -226,20 +224,12 @@ type Stats struct {
 	MaxTermDepth     int32
 }
 
-// AppliedTrigger records one trigger application (optional, see
-// Options.RecordSequence).
-type AppliedTrigger struct {
-	Rule       int
-	FactsAdded int
-}
-
 // Result of a chase run.
 type Result struct {
 	Variant  Variant
 	Outcome  Outcome
 	Instance *instance.Instance
 	Stats    Stats
-	Sequence []AppliedTrigger
 }
 
 // StreamSink observes a run incrementally; see RunStreamContext. Both
@@ -297,40 +287,36 @@ type compiledRule struct {
 	headPattern *instance.Pattern
 }
 
-// trigger references a pending trigger's frontier tuple by offset into the
-// engine's frontier arena: the queue never holds per-trigger slices.
-type trigger struct {
-	rule int32
-	off  int32
-	n    int32
-}
-
 // Engine runs one chase over one instance. Create with NewEngine, then call
 // Run. The instance is mutated in place.
 //
 // The steady-state loop — popping a trigger whose facts all exist and
 // whose successor triggers are all duplicates — is allocation-free: the
-// trigger identity set, fact store and Skolem interner are integer-keyed
-// open-addressed tables probed against their backing arrays, trigger
-// frontiers live in an append-only arena, and the per-application
-// existential/argument buffers and homomorphism scratch are pooled on the
-// engine.
+// trigger identity set, fact store and Skolem interner are
+// instance.TupleSets probed against their arenas, a queued trigger is
+// just its member id in the trigger set (whose tuple holds its
+// frontier), and the per-application existential/argument buffers and
+// homomorphism scratch are pooled on the engine.
 type Engine struct {
 	in      *instance.Instance
 	rules   []compiledRule
 	variant Variant
 	opt     Options
 
-	queue   []trigger // FIFO / LIFO store
+	// seen is the trigger identity set, tagged by rule; a trigger is
+	// queued as its member id. Ids are assigned in discovery order, so
+	// FIFO pops the range [qhead, seen.Len()) and needs no queue.
+	seen    instance.TupleSet
 	qhead   int
-	buckets [][]trigger // per-rule stores for OrderRulePriority
+	stack   []int32   // OrderLIFO: pending ids
+	buckets [][]int32 // OrderRulePriority: pending ids per rule
 	bheads  []int
 	pending int
-	seen    instance.TupleSet // trigger identity, tagged by rule
-	frArena []instance.TermID // frontier tuples of queued triggers
 	stats   Stats
-	seq     []AppliedTrigger
 	byPred  map[instance.PredID][][2]int // pred -> (rule, bodyAtom) pairs
+	// scratch holds a frontier projection: the semi-oblivious trigger
+	// key in offer, the oblivious and restricted frontier in frontierOf.
+	// The variants never overlap, so one buffer serves both.
 	scratch []instance.TermID
 	match   instance.MatchScratch
 	exBuf   []instance.TermID
@@ -355,46 +341,56 @@ type Engine struct {
 	par *parRun
 }
 
-// push schedules a trigger according to the configured order.
-func (e *Engine) push(t trigger) {
+// push schedules the newly discovered trigger id of rule according to
+// the configured order. FIFO keeps no store: its pending ids are the
+// tail of the trigger set.
+func (e *Engine) push(id int32, rule int) {
 	e.pending++
-	if e.opt.Order == OrderRulePriority {
-		e.buckets[t.rule] = append(e.buckets[t.rule], t)
-		return
+	switch e.opt.Order {
+	case OrderLIFO:
+		e.stack = append(e.stack, id)
+	case OrderRulePriority:
+		e.buckets[rule] = append(e.buckets[rule], id)
 	}
-	e.queue = append(e.queue, t)
 }
 
-// pop removes the next trigger according to the configured order.
-func (e *Engine) pop() (trigger, bool) {
+// pop removes the next trigger id according to the configured order.
+func (e *Engine) pop() (int32, bool) {
 	if e.pending == 0 {
-		return trigger{}, false
+		return 0, false
 	}
 	e.pending--
 	switch e.opt.Order {
 	case OrderLIFO:
-		t := e.queue[len(e.queue)-1]
-		e.queue = e.queue[:len(e.queue)-1]
-		return t, true
+		id := e.stack[len(e.stack)-1]
+		e.stack = e.stack[:len(e.stack)-1]
+		return id, true
 	case OrderRulePriority:
 		for r := range e.buckets {
 			if e.bheads[r] < len(e.buckets[r]) {
-				t := e.buckets[r][e.bheads[r]]
+				id := e.buckets[r][e.bheads[r]]
 				e.bheads[r]++
-				return t, true
+				return id, true
 			}
 		}
 		panic("chase: pending count out of sync")
 	default:
-		t := e.queue[e.qhead]
+		id := int32(e.qhead)
 		e.qhead++
-		return t, true
+		return id, true
 	}
 }
 
-// frontierOf resolves a queued trigger's frontier tuple in the arena.
-func (e *Engine) frontierOf(t trigger) []instance.TermID {
-	return e.frArena[t.off : t.off+t.n]
+// frontierOf resolves a queued trigger id to its rule and frontier
+// tuple. The semi-oblivious key is the frontier itself; the oblivious
+// and restricted key is the full binding, projected into e.scratch.
+func (e *Engine) frontierOf(id int32) (*compiledRule, []instance.TermID) {
+	cr := &e.rules[e.seen.Tag(id)]
+	key := e.seen.Tuple(id)
+	if e.variant == SemiOblivious {
+		return cr, key
+	}
+	return cr, e.scratchFrontier(cr, key)
 }
 
 // fnOccurs reports whether the Skolem function fn occurs in term t
@@ -442,7 +438,7 @@ func NewEngine(in *instance.Instance, rs *logic.RuleSet, v Variant, opt Options)
 		return true
 	}
 	if e.opt.Order == OrderRulePriority {
-		e.buckets = make([][]trigger, len(e.rules))
+		e.buckets = make([][]int32, len(e.rules))
 		e.bheads = make([]int, len(e.rules))
 	}
 	return e, nil
@@ -552,14 +548,11 @@ func (e *Engine) offer(rule int, binding []instance.TermID) {
 	default: // Oblivious and Restricted identify triggers by the full h.
 		key = binding
 	}
-	if _, added := e.seen.Insert(int32(rule), key); !added {
+	id, added := e.seen.Insert(int32(rule), key)
+	if !added {
 		return
 	}
-	off := int32(len(e.frArena))
-	for _, vi := range cr.frontier {
-		e.frArena = append(e.frArena, binding[vi])
-	}
-	e.push(trigger{rule: int32(rule), off: off, n: int32(len(cr.frontier))})
+	e.push(id, rule)
 	e.stats.TriggersEnqueued++
 }
 
@@ -655,12 +648,11 @@ loop:
 			}
 			break loop
 		}
-		t, ok := e.pop()
+		id, ok := e.pop()
 		if !ok {
 			break loop
 		}
-		cr := &e.rules[t.rule]
-		fr := e.frontierOf(t)
+		cr, fr := e.frontierOf(id)
 		if e.variant == Restricted && e.headSatisfied(cr, fr) {
 			e.stats.TriggersSatisfied++
 			continue
@@ -669,9 +661,6 @@ loop:
 		e.stats.TriggersApplied++
 		if added == 0 {
 			e.stats.TriggersNoop++
-		}
-		if e.opt.RecordSequence {
-			e.seq = append(e.seq, AppliedTrigger{Rule: int(t.rule), FactsAdded: added})
 		}
 		if maxDepth > e.stats.MaxTermDepth {
 			e.stats.MaxTermDepth = maxDepth
@@ -703,7 +692,6 @@ func (e *Engine) result(outcome Outcome) *Result {
 		Outcome:  outcome,
 		Instance: e.in,
 		Stats:    e.stats,
-		Sequence: e.seq,
 	}
 }
 

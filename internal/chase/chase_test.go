@@ -243,25 +243,6 @@ func TestCyclicSkolemStop(t *testing.T) {
 	}
 }
 
-// TestRecordSequence: the optional trigger log matches the statistics.
-func TestRecordSequence(t *testing.T) {
-	res := run(t, `a(x).`, `a(X) -> b(X).
-b(X) -> c(X).`, SemiOblivious, Options{RecordSequence: true})
-	if res.Outcome != Terminated {
-		t.Fatal("expected termination")
-	}
-	if len(res.Sequence) != res.Stats.TriggersApplied {
-		t.Errorf("sequence length %d != applied %d", len(res.Sequence), res.Stats.TriggersApplied)
-	}
-	total := 0
-	for _, s := range res.Sequence {
-		total += s.FactsAdded
-	}
-	if total != res.Stats.FactsAdded {
-		t.Errorf("sequence facts %d != stats %d", total, res.Stats.FactsAdded)
-	}
-}
-
 // TestParseVariant round-trips the variant names.
 func TestParseVariant(t *testing.T) {
 	for _, tc := range []struct {

@@ -13,40 +13,53 @@ import (
 	"chaseterm/internal/workload"
 )
 
-// restrictedCases pins restricted chase runs over scale-ontology TBoxes
-// (12 concepts, 6 roles, 40 axioms, as in BenchmarkEngineScaleOntology)
-// on 1500-fact ABoxes: tbox is the position, in the seed's stream of
-// TBoxes, of the first one core.DecideLinearContext certifies
+// digestCases pins chase runs over scale-ontology TBoxes (12 concepts,
+// 6 roles, 40 axioms, as in BenchmarkEngineScaleOntology) on 1500-fact
+// ABoxes: tbox is the position, in the seed's stream of TBoxes, of the
+// first one core.DecideLinearContext certifies
 // semi-oblivious-terminating (found when the digests were recorded), and
 // digest hashes the outcome, every Stats field and every fact in FactID
-// order. The digests come from a planner that ignored the seeds of head
-// patterns: join plans only order the enumeration and the head check
-// only asks whether a match exists, so no planner change may move them.
-var restrictedCases = []struct {
-	seed   int64
-	tbox   int
-	digest string
+// order. The restricted digests come from a planner that ignored the
+// seeds of head patterns: join plans only order the enumeration and the
+// head check only asks whether a match exists, so no planner change may
+// move them. The semi-oblivious and oblivious digests pin fact ids,
+// Skolem names and null ordinals, which follow from the insertion order
+// of the fact store, the Skolem interner and the trigger set: no change
+// to how those stores are kept may move them.
+var digestCases = []struct {
+	seed    int64
+	tbox    int
+	variant Variant
+	digest  string
 }{
-	{20, 2463, "e8adfc419ff60321"},
-	{21, 933, "c3f54c91b2117d85"},
-	{22, 448, "32393021bd8d183c"},
-	{23, 1165, "ae54a7cafe3fdb89"},
-	{24, 956, "fff1430b337efb36"},
-	{25, 1016, "298192ed50c394aa"},
-	{26, 255, "4209c51a75f15007"},
-	{27, 914, "9c1e37254a459b63"},
-	{28, 647, "47bdaff2182e7022"},
-	{29, 462, "30c876fed6f5634d"},
-	{30, 1412, "ab011dde6c4f4051"},
-	{31, 436, "9b7880fd40456b0c"},
-	{32, 2838, "1830f342028bfcb9"},
-	{33, 2477, "4230eb2bbf83eca6"},
-	{34, 1706, "1ac483b428d8182e"},
-	{35, 422, "af63fd4aae6b498e"},
-	{36, 604, "f3ea31b4cb9ca601"},
-	{37, 1023, "eb9aacc7519d11df"},
-	{38, 126, "cb424fc21c4f7e0a"},
-	{39, 2020, "02ef65a12f6edbf0"},
+	{20, 2463, Restricted, "e8adfc419ff60321"},
+	{21, 933, Restricted, "c3f54c91b2117d85"},
+	{22, 448, Restricted, "32393021bd8d183c"},
+	{23, 1165, Restricted, "ae54a7cafe3fdb89"},
+	{24, 956, Restricted, "fff1430b337efb36"},
+	{25, 1016, Restricted, "298192ed50c394aa"},
+	{26, 255, Restricted, "4209c51a75f15007"},
+	{27, 914, Restricted, "9c1e37254a459b63"},
+	{28, 647, Restricted, "47bdaff2182e7022"},
+	{29, 462, Restricted, "30c876fed6f5634d"},
+	{30, 1412, Restricted, "ab011dde6c4f4051"},
+	{31, 436, Restricted, "9b7880fd40456b0c"},
+	{32, 2838, Restricted, "1830f342028bfcb9"},
+	{33, 2477, Restricted, "4230eb2bbf83eca6"},
+	{34, 1706, Restricted, "1ac483b428d8182e"},
+	{35, 422, Restricted, "af63fd4aae6b498e"},
+	{36, 604, Restricted, "f3ea31b4cb9ca601"},
+	{37, 1023, Restricted, "eb9aacc7519d11df"},
+	{38, 126, Restricted, "cb424fc21c4f7e0a"},
+	{39, 2020, Restricted, "02ef65a12f6edbf0"},
+	{22, 448, SemiOblivious, "cfb04f033635e2bc"},
+	{34, 1706, SemiOblivious, "35fcc02c341cca8f"},
+	{36, 604, SemiOblivious, "3b1e6099b0cac518"},
+	{39, 2020, SemiOblivious, "62abaf0e6006a2b0"},
+	{21, 933, Oblivious, "ca5954353b71c8c6"},
+	{26, 255, Oblivious, "832f0311bd509fc8"},
+	{33, 2477, Oblivious, "7a0fcb6d74a759d6"},
+	{38, 126, Oblivious, "ace7441cd835eb64"},
 }
 
 // scaleOntologyCase draws the seed's tbox-th TBox and a 1500-fact ABox
@@ -76,14 +89,14 @@ func resultDigest(res *Result) string {
 // digest both times.
 func TestRestrictedHeadPlanDigests(t *testing.T) {
 	workers := testWorkers(t)
-	for _, c := range restrictedCases {
+	for _, c := range digestCases {
 		rules, db := scaleOntologyCase(c.seed, c.tbox)
 		for _, w := range []int{1, workers} {
 			in, err := instance.FromAtoms(db)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := NewEngine(in, rules, Restricted, Options{MaxFacts: 200_000, MaxTriggers: 400_000, Workers: w})
+			e, err := NewEngine(in, rules, c.variant, Options{MaxFacts: 200_000, MaxTriggers: 400_000, Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +105,7 @@ func TestRestrictedHeadPlanDigests(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := resultDigest(res); got != c.digest {
-				t.Errorf("seed %d, workers %d: digest %s (%v, %+v), want %s", c.seed, w, got, res.Outcome, res.Stats, c.digest)
+				t.Errorf("seed %d, %v, workers %d: digest %s (%v, %+v), want %s", c.seed, c.variant, w, got, res.Outcome, res.Stats, c.digest)
 			}
 		}
 	}

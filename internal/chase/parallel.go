@@ -353,9 +353,8 @@ func (e *Engine) runParallel(ctx context.Context) (*Result, error) {
 				stopped, stopOutcome = true, BudgetExceeded
 				break
 			}
-			t, _ := e.pop()
-			cr := &e.rules[t.rule]
-			fr := e.frontierOf(t)
+			id, _ := e.pop()
+			cr, fr := e.frontierOf(id)
 			if e.variant == Restricted && e.headSatisfied(cr, fr) {
 				e.stats.TriggersSatisfied++
 				continue
@@ -364,9 +363,6 @@ func (e *Engine) runParallel(ctx context.Context) (*Result, error) {
 			e.stats.TriggersApplied++
 			if added == 0 {
 				e.stats.TriggersNoop++
-			}
-			if e.opt.RecordSequence {
-				e.seq = append(e.seq, AppliedTrigger{Rule: int(t.rule), FactsAdded: added})
 			}
 			if maxDepth > e.stats.MaxTermDepth {
 				e.stats.MaxTermDepth = maxDepth

@@ -185,19 +185,6 @@ func TestParallelStatsAggregation(t *testing.T) {
 	}
 }
 
-// TestParallelRecordSequence: the applied-trigger sequence is a
-// writer-phase artifact and must also be identical.
-func TestParallelRecordSequence(t *testing.T) {
-	c := corpusCase{rules: workload.OntologySL(), db: workload.OntologyDB(),
-		opt: Options{RecordSequence: true}}
-	seqRes, _ := runStreamed(t, c, SemiOblivious, 1)
-	parRes, _ := runStreamed(t, c, SemiOblivious, testWorkers(t))
-	if !reflect.DeepEqual(parRes.Sequence, seqRes.Sequence) {
-		t.Errorf("trigger sequences differ: %d vs %d applications",
-			len(parRes.Sequence), len(seqRes.Sequence))
-	}
-}
-
 // TestParallelNonFIFOFallsBackSequential: the parallel engine is defined
 // only for FIFO scheduling; other orders run the sequential loop and
 // must keep their order-specific semantics.

@@ -133,18 +133,18 @@ func TestTheorem4Guarded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v\n%s", i, err, rs)
 		}
-		if got := empirical(t, rs, chase.SemiOblivious); got != so.Verdict.Answer {
-			t.Errorf("case %d: so-oracle=%v decider=%v:\n%s", i, got, so.Verdict.Answer, rs)
+		if got := empirical(t, rs, chase.SemiOblivious); got != so.Answer {
+			t.Errorf("case %d: so-oracle=%v decider=%v:\n%s", i, got, so.Answer, rs)
 		}
 		o, err := DecideGuardedContext(context.Background(), critical.AuxTransform(rs), Options{})
 		if err != nil {
 			t.Fatalf("case %d (aux): %v\n%s", i, err, rs)
 		}
-		if got := empirical(t, rs, chase.Oblivious); got != o.Verdict.Answer {
-			t.Errorf("case %d: o-oracle=%v decider=%v:\n%s", i, got, o.Verdict.Answer, rs)
+		if got := empirical(t, rs, chase.Oblivious); got != o.Answer {
+			t.Errorf("case %d: o-oracle=%v decider=%v:\n%s", i, got, o.Answer, rs)
 		}
 		// Containment CT^o ⊆ CT^so.
-		if o.Verdict.Answer == Terminating && so.Verdict.Answer != Terminating {
+		if o.Answer == Terminating && so.Answer != Terminating {
 			t.Errorf("case %d: violates CT^o ⊆ CT^so:\n%s", i, rs)
 		}
 	}
@@ -166,8 +166,8 @@ func TestTheorem4GuardedArity3(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v\n%s", i, err, rs)
 		}
-		if got := empirical(t, rs, chase.SemiOblivious); got != so.Verdict.Answer {
-			t.Errorf("case %d: so-oracle=%v decider=%v:\n%s", i, got, so.Verdict.Answer, rs)
+		if got := empirical(t, rs, chase.SemiOblivious); got != so.Answer {
+			t.Errorf("case %d: so-oracle=%v decider=%v:\n%s", i, got, so.Answer, rs)
 		}
 	}
 }
@@ -201,8 +201,8 @@ func TestConstantsCrossval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if got := empirical(t, g, chase.SemiOblivious); got != dec.Verdict.Answer {
-			t.Errorf("case %d (guarded): oracle=%v decider=%v:\n%s", i, got, dec.Verdict.Answer, g)
+		if got := empirical(t, g, chase.SemiOblivious); got != dec.Answer {
+			t.Errorf("case %d (guarded): oracle=%v decider=%v:\n%s", i, got, dec.Answer, g)
 		}
 	}
 }
@@ -224,8 +224,8 @@ func TestGuardedAgreesWithLinearRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if lin.Verdict.Answer != gd.Verdict.Answer {
-			t.Errorf("case %d: linear=%v guarded=%v:\n%s", i, lin.Verdict.Answer, gd.Verdict.Answer, rs)
+		if lin.Verdict.Answer != gd.Answer {
+			t.Errorf("case %d: linear=%v guarded=%v:\n%s", i, lin.Verdict.Answer, gd.Answer, rs)
 		}
 	}
 }

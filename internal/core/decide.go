@@ -114,9 +114,9 @@ func DecideContext(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, opt D
 		if err != nil {
 			return nil, err
 		}
-		res.Verdict.Variant = v
-		res.Verdict.Method = method
-		return res.Verdict, nil
+		res.Variant = v
+		res.Method = method
+		return res, nil
 	default:
 		return decideGeneral(ctx, rs, v, opt)
 	}

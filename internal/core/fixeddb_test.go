@@ -86,7 +86,7 @@ func TestFixedDBKnownCases(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got = res.Verdict.Answer
+				got = res.Answer
 			}
 			if got != tc.want {
 				t.Errorf("got %v, want %v", got, tc.want)
@@ -160,9 +160,9 @@ func TestFixedDBRandomGuarded(t *testing.T) {
 		if run.Outcome != chase.Terminated {
 			emp = NonTerminating
 		}
-		if emp != dec.Verdict.Answer {
+		if emp != dec.Answer {
 			t.Errorf("case %d: decider=%v oracle=%v\nrules:\n%sdb: %v",
-				i, dec.Verdict.Answer, emp, rs, db)
+				i, dec.Answer, emp, rs, db)
 		}
 	}
 }
@@ -225,8 +225,8 @@ func TestFixedDBManyConstants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.rules, err)
 		}
-		if dec.Verdict.Answer != tc.want {
-			t.Errorf("%s: decider says %v, want %v", tc.rules, dec.Verdict.Answer, tc.want)
+		if dec.Answer != tc.want {
+			t.Errorf("%s: decider says %v, want %v", tc.rules, dec.Answer, tc.want)
 		}
 		run, err := chase.RunFromAtomsContext(context.Background(), db, rs, chase.SemiOblivious,
 			chase.Options{MaxTriggers: 5000, MaxFacts: 5000})

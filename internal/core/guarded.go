@@ -193,11 +193,6 @@ type guardedDecider struct {
 // canceled polls the decider's context without blocking.
 func (d *guardedDecider) canceled() error { return pollDone(d.ctx, d.done) }
 
-// GuardedResult carries the guarded analysis outcome.
-type GuardedResult struct {
-	Verdict *Verdict
-}
-
 // DecideGuardedContext decides CT^so membership for a guarded rule set:
 // the node forest is rooted at the critical instance, so the verdict
 // quantifies over all databases. For CT^o, apply the aux-atom
@@ -205,7 +200,7 @@ type GuardedResult struct {
 // do this automatically). The global and per-node fixpoint loops poll
 // the context, so a cancellation surfaces as ctx.Err() long before the
 // node-type budget is reached.
-func DecideGuardedContext(ctx context.Context, rs *logic.RuleSet, opt Options) (*GuardedResult, error) {
+func DecideGuardedContext(ctx context.Context, rs *logic.RuleSet, opt Options) (*Verdict, error) {
 	return decideGuardedSeeded(ctx, rs, nil, opt)
 }
 
@@ -215,7 +210,7 @@ func DecideGuardedContext(ctx context.Context, rs *logic.RuleSet, opt Options) (
 // root being the critical instance, only on it being ground, so rooting
 // it at the database decides termination for exactly that input (an
 // extension beyond the paper's all-instance theorem).
-func DecideGuardedOnContext(ctx context.Context, rs *logic.RuleSet, db []logic.Atom, opt Options) (*GuardedResult, error) {
+func DecideGuardedOnContext(ctx context.Context, rs *logic.RuleSet, db []logic.Atom, opt Options) (*Verdict, error) {
 	for _, a := range db {
 		if !a.IsGround() {
 			return nil, fmt.Errorf("core: database atom %s is not ground", a)
@@ -229,7 +224,7 @@ func DecideGuardedOnContext(ctx context.Context, rs *logic.RuleSet, db []logic.A
 
 // decideGuardedSeeded runs the node-type fixpoint rooted at the ground
 // database db; a nil db means the critical instance.
-func decideGuardedSeeded(ctx context.Context, rs *logic.RuleSet, db []logic.Atom, opt Options) (*GuardedResult, error) {
+func decideGuardedSeeded(ctx context.Context, rs *logic.RuleSet, db []logic.Atom, opt Options) (*Verdict, error) {
 	opt = opt.withDefaults()
 	if err := rs.Validate(); err != nil {
 		return nil, err
@@ -271,7 +266,7 @@ func decideGuardedSeeded(ctx context.Context, rs *logic.RuleSet, db []logic.Atom
 			break
 		}
 	}
-	return &GuardedResult{Verdict: d.verdict()}, nil
+	return d.verdict(), nil
 }
 
 // newGuardedDecider compiles the rules over dense predicate, constant and

@@ -43,7 +43,7 @@ func TestGuardedNodeTypeCounts(t *testing.T) {
 		if cols[0] == "o" {
 			rs = critical.AuxTransform(rs)
 		}
-		var res *GuardedResult
+		var res *Verdict
 		if cols[3] == "-" {
 			res, err = DecideGuardedContext(context.Background(), rs, Options{})
 		} else {
@@ -52,9 +52,9 @@ func TestGuardedNodeTypeCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("line %d: %v", line, err)
 		}
-		if v := res.Verdict; v.Answer != Terminating || v.NodeTypeCount != want {
+		if res.Answer != Terminating || res.NodeTypeCount != want {
 			t.Errorf("line %d (%s %s): %v with %d node types, want terminating with %d",
-				line, cols[0], cols[2], v.Answer, v.NodeTypeCount, want)
+				line, cols[0], cols[2], res.Answer, res.NodeTypeCount, want)
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -219,8 +219,8 @@ v(X) -> w(X).`,
 			if err != nil {
 				t.Fatalf("DecideGuarded: %v", err)
 			}
-			if res.Verdict.Answer != tc.so {
-				t.Errorf("CT^so: got %v, want %v (witness: %s)", res.Verdict.Answer, tc.so, res.Verdict.Witness)
+			if res.Answer != tc.so {
+				t.Errorf("CT^so: got %v, want %v (witness: %s)", res.Answer, tc.so, res.Witness)
 			}
 		})
 	}
@@ -239,9 +239,9 @@ func TestGuardedAgreesWithLinear(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: guarded: %v", tc.name, err)
 		}
-		if lin.Verdict.Answer != gd.Verdict.Answer {
+		if lin.Verdict.Answer != gd.Answer {
 			t.Errorf("%s: linear decider says %v, guarded decider says %v",
-				tc.name, lin.Verdict.Answer, gd.Verdict.Answer)
+				tc.name, lin.Verdict.Answer, gd.Answer)
 		}
 	}
 }

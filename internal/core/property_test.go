@@ -123,8 +123,8 @@ func TestQuickGuardedIdempotent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return a.Verdict.Answer == b.Verdict.Answer &&
-			a.Verdict.NodeTypeCount == b.Verdict.NodeTypeCount
+		return a.Answer == b.Answer &&
+			a.NodeTypeCount == b.NodeTypeCount
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

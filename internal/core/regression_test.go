@@ -20,7 +20,7 @@ p1(X0) -> p1(X0), p0(Z0,X0).`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict.Answer != NonTerminating {
-		t.Errorf("want non-terminating, got %v (types=%d)", res.Verdict.Answer, res.Verdict.NodeTypeCount)
+	if res.Answer != NonTerminating {
+		t.Errorf("want non-terminating, got %v (types=%d)", res.Answer, res.NodeTypeCount)
 	}
 }

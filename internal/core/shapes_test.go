@@ -87,10 +87,10 @@ func TestGuardedWitnessMentionsTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict.Answer != NonTerminating {
+	if res.Answer != NonTerminating {
 		t.Fatal("expected non-termination")
 	}
-	w := res.Verdict.Witness
+	w := res.Witness
 	if !strings.Contains(w, "node-type cycle") || !strings.Contains(w, "g(") {
 		t.Errorf("witness: %s", w)
 	}

@@ -4,11 +4,11 @@ import "math/bits"
 
 // Integer-keyed hashing for the chase hot path. The three steady-state
 // dedup structures — fact lookup, Skolem interning, trigger identity —
-// all key on a small integer tag plus a tuple of TermIDs. Hashing mixes
-// the raw words and finishes with a murmur3-style avalanche, so the low
-// bits are usable as an index into power-of-two open-addressed tables.
-// Nothing here materializes a key: probes compare against the backing
-// arrays that already store the data.
+// all key on a small integer tag plus a tuple of TermIDs, and all three
+// are a TupleSet. Hashing mixes the raw words and finishes with a
+// murmur3-style avalanche, so the low bits are usable as an index into
+// power-of-two open-addressed tables. Nothing here materializes a key:
+// probes compare against the arena that already stores the members.
 
 const hashSeed uint64 = 0x9e3779b97f4a7c15
 
@@ -54,10 +54,14 @@ func termsEqual(a, b []TermID) bool {
 // against the arena directly — no per-key string or slice materialization.
 // A hit performs zero allocations; a miss amortizes to the arena append.
 //
-// The zero value is ready to use. TupleSet is the trigger-identity store
-// of the chase engine and the frontier dedup of the sequence explorer;
-// like Instance it is single-writer (see the package comment).
-// Its ids may be node-local, as in the guarded decider's node types.
+// Member ids are dense and assigned in insertion order, so a set doubles
+// as an id-indexed store. The zero value is ready to use. TupleSet holds
+// an instance's facts (tag = predicate, id = FactID), a term table's
+// Skolem terms (tag = function symbol), the chase engine's triggers
+// (tag = rule, id = queue position) and the guarded decider's node
+// types, whose ids may be node-local; it is also the frontier dedup of
+// the sequence explorer. Like Instance it is single-writer (see the
+// package comment).
 type TupleSet struct {
 	slots []int32  // id+1; 0 = empty
 	tags  []int32  // per id
@@ -68,9 +72,13 @@ type TupleSet struct {
 // Len returns the number of member tuples.
 func (s *TupleSet) Len() int { return len(s.tags) }
 
-// Tuple returns a view of member id's tuple. The slice aliases the arena
-// and must not be modified; it remains valid across later inserts.
-func (s *TupleSet) Tuple(id int32) []TermID { return s.arena[s.offs[id]:s.offs[id+1]] }
+// Tuple returns a read-only view of member id's tuple. The slice aliases
+// the arena, capped at its own length, and stays valid across later
+// inserts.
+func (s *TupleSet) Tuple(id int32) []TermID {
+	lo, hi := s.offs[id], s.offs[id+1]
+	return s.arena[lo:hi:hi]
+}
 
 // Tag returns member id's tag.
 func (s *TupleSet) Tag(id int32) int32 { return s.tags[id] }
@@ -112,12 +120,13 @@ func (s *TupleSet) Insert(tag int32, tuple []TermID) (int32, bool) {
 	}
 }
 
-// Contains reports whether (tag, tuple) is a member.
+// Lookup returns the member id of (tag, tuple) if present. It performs
+// no allocation.
 //
 //chaselint:hotpath
-func (s *TupleSet) Contains(tag int32, tuple []TermID) bool {
+func (s *TupleSet) Lookup(tag int32, tuple []TermID) (int32, bool) {
 	if len(s.slots) == 0 {
-		return false
+		return 0, false
 	}
 	h := hashTuple(tag, tuple)
 	mask := uint64(len(s.slots) - 1)
@@ -125,14 +134,22 @@ func (s *TupleSet) Contains(tag int32, tuple []TermID) bool {
 	for {
 		v := s.slots[i]
 		if v == 0 {
-			return false
+			return 0, false
 		}
 		t, tup := s.keyAt(v - 1)
 		if t == tag && termsEqual(tup, tuple) {
-			return true
+			return v - 1, true
 		}
 		i = (i + 1) & mask
 	}
+}
+
+// Contains reports whether (tag, tuple) is a member.
+//
+//chaselint:hotpath
+func (s *TupleSet) Contains(tag int32, tuple []TermID) bool {
+	_, ok := s.Lookup(tag, tuple)
+	return ok
 }
 
 func (s *TupleSet) grow(size int) {

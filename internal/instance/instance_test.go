@@ -75,6 +75,35 @@ func TestTermTableSkolem(t *testing.T) {
 	}
 }
 
+// TestStoreViewsAreCapped: Fact, TupleSet.Tuple and SkolemArgs hand out
+// views of shared arenas. Each is capped at its own length, so an append
+// by a careless caller copies instead of overwriting the next member.
+func TestStoreViewsAreCapped(t *testing.T) {
+	in := New()
+	p := in.Pred("p", 2)
+	a, b := in.Terms.Const("a"), in.Terms.Const("b")
+	in.Add(p, []TermID{a, a})
+	in.Add(p, []TermID{b, b})
+	_ = append(in.Fact(0).Args, b)
+	var s TupleSet
+	s.Insert(0, []TermID{a, a})
+	s.Insert(0, []TermID{b, b})
+	_ = append(s.Tuple(0), a)
+	fn := in.Terms.SkolemFn("f")
+	s1 := in.Terms.Skolem(fn, []TermID{a})
+	s2 := in.Terms.Skolem(fn, []TermID{b})
+	_ = append(in.Terms.SkolemArgs(s1), a)
+	if got := in.Fact(1).Args; got[0] != b {
+		t.Errorf("fact 1 = %v after appending to fact 0's view", got)
+	}
+	if got := s.Tuple(1); got[0] != b {
+		t.Errorf("tuple 1 = %v after appending to tuple 0's view", got)
+	}
+	if got := in.Terms.SkolemArgs(s2); got[0] != b {
+		t.Errorf("SkolemArgs = %v after appending to a neighbour's view", got)
+	}
+}
+
 func TestInstanceAddContains(t *testing.T) {
 	in := New()
 	p := in.Pred("p", 2)

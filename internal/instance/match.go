@@ -301,7 +301,7 @@ func (L *matchLevel) next(in *Instance, limit FactID) (FactID, bool) {
 	if f >= limit {
 		return 0, false
 	}
-	L.cur = in.next[in.facts[f].off+L.src.pos]
+	L.cur = in.next[in.facts.offs[f]+L.src.pos]
 	return f, true
 }
 
@@ -321,15 +321,16 @@ func (sc *MatchScratch) prepare(p *Pattern) []TermID {
 	return b
 }
 
-// matchAtomInto unifies the pattern atom with the fact under the current
-// binding. Variables newly bound are recorded in *undo (reset first) for
-// backtracking; on failure the binding is restored and false returned.
+// matchAtomInto unifies the pattern atom with a fact's arguments under
+// the current binding. Variables newly bound are recorded in *undo
+// (reset first) for backtracking; on failure the binding is restored and
+// false returned.
 //
 //chaselint:hotpath
-func matchAtomInto(pa *PatternAtom, f Fact, binding []TermID, undo *[]int32) bool {
+func matchAtomInto(pa *PatternAtom, args []TermID, binding []TermID, undo *[]int32) bool {
 	u := (*undo)[:0]
 	for i, s := range pa.Args {
-		t := f.Args[i]
+		t := args[i]
 		if !s.IsVar {
 			if s.Term != t {
 				undoBinding(binding, u)
@@ -419,7 +420,7 @@ func (in *Instance) runPlan(p *Pattern, order []int32, sc *MatchScratch, binding
 			if !ok {
 				break
 			}
-			if !matchAtomInto(&p.Atoms[order[lvl]], in.facts[fid], binding, &L.undo) {
+			if !matchAtomInto(&p.Atoms[order[lvl]], in.facts.Tuple(int32(fid)), binding, &L.undo) {
 				continue
 			}
 			if lvl+1 == n {
@@ -470,7 +471,7 @@ func (in *Instance) FindHomsWith(sc *MatchScratch, p *Pattern, initial []TermID,
 	p.Compile()
 	binding := sc.prepare(p)
 	copy(binding, initial)
-	return in.runPlan(p, p.plans[0], sc, binding, FactID(len(in.facts)), yield)
+	return in.runPlan(p, p.plans[0], sc, binding, FactID(in.facts.Len()), yield)
 }
 
 // FindHoms is FindHomsWith with a one-shot scratch. Prefer FindHomsWith
@@ -489,10 +490,10 @@ func (in *Instance) FindHoms(p *Pattern, initial []TermID, yield func(binding []
 func (in *Instance) FindHomsAnchoredWith(sc *MatchScratch, p *Pattern, anchor int, anchorFact FactID, yield func(binding []TermID) bool) bool {
 	p.Compile()
 	binding := sc.prepare(p)
-	if !matchAtomInto(&p.Atoms[anchor], in.facts[anchorFact], binding, &sc.anchor) {
+	if !matchAtomInto(&p.Atoms[anchor], in.facts.Tuple(int32(anchorFact)), binding, &sc.anchor) {
 		return true
 	}
-	return in.runPlan(p, p.plans[1+anchor], sc, binding, FactID(len(in.facts)), yield)
+	return in.runPlan(p, p.plans[1+anchor], sc, binding, FactID(in.facts.Len()), yield)
 }
 
 // FindHomsAnchored is FindHomsAnchoredWith with a one-shot scratch.
@@ -518,7 +519,7 @@ func (in *Instance) HasHomWith(sc *MatchScratch, p *Pattern, initial []TermID) b
 	p.Compile()
 	binding := sc.prepare(p)
 	copy(binding, initial)
-	return !in.runPlan(p, p.plans[0], sc, binding, FactID(len(in.facts)), nil)
+	return !in.runPlan(p, p.plans[0], sc, binding, FactID(in.facts.Len()), nil)
 }
 
 // HasHom is HasHomWith with a one-shot scratch.

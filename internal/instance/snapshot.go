@@ -37,7 +37,7 @@ func (in *Instance) Freeze() Snapshot {
 	in.frozen.Add(1)
 	in.Terms.frozen.Add(1)
 	in.gen++
-	return Snapshot{in: in, horizon: FactID(len(in.facts)), gen: in.gen}
+	return Snapshot{in: in, horizon: FactID(in.facts.Len()), gen: in.gen}
 }
 
 // Release ends the snapshot's read phase, re-arming the instance for
@@ -68,7 +68,7 @@ func (s Snapshot) Fact(id FactID) Fact {
 	if id >= s.horizon {
 		panic("instance: Snapshot.Fact beyond horizon")
 	}
-	return s.in.facts[id]
+	return s.in.Fact(id)
 }
 
 // Contains reports whether the fact p(args...) is visible through the
@@ -121,7 +121,7 @@ func (s Snapshot) FindHomsAnchoredAsOfWith(sc *MatchScratch, p *Pattern, anchor 
 	}
 	p.Compile()
 	binding := sc.prepare(p)
-	if !matchAtomInto(&p.Atoms[anchor], s.in.facts[anchorFact], binding, &sc.anchor) {
+	if !matchAtomInto(&p.Atoms[anchor], s.in.facts.Tuple(int32(anchorFact)), binding, &sc.anchor) {
 		return true
 	}
 	return s.in.runPlan(p, p.plans[1+anchor], sc, binding, anchorFact+1, yield)

@@ -20,10 +20,6 @@ type FactID int32
 type Fact struct {
 	Pred PredID
 	Args []TermID
-	// off is the fact's offset in the owning instance's argArena; the
-	// (pred, pos, term) index chains through it. Zero for facts built
-	// outside an instance.
-	off int32
 }
 
 // postEntry is one posting chain of the (pred, pos, term) index: the key
@@ -110,12 +106,14 @@ type Instance struct {
 	predNames  []string
 	predArity  []int
 
-	facts     []Fact
-	factSlots []int32  // open-addressed: FactID+1, 0 = empty; keys live in facts
-	argArena  []TermID // backing storage of every Fact.Args, append-only
-	next      []int32  // parallel to argArena: next fact id+1 in the index chain
-	byPred    [][]FactID
-	index     postTable
+	// facts stores and deduplicates the facts: tag = predicate, member
+	// id = FactID, and its arena holds every fact's arguments.
+	facts TupleSet
+	// next is parallel to the facts' arena: the next fact id+1 in the
+	// (pred, pos, term) chain through that argument, 0 at the tail.
+	next   []int32
+	byPred [][]FactID
+	index  postTable
 
 	atomBuf []TermID // AddLogicAtom scratch (single-writer, like all mutation)
 }
@@ -168,47 +166,12 @@ func (in *Instance) PredArity(p PredID) int { return in.predArity[p] }
 func (in *Instance) NumPreds() int { return len(in.predNames) }
 
 // Size returns the number of stored facts.
-func (in *Instance) Size() int { return len(in.facts) }
+func (in *Instance) Size() int { return in.facts.Len() }
 
-// Fact returns the fact with the given id. The returned value shares the
-// underlying argument slice; callers must not modify it.
-func (in *Instance) Fact(id FactID) Fact { return in.facts[id] }
-
-// factHash keys the fact dedup table: the predicate id tagged over the
-// argument tuple. No key value is built — probes compare against in.facts.
-func factHash(p PredID, args []TermID) uint64 { return hashTuple(int32(p), args) }
-
-// findFact probes the open-addressed fact table. It returns the id on a
-// hit, or the slot index where the fact would be inserted on a miss.
-//
-//chaselint:hotpath
-func (in *Instance) findFact(p PredID, args []TermID, h uint64) (FactID, uint64, bool) {
-	mask := uint64(len(in.factSlots) - 1)
-	i := h & mask
-	for {
-		v := in.factSlots[i]
-		if v == 0 {
-			return 0, i, false
-		}
-		f := &in.facts[v-1]
-		if f.Pred == p && termsEqual(f.Args, args) {
-			return FactID(v - 1), i, true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (in *Instance) growFactSlots(size int) {
-	in.factSlots = make([]int32, size)
-	mask := uint64(size - 1)
-	for id := range in.facts {
-		f := &in.facts[id]
-		i := factHash(f.Pred, f.Args) & mask
-		for in.factSlots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		in.factSlots[i] = int32(id) + 1
-	}
+// Fact returns the fact with the given id. Its Args is a read-only view
+// of the fact store, capped at the fact's arity.
+func (in *Instance) Fact(id FactID) Fact {
+	return Fact{Pred: PredID(in.facts.Tag(int32(id))), Args: in.facts.Tuple(int32(id))}
 }
 
 // Add inserts the fact p(args...) if not already present. It returns the
@@ -219,29 +182,17 @@ func (in *Instance) Add(p PredID, args []TermID) (FactID, bool) {
 	if in.frozen.Load() != 0 {
 		panic("instance: Add on a frozen instance (live Snapshot; see Freeze/Release)")
 	}
-	if len(in.factSlots) == 0 {
-		in.growFactSlots(16)
-	} else if len(in.facts)*4 >= len(in.factSlots)*3 {
-		in.growFactSlots(len(in.factSlots) * 2)
+	m, added := in.facts.Insert(int32(p), args)
+	id := FactID(m)
+	if !added {
+		return id, false
 	}
-	id0, slot, ok := in.findFact(p, args, factHash(p, args))
-	if ok {
-		return id0, false
-	}
-	// Copy args into the arena: amortized-free, and earlier Fact.Args
-	// slices stay valid across arena growth (the old backing is immutable).
-	start := len(in.argArena)
-	in.argArena = append(in.argArena, args...)
-	own := in.argArena[start:len(in.argArena):len(in.argArena)]
 	for range args {
 		in.next = append(in.next, 0)
 	}
-	id := FactID(len(in.facts))
-	in.facts = append(in.facts, Fact{Pred: p, Args: own, off: int32(start)})
-	in.factSlots[slot] = int32(id) + 1
 	in.byPred[p] = append(in.byPred[p], id)
-	for i, t := range own {
-		if (in.index.n+len(own))*4 >= len(in.index.entries)*3 {
+	for i, t := range args {
+		if (in.index.n+len(args))*4 >= len(in.index.entries)*3 {
 			in.index.grow()
 		}
 		e := in.index.lookup(p, int32(i), t)
@@ -249,7 +200,7 @@ func (in *Instance) Add(p PredID, args []TermID) (FactID, bool) {
 			*e = postEntry{pred: p, pos: int32(i), term: t, head: id, tail: id, count: 1}
 			in.index.n++
 		} else {
-			in.next[in.facts[e.tail].off+int32(i)] = int32(id) + 1
+			in.next[in.facts.offs[e.tail]+int32(i)] = int32(id) + 1
 			e.tail = id
 			e.count++
 		}
@@ -262,11 +213,7 @@ func (in *Instance) Add(p PredID, args []TermID) (FactID, bool) {
 //
 //chaselint:hotpath
 func (in *Instance) Contains(p PredID, args []TermID) bool {
-	if len(in.factSlots) == 0 {
-		return false
-	}
-	_, _, ok := in.findFact(p, args, factHash(p, args))
-	return ok
+	return in.facts.Contains(int32(p), args)
 }
 
 // Lookup returns the id of the fact p(args...) if present. Like Contains
@@ -274,11 +221,8 @@ func (in *Instance) Contains(p PredID, args []TermID) bool {
 //
 //chaselint:hotpath
 func (in *Instance) Lookup(p PredID, args []TermID) (FactID, bool) {
-	if len(in.factSlots) == 0 {
-		return 0, false
-	}
-	id, _, ok := in.findFact(p, args, factHash(p, args))
-	return id, ok
+	id, ok := in.facts.Lookup(int32(p), args)
+	return FactID(id), ok
 }
 
 // ByPred returns the ids of all facts with the given predicate, in insertion
@@ -310,7 +254,7 @@ func (in *Instance) ByPosTerm(p PredID, pos int, term TermID) []FactID {
 	out := make([]FactID, 0, ref.count)
 	for id, n := ref.head, ref.count; n > 0; n-- {
 		out = append(out, id)
-		nx := in.next[in.facts[id].off+int32(pos)]
+		nx := in.next[in.facts.offs[id]+int32(pos)]
 		if nx == 0 {
 			break
 		}
@@ -351,7 +295,7 @@ func FromAtoms(atoms []logic.Atom) (*Instance, error) {
 
 // FactString renders a fact for diagnostics.
 func (in *Instance) FactString(id FactID) string {
-	f := in.facts[id]
+	f := in.Fact(id)
 	if len(f.Args) == 0 {
 		return in.predNames[f.Pred]
 	}
@@ -365,8 +309,8 @@ func (in *Instance) FactString(id FactID) string {
 // Strings renders every fact, sorted lexicographically — convenient for
 // tests and goldens.
 func (in *Instance) Strings() []string {
-	out := make([]string, len(in.facts))
-	for i := range in.facts {
+	out := make([]string, in.Size())
+	for i := range out {
 		out[i] = in.FactString(FactID(i))
 	}
 	sort.Strings(out)
@@ -377,11 +321,9 @@ func (in *Instance) Strings() []string {
 // occurring in facts; 0 if the instance is invention-free.
 func (in *Instance) MaxInventedDepth() int32 {
 	var d int32
-	for _, f := range in.facts {
-		for _, t := range f.Args {
-			if dd := in.Terms.Depth(t); dd > d {
-				d = dd
-			}
+	for _, t := range in.facts.arena {
+		if dd := in.Terms.Depth(t); dd > d {
+			d = dd
 		}
 	}
 	return d

@@ -76,9 +76,9 @@ const NoSkolemFn SkolemFnID = -1
 type termInfo struct {
 	kind TermKind
 	name string // constant name; empty for nulls and Skolem terms
-	// aux is the null ordinal (nulls) or the SkolemFnID (Skolem terms).
+	// aux is the null ordinal (nulls) or the member id in TermTable.sk
+	// (Skolem terms).
 	aux   int32
-	args  []TermID
 	depth int32 // Skolem nesting depth; "birth depth" for nulls; 0 for constants
 }
 
@@ -96,8 +96,10 @@ type TermTable struct {
 
 	fnNames []string
 	fnIDs   map[string]SkolemFnID
-	skSlots []int32 // open-addressed: TermID+1 of Skolem terms, 0 = empty
-	skCount int
+	// sk interns the Skolem terms: tag = function symbol, tuple = the
+	// argument terms. skTerm maps its member ids back to TermIDs.
+	sk     TupleSet
+	skTerm []TermID
 }
 
 // NewTermTable creates an empty term table.
@@ -182,24 +184,9 @@ func (t *TermTable) Skolem(fn SkolemFnID, args []TermID) TermID {
 	if t.frozen.Load() != 0 {
 		panic("instance: Skolem interning on a frozen term table (live Snapshot; see Freeze/Release)")
 	}
-	if len(t.skSlots) == 0 {
-		t.growSkolemSlots(16)
-	} else if t.skCount*4 >= len(t.skSlots)*3 {
-		t.growSkolemSlots(len(t.skSlots) * 2)
-	}
-	h := hashTuple(int32(fn), args)
-	mask := uint64(len(t.skSlots) - 1)
-	i := h & mask
-	for {
-		v := t.skSlots[i]
-		if v == 0 {
-			break
-		}
-		in := &t.infos[v-1]
-		if SkolemFnID(in.aux) == fn && termsEqual(in.args, args) {
-			return TermID(v - 1)
-		}
-		i = (i + 1) & mask
+	m, added := t.sk.Insert(int32(fn), args)
+	if !added {
+		return t.skTerm[m]
 	}
 	depth := int32(0)
 	for _, a := range args {
@@ -208,27 +195,9 @@ func (t *TermTable) Skolem(fn SkolemFnID, args []TermID) TermID {
 		}
 	}
 	id := TermID(len(t.infos))
-	own := make([]TermID, len(args))
-	copy(own, args)
-	t.infos = append(t.infos, termInfo{kind: KindSkolem, aux: int32(fn), args: own, depth: depth + 1})
-	t.skSlots[i] = int32(id) + 1
-	t.skCount++
+	t.infos = append(t.infos, termInfo{kind: KindSkolem, aux: m, depth: depth + 1})
+	t.skTerm = append(t.skTerm, id)
 	return id
-}
-
-func (t *TermTable) growSkolemSlots(size int) {
-	t.skSlots = make([]int32, size)
-	mask := uint64(size - 1)
-	for id, in := range t.infos {
-		if in.kind != KindSkolem {
-			continue
-		}
-		i := hashTuple(in.aux, in.args) & mask
-		for t.skSlots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.skSlots[i] = int32(id) + 1
-	}
 }
 
 // Kind returns the kind of a term.
@@ -242,9 +211,14 @@ func (t *TermTable) Depth(id TermID) int32 { return t.infos[id].depth }
 // constant).
 func (t *TermTable) IsInvented(id TermID) bool { return t.infos[id].kind != KindConst }
 
-// SkolemArgs returns the argument terms of a Skolem term (nil otherwise).
-// The slice must not be modified.
-func (t *TermTable) SkolemArgs(id TermID) []TermID { return t.infos[id].args }
+// SkolemArgs returns the argument terms of a Skolem term (nil otherwise)
+// as a read-only view, capped at the term's arity.
+func (t *TermTable) SkolemArgs(id TermID) []TermID {
+	if t.infos[id].kind != KindSkolem {
+		return nil
+	}
+	return t.sk.Tuple(t.infos[id].aux)
+}
 
 // SkolemFnOf returns the function symbol of a Skolem term, or NoSkolemFn
 // for constants and nulls.
@@ -252,7 +226,7 @@ func (t *TermTable) SkolemFnOf(id TermID) SkolemFnID {
 	if t.infos[id].kind != KindSkolem {
 		return NoSkolemFn
 	}
-	return SkolemFnID(t.infos[id].aux)
+	return SkolemFnID(t.sk.Tag(t.infos[id].aux))
 }
 
 // Name returns the constant name, the Skolem function name, or the "z<n>"
@@ -263,7 +237,7 @@ func (t *TermTable) Name(id TermID) string {
 	case KindNull:
 		return fmt.Sprintf("z%d", in.aux)
 	case KindSkolem:
-		return t.fnNames[in.aux]
+		return t.fnNames[t.sk.Tag(in.aux)]
 	default:
 		return in.name
 	}
@@ -278,10 +252,11 @@ func (t *TermTable) String(id TermID) string {
 	case KindNull:
 		return fmt.Sprintf("z%d", in.aux)
 	default:
-		parts := make([]string, len(in.args))
-		for i, a := range in.args {
+		args := t.SkolemArgs(id)
+		parts := make([]string, len(args))
+		for i, a := range args {
 			parts[i] = t.String(a)
 		}
-		return t.fnNames[in.aux] + "(" + strings.Join(parts, ",") + ")"
+		return t.Name(id) + "(" + strings.Join(parts, ",") + ")"
 	}
 }

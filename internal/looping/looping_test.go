@@ -171,8 +171,8 @@ func TestLoopGuardedDecider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict.Answer != core.NonTerminating {
-		t.Errorf("guarded decider: %v, want non-terminating", res.Verdict.Answer)
+	if res.Answer != core.NonTerminating {
+		t.Errorf("guarded decider: %v, want non-terminating", res.Answer)
 	}
 	// The unreachable variant terminates.
 	reach.Goal = logic.NewAtom("reach", logic.Constant("zzz"))
@@ -185,9 +185,9 @@ func TestLoopGuardedDecider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Verdict.Answer != core.Terminating {
+	if res2.Answer != core.Terminating {
 		t.Errorf("guarded decider on non-entailed: %v, want terminating (witness %s)",
-			res2.Verdict.Answer, res2.Verdict.Witness)
+			res2.Answer, res2.Witness)
 	}
 }
 

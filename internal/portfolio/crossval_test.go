@@ -98,6 +98,6 @@ func TestCrossvalGuarded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v\n%s", i, err, rs)
 		}
-		assertAgrees(t, i, rs, core.VariantSemiOblivious, so.Verdict.Answer)
+		assertAgrees(t, i, rs, core.VariantSemiOblivious, so.Answer)
 	}
 }

@@ -255,8 +255,8 @@ func (guardedRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v core.
 	if err != nil {
 		return Undecided, Evidence{}, err
 	}
-	res.Verdict.Method = method
-	return fromCoreVerdict(res.Verdict)
+	res.Method = method
+	return fromCoreVerdict(res)
 }
 
 // fromCoreVerdict maps an exact decider's verdict into the portfolio

@@ -241,8 +241,11 @@ func (r *Resilient) reopenLoop() {
 			r.cur = st
 			r.degraded = false
 			r.retrying = false
-			r.mu.Unlock()
+			// Log before unlocking, as degradeLocked does for its WARN: a
+			// caller that observes Degraded() == false must also find the
+			// recovery record.
 			r.logger.Info("verdict store recovered")
+			r.mu.Unlock()
 			return
 		}
 		r.lastErr = err
