@@ -39,11 +39,14 @@
 package chaseterm
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -119,7 +122,9 @@ func (c Class) String() string {
 	return [...]string{"simple-linear", "linear", "guarded", "general"}[c]
 }
 
-// RuleSet is a parsed, validated set of TGDs.
+// RuleSet is a parsed, validated set of TGDs. It is read-only: its
+// schema summary and fingerprint are worked out once and kept, so one
+// parsed set may be shared by any number of goroutines and analyses.
 type RuleSet struct {
 	rs *logic.RuleSet
 
@@ -170,9 +175,24 @@ func (r *RuleSet) MaxArity() int { return r.rs.MaxArity() }
 
 // Predicates lists the schema as "name/arity" strings.
 func (r *RuleSet) Predicates() []string {
-	var out []string
-	for _, p := range r.rs.Schema() {
-		out = append(out, p.String())
+	schema := r.rs.Schema()
+	if len(schema) == 0 {
+		return nil
+	}
+	// One string holds every entry; out slices it.
+	var b strings.Builder
+	ends := make([]int, len(schema))
+	for i, p := range schema {
+		b.WriteString(p.Name)
+		b.WriteByte('/')
+		b.WriteString(strconv.Itoa(p.Arity))
+		ends[i] = b.Len()
+	}
+	all := b.String()
+	out := make([]string, len(schema))
+	start := 0
+	for i, end := range ends {
+		out[i], start = all[start:end], end
 	}
 	return out
 }
@@ -188,44 +208,78 @@ func (r *RuleSet) Predicates() []string {
 // set must not re-canonicalize.
 func (r *RuleSet) Fingerprint() string {
 	r.fpOnce.Do(func() {
-		lines := make([]string, len(r.rs.Rules))
-		for i, t := range r.rs.Rules {
-			lines[i] = canonicalRule(t)
+		rules := r.rs.Rules
+		// Every canonical rule goes into one buffer; rule i is
+		// buf[ends[i-1]:ends[i]].
+		var buf []byte
+		var vars []logic.Variable
+		ends := make([]int, len(rules))
+		for i, t := range rules {
+			buf, vars = appendCanonicalRule(buf, t, vars[:0])
+			ends[i] = len(buf)
 		}
-		sort.Strings(lines)
-		h := sha256.New()
-		for _, l := range lines {
-			h.Write([]byte(l))
-			h.Write([]byte{'\n'})
+		line := func(i int) []byte {
+			if i == 0 {
+				return buf[:ends[0]]
+			}
+			return buf[ends[i-1]:ends[i]]
+		}
+		order := make([]int, len(rules))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(a, b int) int { return bytes.Compare(line(a), line(b)) })
+		h, nl := sha256.New(), []byte{'\n'}
+		for _, i := range order {
+			h.Write(line(i))
+			h.Write(nl)
 		}
 		r.fp = hex.EncodeToString(h.Sum(nil))
 	})
 	return r.fp
 }
 
-// canonicalRule renders a TGD with variables renamed to V0, V1, … in
-// order of first occurrence across the body atoms and then the head
-// atoms. Canonical names cannot collide with constants in the rendered
-// form: the renderer single-quotes any constant that starts with an
+// appendCanonicalRule appends a TGD's canonical text to dst: the rule as
+// TGD.String renders it, with its variables renamed to V0, V1, … in order
+// of first occurrence across the body atoms and then the head atoms. vars
+// numbers the variables seen so far. Canonical names cannot collide with
+// constants: the renderer single-quotes any constant that starts with an
 // upper-case letter, so a bare V0 is always a variable.
-func canonicalRule(t *logic.TGD) string {
-	ren := make(map[logic.Variable]logic.Variable)
-	next := 0
-	walk := func(atoms []logic.Atom) {
-		for _, a := range atoms {
-			for _, arg := range a.Args {
-				if v, ok := arg.(logic.Variable); ok {
-					if _, done := ren[v]; !done {
-						ren[v] = logic.Variable(fmt.Sprintf("V%d", next))
-						next++
-					}
+func appendCanonicalRule(dst []byte, t *logic.TGD, vars []logic.Variable) ([]byte, []logic.Variable) {
+	dst, vars = appendCanonicalAtoms(dst, t.Body, vars)
+	dst = append(dst, " -> "...)
+	return appendCanonicalAtoms(dst, t.Head, vars)
+}
+
+func appendCanonicalAtoms(dst []byte, atoms []logic.Atom, vars []logic.Variable) ([]byte, []logic.Variable) {
+	for i, a := range atoms {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, a.Pred...)
+		if len(a.Args) == 0 {
+			continue
+		}
+		dst = append(dst, '(')
+		for j, arg := range a.Args {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			switch x := arg.(type) {
+			case logic.Variable:
+				n := slices.Index(vars, x)
+				if n < 0 {
+					n = len(vars)
+					vars = append(vars, x)
 				}
+				dst = strconv.AppendInt(append(dst, 'V'), int64(n), 10)
+			case logic.Constant:
+				dst = x.Append(dst)
 			}
 		}
+		dst = append(dst, ')')
 	}
-	walk(t.Body)
-	walk(t.Head)
-	return t.Rename(ren).String()
+	return dst, vars
 }
 
 // Internal returns the underlying representation; exposed for the

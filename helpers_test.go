@@ -2,7 +2,10 @@ package chaseterm
 
 import (
 	"context"
+	"strings"
 	"testing"
+
+	"chaseterm/internal/logic"
 )
 
 // decide runs AnalyzeDecide on the rules under variant v — all-instance
@@ -34,4 +37,23 @@ func acyclicityOf(t *testing.T, rules *RuleSet) AcyclicityReport {
 		t.Fatal(err)
 	}
 	return *rep.Acyclicity
+}
+
+// taggedText renders a rule set in the input syntax with every predicate
+// name suffixed by tag, the way the serving benchmark gives each request
+// a fingerprint of its own.
+func taggedText(rs *logic.RuleSet, tag string) string {
+	retag := func(atoms []logic.Atom) []logic.Atom {
+		out := make([]logic.Atom, len(atoms))
+		for i, a := range atoms {
+			out[i] = logic.Atom{Pred: a.Pred + tag, Args: a.Args}
+		}
+		return out
+	}
+	var b strings.Builder
+	for _, r := range rs.Rules {
+		b.WriteString(logic.NewTGD(retag(r.Body), retag(r.Head)).String())
+		b.WriteString(".\n")
+	}
+	return b.String()
 }

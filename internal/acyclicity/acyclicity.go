@@ -23,6 +23,7 @@ package acyclicity
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"chaseterm/internal/graph"
@@ -53,13 +54,15 @@ func (m Mode) String() string {
 	}
 }
 
-// DependencyGraph is the positional graph together with the position table
-// used to interpret node indexes.
+// DependencyGraph is the positional graph of a rule set. Node n is the
+// position with id n (logic.RuleSet.Position).
 type DependencyGraph struct {
-	G         *graph.Graph
-	Positions []logic.Position
-	posIndex  map[logic.Position]int
+	G  *graph.Graph
+	rs *logic.RuleSet
 }
+
+// Position returns the position of node n.
+func (dg *DependencyGraph) Position(n int) logic.Position { return dg.rs.Position(n) }
 
 // Build constructs the (extended) dependency graph of a rule set.
 //
@@ -74,69 +77,65 @@ type DependencyGraph struct {
 // of every universally quantified variable (frontier or not): the oblivious
 // chase fires one trigger per full homomorphism, so a fresh binding at any
 // body position yields a fresh trigger and hence fresh nulls.
+//
+// Edges are inserted rule by rule in body order, so the graph, and the
+// witness read off it, is the same on every call.
 func Build(rs *logic.RuleSet, mode Mode) *DependencyGraph {
-	dg := &DependencyGraph{posIndex: make(map[logic.Position]int)}
-	for _, pos := range rs.Positions() {
-		dg.posIndex[pos] = len(dg.Positions)
-		dg.Positions = append(dg.Positions, pos)
-	}
-	dg.G = graph.New(len(dg.Positions))
-
-	for _, r := range rs.Rules {
-		frontier := make(map[logic.Variable]bool)
-		for _, v := range r.Frontier() {
-			frontier[v] = true
-		}
-		existential := make(map[logic.Variable]bool)
-		for _, z := range r.Existentials() {
-			existential[z] = true
-		}
-		// Collect positions per variable.
-		bodyPos := make(map[logic.Variable][]int)
-		for _, a := range r.Body {
-			p := a.Predicate()
-			for i, t := range a.Args {
-				if v, ok := t.(logic.Variable); ok {
-					n := dg.posIndex[logic.Position{Pred: p, Index: i}]
-					bodyPos[v] = append(bodyPos[v], n)
-				}
+	dg := &DependencyGraph{G: graph.New(rs.NumPositions()), rs: rs}
+	var body, head []occurrence
+	var exPos []int
+	for ri, r := range rs.Rules {
+		body, head = occurrences(rs, ri, body, head)
+		exPos = exPos[:0]
+		for _, o := range head {
+			if slices.Contains(r.Existentials(), o.v) {
+				exPos = append(exPos, o.pos)
 			}
 		}
-		headPosOfVar := make(map[logic.Variable][]int)
-		var exPos []int
-		for _, a := range r.Head {
-			p := a.Predicate()
-			for i, t := range a.Args {
-				v, ok := t.(logic.Variable)
-				if !ok {
-					continue
-				}
-				n := dg.posIndex[logic.Position{Pred: p, Index: i}]
-				if existential[v] {
-					exPos = append(exPos, n)
-				} else {
-					headPosOfVar[v] = append(headPosOfVar[v], n)
+		for _, src := range body {
+			// A body variable that occurs in the head is a frontier
+			// variable; its head occurrences are its regular edges.
+			frontier := false
+			for _, dst := range head {
+				if dst.v == src.v {
+					frontier = true
+					dg.G.AddEdgeDedup(src.pos, dst.pos, false)
 				}
 			}
-		}
-		for v, sources := range bodyPos {
-			for _, src := range sources {
-				if frontier[v] {
-					for _, dst := range headPosOfVar[v] {
-						dg.G.AddEdgeDedup(src, dst, false)
-					}
-					for _, dst := range exPos {
-						dg.G.AddEdgeDedup(src, dst, true)
-					}
-				} else if mode == Rich {
-					for _, dst := range exPos {
-						dg.G.AddEdgeDedup(src, dst, true)
-					}
+			if frontier || mode == Rich {
+				for _, dst := range exPos {
+					dg.G.AddEdgeDedup(src.pos, dst, true)
 				}
 			}
 		}
 	}
 	return dg
+}
+
+// occurrence is one variable occurrence of a rule: the variable and the
+// id of its position.
+type occurrence struct {
+	v   logic.Variable
+	pos int
+}
+
+// occurrences returns rule ri's variable occurrences in its body and in
+// its head, in atom and argument order, reusing the storage of body and
+// head.
+func occurrences(rs *logic.RuleSet, ri int, body, head []occurrence) ([]occurrence, []occurrence) {
+	r, bases := rs.Rules[ri], rs.AtomBases(ri)
+	return appendOccurrences(body[:0], r.Body, bases), appendOccurrences(head[:0], r.Head, bases[len(r.Body):])
+}
+
+func appendOccurrences(dst []occurrence, atoms []logic.Atom, bases []int32) []occurrence {
+	for k, a := range atoms {
+		for i, t := range a.Args {
+			if v, ok := t.(logic.Variable); ok {
+				dst = append(dst, occurrence{v, int(bases[k]) + i})
+			}
+		}
+	}
+	return dst
 }
 
 // Witness describes a dangerous cycle. For the weak/rich criteria it is
@@ -182,9 +181,9 @@ func check(rs *logic.RuleSet, mode Mode) (bool, *Witness) {
 		return true, nil
 	}
 	cycle := dg.G.CycleThrough(*e)
-	w := &Witness{Mode: mode}
-	for _, n := range cycle {
-		w.Positions = append(w.Positions, dg.Positions[n])
+	w := &Witness{Mode: mode, Positions: make([]logic.Position, len(cycle))}
+	for i, n := range cycle {
+		w.Positions[i] = dg.Position(n)
 	}
 	return false, w
 }

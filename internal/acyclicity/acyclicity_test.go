@@ -3,6 +3,7 @@ package acyclicity
 import (
 	"testing"
 
+	"chaseterm/internal/logic"
 	"chaseterm/internal/parse"
 )
 
@@ -126,8 +127,8 @@ func TestDependencyGraphShape(t *testing.T) {
 	// hasFather[1], hasFather[2].
 	rs := parse.MustParseRules(`person(X) -> hasFather(X,Y), person(Y).`)
 	dg := Build(rs, Weak)
-	if len(dg.Positions) != 3 {
-		t.Fatalf("positions: %d", len(dg.Positions))
+	if n := dg.G.Len(); n != 3 {
+		t.Fatalf("positions: %d", n)
 	}
 	// X: person[1] -> hasFather[1] regular; person[1] => hasFather[2],
 	// person[1] => person[1] special.
@@ -151,5 +152,28 @@ func TestRichGraphAddsNonFrontierSources(t *testing.T) {
 	rich := Build(rs, Rich)
 	if len(rich.G.Edges()) <= len(weak.G.Edges()) {
 		t.Errorf("extended graph not larger: %d vs %d", len(rich.G.Edges()), len(weak.G.Edges()))
+	}
+}
+
+// TestWitnessDeterministic: the graph's edges go in body order, so the
+// dangerous cycle reported for a set is the same on every call. On a
+// simple-linear set this text is the served non-termination witness,
+// and verdict stores persist it.
+func TestWitnessDeterministic(t *testing.T) {
+	const src = `p(X,Y) -> q(X,Y,Z). q(X,Y,Z) -> p(Z,X). q(X,Y,Z) -> p(Y,Z).`
+	for _, tc := range []struct {
+		check func(*logic.RuleSet) (bool, *Witness)
+		want  string
+	}{
+		{IsWeaklyAcyclic, "dangerous cycle (weak): p[1] -> q[3] -> p[1]"},
+		{IsRichlyAcyclic, "dangerous cycle (rich): p[1] -> q[3] -> p[1]"},
+	} {
+		rs := parse.MustParseRules(src)
+		for i := 0; i < 100; i++ {
+			ok, w := tc.check(rs)
+			if ok || w.String() != tc.want {
+				t.Fatalf("call %d: %v, %v; want %q", i, ok, w, tc.want)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package acyclicity
 
 import (
 	"fmt"
+	"slices"
 
 	"chaseterm/internal/graph"
 	"chaseterm/internal/logic"
@@ -48,129 +49,97 @@ type exVar struct {
 // variable can reach the frontier of the next variable's rule, nesting
 // Skolem terms without bound.
 func IsJointlyAcyclic(rs *logic.RuleSet) (bool, *Witness) {
-	positions := rs.Positions()
-	posIdx := make(map[logic.Position]int, len(positions))
-	for i, p := range positions {
-		posIdx[p] = i
-	}
-
-	type varOcc struct {
-		bodyPos []int
-		headPos []int
-	}
-	// Per rule: occurrences of each frontier variable.
-	frontierOcc := make([]map[logic.Variable]*varOcc, len(rs.Rules))
-	// Per rule: head positions of each existential variable.
+	// Flat tables over position ids. A carrier is a frontier variable of
+	// some rule: carrier c belongs to rule ruleOf[c], has need[c]
+	// distinct body positions and its head positions at
+	// headPos[headOf[c]:headOf[c+1]]. Existential variable i (of rule
+	// exVars[i].rule, whose first one is firstEx[rule]) sits at head
+	// positions exPos[exOf[i]:exOf[i+1]].
+	var headPos, exPos, bodyPos []int
+	var ruleOf, need []int
+	var uses [][2]int // (distinct body position, carrier)
 	var exVars []exVar
-	exHead := make(map[exVar][]int)
+	headOf, exOf := []int{0}, []int{0}
+	firstEx := make([]int, len(rs.Rules))
+	var body, head []occurrence
 	for ri, r := range rs.Rules {
-		frontierOcc[ri] = make(map[logic.Variable]*varOcc)
-		isFrontier := make(map[logic.Variable]bool)
-		for _, v := range r.Frontier() {
-			isFrontier[v] = true
-			frontierOcc[ri][v] = &varOcc{}
+		firstEx[ri] = len(exVars)
+		body, head = occurrences(rs, ri, body, head)
+		for _, x := range r.Frontier() {
+			c := len(ruleOf)
+			bodyPos = appendPositions(bodyPos[:0], body, x)
+			slices.Sort(bodyPos)
+			bodyPos = slices.Compact(bodyPos)
+			for _, n := range bodyPos {
+				uses = append(uses, [2]int{n, c})
+			}
+			ruleOf, need = append(ruleOf, ri), append(need, len(bodyPos))
+			headPos = appendPositions(headPos, head, x)
+			headOf = append(headOf, len(headPos))
 		}
-		isEx := make(map[logic.Variable]bool)
 		for _, z := range r.Existentials() {
-			isEx[z] = true
 			exVars = append(exVars, exVar{ri, z})
-		}
-		for _, a := range r.Body {
-			p := a.Predicate()
-			for i, t := range a.Args {
-				if v, ok := t.(logic.Variable); ok && isFrontier[v] {
-					frontierOcc[ri][v].bodyPos = append(frontierOcc[ri][v].bodyPos, posIdx[logic.Position{Pred: p, Index: i}])
-				}
-			}
-		}
-		for _, a := range r.Head {
-			p := a.Predicate()
-			for i, t := range a.Args {
-				v, ok := t.(logic.Variable)
-				if !ok {
-					continue
-				}
-				n := posIdx[logic.Position{Pred: p, Index: i}]
-				if isEx[v] {
-					key := exVar{ri, v}
-					exHead[key] = append(exHead[key], n)
-				} else if isFrontier[v] {
-					frontierOcc[ri][v].headPos = append(frontierOcc[ri][v].headPos, n)
-				}
-			}
+			exPos = appendPositions(exPos, head, z)
+			exOf = append(exOf, len(exPos))
 		}
 	}
-
-	// move computes Move(y) as a least fixpoint.
-	move := func(y exVar) []bool {
-		in := make([]bool, len(positions))
-		for _, n := range exHead[y] {
-			in[n] = true
-		}
-		for changed := true; changed; {
-			changed = false
-			for ri := range rs.Rules {
-				for _, occ := range frontierOcc[ri] {
-					if len(occ.bodyPos) == 0 {
-						continue
-					}
-					all := true
-					for _, n := range occ.bodyPos {
-						if !in[n] {
-							all = false
-							break
-						}
-					}
-					if !all {
-						continue
-					}
-					for _, n := range occ.headPos {
-						if !in[n] {
-							in[n] = true
-							changed = true
-						}
-					}
-				}
-			}
-		}
-		return in
+	// users[usersOf[n]:usersOf[n+1]] are the carriers with body
+	// position n.
+	npos := rs.NumPositions()
+	usersOf := make([]int, npos+1)
+	for _, u := range uses {
+		usersOf[u[0]+1]++
+	}
+	for n := 0; n < npos; n++ {
+		usersOf[n+1] += usersOf[n]
+	}
+	users := make([]int, len(uses))
+	fill := slices.Clone(usersOf[:npos])
+	for _, u := range uses {
+		users[fill[u[0]]] = u[1]
+		fill[u[0]]++
 	}
 
-	idxOf := make(map[exVar]int, len(exVars))
-	for i, y := range exVars {
-		idxOf[y] = i
+	// Move(y) is a least fixpoint, worked out semi-naively: a carrier
+	// can be bound to a y-null once all its body positions are in
+	// Move(y) (have[c] == need[c]), and then its head positions join
+	// Move(y) and its rule is fed.
+	in := make([]bool, npos)
+	have := make([]int, len(ruleOf))
+	fed := make([]bool, len(rs.Rules))
+	var queue []int
+	add := func(ns []int) {
+		for _, n := range ns {
+			if !in[n] {
+				in[n] = true
+				queue = append(queue, n)
+			}
+		}
 	}
 	g := graph.New(len(exVars))
-	for i, y := range exVars {
-		m := move(y)
+	for i := range exVars {
+		clear(in)
+		clear(have)
+		clear(fed)
+		queue = queue[:0]
+		add(exPos[exOf[i]:exOf[i+1]])
+		for q := 0; q < len(queue); q++ {
+			n := queue[q]
+			for _, c := range users[usersOf[n]:usersOf[n+1]] {
+				if have[c]++; have[c] == need[c] {
+					fed[ruleOf[c]] = true
+					add(headPos[headOf[c]:headOf[c+1]])
+				}
+			}
+		}
 		// y feeds y′ when some frontier variable of y′'s rule can carry a
-		// y-null (all its body positions inside Move(y)).
+		// y-null.
 		for ri, r := range rs.Rules {
-			if len(r.Existentials()) == 0 {
+			if !fed[ri] {
 				continue
 			}
-			feeds := false
-			for _, occ := range frontierOcc[ri] {
-				if len(occ.bodyPos) == 0 {
-					continue
-				}
-				all := true
-				for _, n := range occ.bodyPos {
-					if !m[n] {
-						all = false
-						break
-					}
-				}
-				if all {
-					feeds = true
-					break
-				}
-			}
-			if !feeds {
-				continue
-			}
-			for _, z := range r.Existentials() {
-				g.AddEdgeDedup(i, idxOf[exVar{ri, z}], false)
+			for k := range r.Existentials() {
+				g.AddEdgeDedup(i, firstEx[ri]+k, false)
 			}
 		}
 	}
@@ -184,4 +153,14 @@ func IsJointlyAcyclic(rs *logic.RuleSet) (bool, *Witness) {
 		w.ExVars = append(w.ExVars, fmt.Sprintf("rule#%d:%s", y.rule, y.name))
 	}
 	return false, w
+}
+
+// appendPositions appends the position ids of v's occurrences.
+func appendPositions(dst []int, occs []occurrence, v logic.Variable) []int {
+	for _, o := range occs {
+		if o.v == v {
+			dst = append(dst, o.pos)
+		}
+	}
+	return dst
 }

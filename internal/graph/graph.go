@@ -201,10 +201,12 @@ func (g *Graph) pathBFS(src, dst int) []int {
 		prev[i] = -1
 	}
 	prev[src] = src
+	// The queue is read through an index, not resliced from the front:
+	// a resliced queue loses its spare capacity and reallocates on
+	// nearly every append.
 	queue := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		if v == dst {
 			var rev []int
 			for u := dst; ; u = prev[u] {
@@ -240,9 +242,8 @@ func (g *Graph) Reachable(sources ...int) []bool {
 			queue = append(queue, s)
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, e := range g.adj[v] {
 			if !seen[e.To] {
 				seen[e.To] = true

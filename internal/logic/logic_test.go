@@ -1,6 +1,8 @@
 package logic
 
 import (
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -182,9 +184,8 @@ func TestRuleSetSchemaAndPositions(t *testing.T) {
 	if len(sch) != 2 || sch[0].Name != "p" || sch[1].Name != "q" {
 		t.Errorf("Schema: got %v", sch)
 	}
-	pos := rs.Positions()
-	if len(pos) != 3 {
-		t.Errorf("Positions: got %d, want 3", len(pos))
+	if n := rs.NumPositions(); n != 3 {
+		t.Errorf("NumPositions: got %d, want 3", n)
 	}
 	if rs.MaxArity() != 2 {
 		t.Errorf("MaxArity: got %d", rs.MaxArity())
@@ -212,4 +213,95 @@ func TestPositionString(t *testing.T) {
 	if p.String() != "p[2]" {
 		t.Errorf("Position.String: got %s", p)
 	}
+}
+
+// TestRuleSetValidateFirstFault: Validate reports the first fault in rule
+// order, body before head, whatever follows it.
+func TestRuleSetValidateFirstFault(t *testing.T) {
+	for _, tc := range []struct {
+		rs   *RuleSet
+		want string
+	}{
+		{NewRuleSet(
+			NewTGD([]Atom{atom("p", v("X"))}, []Atom{atom("q", v("X"))}),
+			NewTGD([]Atom{atom("q", v("X"), v("Y"))}, nil),
+		), "logic: TGD q(X,Y) ->  has an empty head"},
+		{NewRuleSet(
+			NewTGD([]Atom{atom("p", v("X"))}, []Atom{atom("q", v("X"))}),
+			NewTGD([]Atom{atom("q", v("X"), v("Y"))}, []Atom{atom("s", v("X"))}),
+			NewTGD(nil, []Atom{atom("s", v("X"))}),
+		), "logic: predicate q used with arities 1 and 2 (body of rule 1)"},
+		{NewRuleSet(
+			NewTGD([]Atom{atom("p", v("X"))}, nil),
+			NewTGD([]Atom{atom("q", v("X"), v("Y"))}, []Atom{atom("q", v("X"))}),
+		), "logic: TGD p(X) ->  has an empty head"},
+		{NewRuleSet(
+			NewTGD([]Atom{atom("p", v("X"))}, []Atom{atom("q", v("X")), atom("p", v("X"), v("X"))}),
+		), "logic: predicate p used with arities 1 and 2 (head of rule 0)"},
+	} {
+		if err := tc.rs.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("Validate: %v, want %q", err, tc.want)
+		}
+	}
+	// An invalid set still has a schema: one predicate per name and
+	// arity, each with its own positions.
+	bad := NewRuleSet(NewTGD([]Atom{atom("p", v("X"))}, []Atom{atom("p", v("X"), v("Y"))}))
+	if got := bad.Schema(); len(got) != 2 || got[0].Arity != 1 || got[1].Arity != 2 || bad.NumPositions() != 3 {
+		t.Errorf("Schema of an invalid set: %v, %d positions", got, bad.NumPositions())
+	}
+}
+
+// TestRuleSetPositionIDs: position ids run predicate by predicate in
+// schema order, and AtomBases locates every atom's first argument.
+func TestRuleSetPositionIDs(t *testing.T) {
+	rs := NewRuleSet(
+		NewTGD([]Atom{atom("r", v("X"), v("Y"), v("Z"))}, []Atom{atom("go"), atom("p", v("X"))}),
+		NewTGD([]Atom{atom("p", v("X")), atom("go")}, []Atom{atom("r", v("X"), c("a"), v("W"))}),
+	)
+	// Schema: go/0, p/1, r/3; ids p[1]=0, r[1..3]=1..3.
+	for rule, want := range [][]int32{{1, 0, 0}, {0, 0, 1}} {
+		if got := rs.AtomBases(rule); !slices.Equal(got, want) {
+			t.Errorf("AtomBases(%d): %v, want %v", rule, got, want)
+		}
+	}
+	var got []string
+	for id := 0; id < rs.NumPositions(); id++ {
+		got = append(got, rs.Position(id).String())
+	}
+	if want := []string{"p[1]", "r[1]", "r[2]", "r[3]"}; !slices.Equal(got, want) {
+		t.Errorf("positions by id: %v, want %v", got, want)
+	}
+	for name, want := range map[string]int{"go": 0, "p": 1, "r": 3} {
+		if k, ok := rs.Arity(name); !ok || k != want {
+			t.Errorf("Arity(%s): %d, %v", name, k, ok)
+		}
+	}
+	if _, ok := rs.Arity("q"); ok {
+		t.Error("Arity(q): found")
+	}
+}
+
+// TestSharedMemosConcurrent: a fresh rule set and its rules work out their
+// memoized analyses once, whichever goroutine asks first. Run under
+// -race.
+func TestSharedMemosConcurrent(t *testing.T) {
+	rs := NewRuleSet(
+		NewTGD([]Atom{atom("p", v("X"), v("Y"))}, []Atom{atom("q", v("X"), v("Y"), v("Z"))}),
+		NewTGD([]Atom{atom("q", v("X"), v("Y"), v("Z")), atom("r", v("X"))}, []Atom{atom("p", v("Y"), v("Z"))}),
+	)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if rs.Classify() != ClassGuarded || rs.MaxArity() != 3 || rs.Validate() != nil {
+				t.Error("summary differs")
+			}
+			for _, r := range rs.Rules {
+				r.Frontier()
+				r.GuardIndex()
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -12,6 +12,7 @@ package logic
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -48,6 +49,15 @@ func (c Constant) String() string {
 
 func (v Variable) String() string { return string(v) }
 
+// Append appends the constant's String form to dst without allocating a
+// string for it.
+func (c Constant) Append(dst []byte) []byte {
+	if constNeedsQuote(string(c)) {
+		return append(append(append(dst, '\''), c...), '\'')
+	}
+	return append(dst, c...)
+}
+
 func constNeedsQuote(s string) bool {
 	if s == "" {
 		return true
@@ -71,7 +81,7 @@ type Predicate struct {
 	Arity int
 }
 
-func (p Predicate) String() string { return fmt.Sprintf("%s/%d", p.Name, p.Arity) }
+func (p Predicate) String() string { return p.Name + "/" + strconv.Itoa(p.Arity) }
 
 // Position identifies an argument position of a predicate, written p[i] in
 // the dependency-graph literature (Fagin et al.). Index is zero-based.
@@ -132,16 +142,41 @@ func (a Atom) IsGround() bool {
 // HasRepeatedVariable reports whether some variable occurs at two or more
 // argument positions of the atom. Simple-linear TGDs forbid this in bodies.
 func (a Atom) HasRepeatedVariable() bool {
-	seen := make(map[Variable]bool, len(a.Args))
+	return a.distinctVariables() < a.variableCount()
+}
+
+// variableCount counts the variable arguments of the atom.
+func (a Atom) variableCount() int {
+	n := 0
 	for _, t := range a.Args {
-		if v, ok := t.(Variable); ok {
-			if seen[v] {
-				return true
-			}
-			seen[v] = true
+		if _, ok := t.(Variable); ok {
+			n++
 		}
 	}
-	return false
+	return n
+}
+
+// distinctVariables counts the distinct variables of the atom without
+// allocating: an argument counts unless an earlier one equals it.
+func (a Atom) distinctVariables() int {
+	n := 0
+	for i, t := range a.Args {
+		v, ok := t.(Variable)
+		if !ok {
+			continue
+		}
+		first := true
+		for _, u := range a.Args[:i] {
+			if w, ok := u.(Variable); ok && w == v {
+				first = false
+				break
+			}
+		}
+		if first {
+			n++
+		}
+	}
+	return n
 }
 
 // Rename returns a copy of the atom with every variable replaced according

@@ -2,8 +2,7 @@ package logic
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"sync"
 )
 
 // TGD is a tuple-generating dependency (existential rule)
@@ -21,32 +20,53 @@ type TGD struct {
 	// Label is an optional human-readable name used in diagnostics.
 	Label string
 
-	// memoized analyses (computed lazily, the zero TGD is usable)
+	// Memoized analyses, computed once on first use (the zero TGD is
+	// usable). Body and Head must not change after the first call; from
+	// then on the TGD may be shared between goroutines.
+	once                                      sync.Once
 	bodyVars, headVars, frontier, existential []Variable
-	analyzed                                  bool
 }
 
 // NewTGD builds a TGD from body and head conjunctions.
 func NewTGD(body, head []Atom) *TGD { return &TGD{Body: body, Head: head} }
 
-func (t *TGD) analyze() {
-	if t.analyzed {
-		return
-	}
+func (t *TGD) analyze() { t.once.Do(t.computeVariables) }
+
+// computeVariables fills the four variable lists from one backing array.
+// Each list is capped at its length, so a caller appending to one cannot
+// write into the next.
+func (t *TGD) computeVariables() {
+	nb, nh := 0, 0
 	for _, a := range t.Body {
-		t.bodyVars = a.Variables(t.bodyVars)
+		nb += len(a.Args)
 	}
 	for _, a := range t.Head {
-		t.headVars = a.Variables(t.headVars)
+		nh += len(a.Args)
 	}
+	buf := make([]Variable, 0, nb+2*nh)
+	for _, a := range t.Body {
+		buf = a.Variables(buf)
+	}
+	t.bodyVars = buf[:len(buf):len(buf)]
+	buf = buf[len(buf):]
+	for _, a := range t.Head {
+		buf = a.Variables(buf)
+	}
+	t.headVars = buf[:len(buf):len(buf)]
+	buf = buf[len(buf):]
 	for _, v := range t.headVars {
 		if containsVar(t.bodyVars, v) {
-			t.frontier = append(t.frontier, v)
-		} else {
-			t.existential = append(t.existential, v)
+			buf = append(buf, v)
 		}
 	}
-	t.analyzed = true
+	t.frontier = buf[:len(buf):len(buf)]
+	buf = buf[len(buf):]
+	for _, v := range t.headVars {
+		if !containsVar(t.bodyVars, v) {
+			buf = append(buf, v)
+		}
+	}
+	t.existential = buf[:len(buf):len(buf)]
 }
 
 // BodyVariables returns the distinct variables of the body in order of first
@@ -82,11 +102,11 @@ func (t *TGD) IsSimpleLinear() bool {
 // universally quantified variable of the TGD (the guard), or -1 if no body
 // atom does.
 func (t *TGD) GuardIndex() int {
-	t.analyze()
+	n := len(t.BodyVariables())
 	for i, a := range t.Body {
-		var vs []Variable
-		vs = a.Variables(vs)
-		if len(vs) == len(t.bodyVars) {
+		// Every variable of a body atom is a body variable, so the atom
+		// holds them all iff it has as many distinct ones.
+		if a.distinctVariables() == n {
 			return i
 		}
 	}
@@ -96,6 +116,20 @@ func (t *TGD) GuardIndex() int {
 // IsGuarded reports whether some body atom guards all universally
 // quantified variables.
 func (t *TGD) IsGuarded() bool { return t.GuardIndex() >= 0 }
+
+// class returns the most specific class containing the TGD.
+func (t *TGD) class() Class {
+	switch {
+	case t.IsSimpleLinear():
+		return ClassSimpleLinear
+	case t.IsLinear():
+		return ClassLinear
+	case t.IsGuarded():
+		return ClassGuarded
+	default:
+		return ClassGeneral
+	}
+}
 
 // Validate checks structural sanity: non-empty body and head, and arity
 // consistency is checked at the RuleSet level.
@@ -114,17 +148,6 @@ func (t *TGD) name() string {
 		return t.Label
 	}
 	return t.String()
-}
-
-// Constants returns the distinct constants occurring anywhere in the rule.
-func (t *TGD) Constants(dst []Constant) []Constant {
-	for _, a := range t.Body {
-		dst = a.Constants(dst)
-	}
-	for _, a := range t.Head {
-		dst = a.Constants(dst)
-	}
-	return dst
 }
 
 // Rename returns a copy of the TGD with variables substituted according to
@@ -177,134 +200,3 @@ func (c Class) String() string {
 // Includes reports whether class c contains class d (e.g. guarded includes
 // linear and simple-linear).
 func (c Class) Includes(d Class) bool { return d <= c }
-
-// RuleSet is a finite set of TGDs over a common schema.
-type RuleSet struct {
-	Rules []*TGD
-}
-
-// NewRuleSet builds a rule set; it does not validate (call Validate).
-func NewRuleSet(rules ...*TGD) *RuleSet { return &RuleSet{Rules: rules} }
-
-// Validate checks every rule and the arity-consistency of the schema: a
-// predicate name must be used with a single arity across the whole set.
-func (rs *RuleSet) Validate() error {
-	arities := make(map[string]int)
-	// The location string is only materialized on the error path: Validate
-	// runs in front of every chase/decision and must not allocate per atom.
-	check := func(a Atom, section string, rule int) error {
-		if k, ok := arities[a.Pred]; ok && k != len(a.Args) {
-			return fmt.Errorf("logic: predicate %s used with arities %d and %d (%s of rule %d)",
-				a.Pred, k, len(a.Args), section, rule)
-		}
-		arities[a.Pred] = len(a.Args)
-		return nil
-	}
-	for i, r := range rs.Rules {
-		if err := r.Validate(); err != nil {
-			return err
-		}
-		for _, a := range r.Body {
-			if err := check(a, "body", i); err != nil {
-				return err
-			}
-		}
-		for _, a := range r.Head {
-			if err := check(a, "head", i); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Schema returns the predicates occurring in the rule set, sorted by name.
-func (rs *RuleSet) Schema() []Predicate {
-	seen := make(map[Predicate]bool)
-	var preds []Predicate
-	add := func(a Atom) {
-		p := a.Predicate()
-		if !seen[p] {
-			seen[p] = true
-			preds = append(preds, p)
-		}
-	}
-	for _, r := range rs.Rules {
-		for _, a := range r.Body {
-			add(a)
-		}
-		for _, a := range r.Head {
-			add(a)
-		}
-	}
-	sort.Slice(preds, func(i, j int) bool {
-		if preds[i].Name != preds[j].Name {
-			return preds[i].Name < preds[j].Name
-		}
-		return preds[i].Arity < preds[j].Arity
-	})
-	return preds
-}
-
-// Positions returns every position of the schema, in schema order.
-func (rs *RuleSet) Positions() []Position {
-	var out []Position
-	for _, p := range rs.Schema() {
-		for i := 0; i < p.Arity; i++ {
-			out = append(out, Position{Pred: p, Index: i})
-		}
-	}
-	return out
-}
-
-// Constants returns the distinct constants occurring in the rules, sorted.
-func (rs *RuleSet) Constants() []Constant {
-	var cs []Constant
-	for _, r := range rs.Rules {
-		cs = r.Constants(cs)
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
-	return cs
-}
-
-// MaxArity returns the maximum predicate arity of the schema (0 for empty).
-func (rs *RuleSet) MaxArity() int {
-	m := 0
-	for _, p := range rs.Schema() {
-		if p.Arity > m {
-			m = p.Arity
-		}
-	}
-	return m
-}
-
-// Classify returns the most specific syntactic class containing every rule
-// of the set.
-func (rs *RuleSet) Classify() Class {
-	c := ClassSimpleLinear
-	for _, r := range rs.Rules {
-		switch {
-		case r.IsSimpleLinear():
-		case r.IsLinear():
-			if c < ClassLinear {
-				c = ClassLinear
-			}
-		case r.IsGuarded():
-			if c < ClassGuarded {
-				c = ClassGuarded
-			}
-		default:
-			return ClassGeneral
-		}
-	}
-	return c
-}
-
-func (rs *RuleSet) String() string {
-	var b strings.Builder
-	for _, r := range rs.Rules {
-		b.WriteString(r.String())
-		b.WriteString(".\n")
-	}
-	return b.String()
-}

@@ -21,6 +21,7 @@ package parse
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -178,6 +179,7 @@ type parser struct {
 	lex  *lexer
 	tok  token
 	peek *token
+	args []logic.Term // reused buffer for the atom being parsed
 }
 
 func newParser(src string) (*parser, *Error) {
@@ -259,18 +261,33 @@ func Parse(src string) (*Program, error) {
 	if err := prog.Rules.Validate(); err != nil {
 		return nil, err
 	}
-	// Facts must agree with the schema arities too.
-	arities := make(map[string]int)
-	for _, pr := range prog.Rules.Schema() {
-		arities[pr.Name] = pr.Arity
-	}
-	for _, f := range prog.Facts {
-		if k, ok := arities[f.Pred]; ok && k != len(f.Args) {
-			return nil, fmt.Errorf("parse: fact %s uses predicate %s with arity %d, rules use %d", f, f.Pred, len(f.Args), k)
-		}
-		arities[f.Pred] = len(f.Args)
+	if err := checkFactArities(prog); err != nil {
+		return nil, err
 	}
 	return prog, nil
+}
+
+// checkFactArities requires the facts to agree with the rules' arities
+// and with each other. The rules' arities come from their schema summary,
+// so only the predicates that occur in facts alone get a map.
+func checkFactArities(prog *Program) error {
+	var factOnly map[string]int
+	for _, f := range prog.Facts {
+		k, ok := prog.Rules.Arity(f.Pred)
+		if !ok {
+			if factOnly == nil {
+				factOnly = make(map[string]int)
+			}
+			if k, ok = factOnly[f.Pred]; !ok {
+				factOnly[f.Pred] = len(f.Args)
+				continue
+			}
+		}
+		if k != len(f.Args) {
+			return fmt.Errorf("parse: fact %s uses predicate %s with arity %d, rules use %d", f, f.Pred, len(f.Args), k)
+		}
+	}
+	return nil
 }
 
 // ParseRules parses a program and requires it to contain rules only.
@@ -394,19 +411,22 @@ func (p *parser) parseAtom() (logic.Atom, *Error) {
 	if err := p.advance(); err != nil {
 		return logic.Atom{}, err
 	}
-	var args []logic.Term
 	if p.tok.kind == tokRParen { // p() — explicit 0-ary
 		if err := p.advance(); err != nil {
 			return logic.Atom{}, err
 		}
 		return logic.Atom{Pred: name}, nil
 	}
+	// The arguments collect in the reused buffer, so the atom gets one
+	// exactly sized copy instead of every step of append's growth.
+	args := p.args[:0]
 	for {
 		t, err := p.parseTerm()
 		if err != nil {
 			return logic.Atom{}, err
 		}
 		args = append(args, t)
+		p.args = args
 		if p.tok.kind == tokComma {
 			if err := p.advance(); err != nil {
 				return logic.Atom{}, err
@@ -417,7 +437,7 @@ func (p *parser) parseAtom() (logic.Atom, *Error) {
 			if err := p.advance(); err != nil {
 				return logic.Atom{}, err
 			}
-			return logic.Atom{Pred: name, Args: args}, nil
+			return logic.Atom{Pred: name, Args: slices.Clone(args)}, nil
 		}
 		return logic.Atom{}, p.errHere("expected ',' or ')', got %q", p.tok.text)
 	}

@@ -490,8 +490,8 @@ func (e *Engine) doDecide(ctx context.Context, req api.AnalyzeRequest, rules *ch
 // cached value is an *api.Decision carrying its provenance (decidedBy,
 // rungs). Older binaries keyed their records "decide|…" and stored some
 // of them without provenance; the "dv2" prefix keeps those records from
-// ever being served. Keys stay short because the store holds every one
-// of them in its in-memory index: 75 bytes with the default budgets.
+// ever being served. A key is 75 bytes with the default budgets; the
+// store's in-memory index holds a 64-bit hash of it.
 var variantKeys = [...]string{chaseterm.Oblivious: "o", chaseterm.SemiOblivious: "so", chaseterm.Restricted: "r"}
 
 // doDecideOnDatabase answers the fixed-database decision problem. The

@@ -74,7 +74,7 @@ func (s *FileStore) compact() {
 		return
 	}
 	newSize := int64(len(magic))
-	newIndex := make(map[string]recordRef, len(refs))
+	newIndex := make(map[indexKey]recordRef, len(refs))
 	for _, ref := range refs {
 		buf := make([]byte, ref.size)
 		// The snapshot region [0, snapSize) is immutable — the store only
@@ -85,7 +85,7 @@ func (s *FileStore) compact() {
 		}
 		ok := false
 		scanRecords(buf, newSize, func(key string, _ []byte, nref recordRef) {
-			newIndex[key] = nref
+			newIndex[s.keyOf(key)] = nref
 			ok = true
 		})
 		if !ok {
@@ -124,10 +124,11 @@ func (s *FileStore) compact() {
 			return
 		}
 		if n := scanRecords(buf, newSize, func(key string, _ []byte, nref recordRef) {
-			if old, ok := newIndex[key]; ok {
+			k := s.keyOf(key)
+			if old, ok := newIndex[k]; ok {
 				newDead += old.size
 			}
-			newIndex[key] = nref
+			newIndex[k] = nref
 		}); n != tail {
 			abortLocked()
 			return

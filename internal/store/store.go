@@ -21,7 +21,7 @@
 // later record for the same key, and recovery keeps the last one.
 // Opening a store scans the log, truncates a torn tail at the first
 // record that is short or fails its checksum, and rebuilds the
-// in-memory key → offset index. Durability is configurable (FsyncAlways
+// in-memory key hash → offset index. Durability is configurable (FsyncAlways
 // / FsyncInterval / FsyncNever); compaction rewrites the live records
 // to a temporary file and atomically renames it into place.
 package store
@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"io"
 	"os"
 	"sync"
@@ -132,6 +133,17 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// indexKey names a key in the in-memory index: its seeded 64-bit hash.
+// The index holds one entry per stored verdict for the life of the
+// process, and a hash is a fraction of a service key's size with no
+// allocation of its own. Two keys can share a hash: the record in the log
+// keeps the full key, Get checks it, and a lookup that lands on another
+// key's record misses. The store is a cache, so the verdict the other key
+// displaced is only computed again.
+type indexKey uint64
+
+func (s *FileStore) keyOf(key string) indexKey { return indexKey(maphash.String(s.seed, key)) }
+
 // recordRef locates one record in the log.
 type recordRef struct {
 	off  int64 // record start (length prefix)
@@ -149,10 +161,11 @@ type FileStore struct {
 	mu         sync.RWMutex
 	f          File
 	size       int64 // append offset
-	index      map[string]recordRef
-	deadBytes  int64 // bytes held by overwritten records
-	dirty      bool  // unsynced appends (FsyncInterval bookkeeping)
-	failed     error // sticky failure after an unrecoverable rollback
+	index      map[indexKey]recordRef
+	seed       maphash.Seed // of the index hashes
+	deadBytes  int64        // bytes held by overwritten records
+	dirty      bool         // unsynced appends (FsyncInterval bookkeeping)
+	failed     error        // sticky failure after an unrecoverable rollback
 	closed     bool
 	compacting bool
 
@@ -204,7 +217,8 @@ func Open(path string, opts Options) (*FileStore, error) {
 		policy: opts.Fsync,
 		opts:   opts,
 		f:      f,
-		index:  make(map[string]recordRef),
+		index:  make(map[indexKey]recordRef),
+		seed:   maphash.MakeSeed(),
 	}
 	if err := s.recover(); err != nil {
 		f.Close() //nolint:errcheck // the open already failed
@@ -258,10 +272,11 @@ func (s *FileStore) recover() error {
 		return fmt.Errorf("store: read log %s: %w", s.path, err)
 	}
 	valid := scanRecords(body, int64(len(magic)), func(key string, _ []byte, ref recordRef) {
-		if old, ok := s.index[key]; ok {
+		k := s.keyOf(key)
+		if old, ok := s.index[k]; ok {
 			s.deadBytes += old.size
 		}
-		s.index[key] = ref
+		s.index[k] = ref
 	})
 	end := int64(len(magic)) + valid
 	if end < size {
@@ -336,7 +351,7 @@ func (s *FileStore) Get(key string) ([]byte, bool, error) {
 	if s.failed != nil {
 		return nil, false, s.failed
 	}
-	ref, ok := s.index[key]
+	ref, ok := s.index[s.keyOf(key)]
 	if !ok {
 		return nil, false, nil
 	}
@@ -354,10 +369,12 @@ func (s *FileStore) Get(key string) ([]byte, bool, error) {
 			val = v
 			found = true
 		}
-	}); n != ref.size || !found {
+	}); n != ref.size {
 		return nil, false, fmt.Errorf("store: record at offset %d of %s is corrupt", ref.off, s.path)
 	}
-	return val, true, nil
+	// An intact record under another key shares this key's hash: that
+	// key's verdict replaced this one in the index, so this one is gone.
+	return val, found, nil
 }
 
 // Put appends a record for key. Under FsyncAlways a nil return means
@@ -401,10 +418,11 @@ func (s *FileStore) Put(key string, val []byte) error {
 	} else {
 		s.dirty = true
 	}
-	if old, ok := s.index[key]; ok {
+	k := s.keyOf(key)
+	if old, ok := s.index[k]; ok {
 		s.deadBytes += old.size
 	}
-	s.index[key] = recordRef{off: s.size, size: int64(len(rec))}
+	s.index[k] = recordRef{off: s.size, size: int64(len(rec))}
 	s.size += int64(len(rec))
 	s.maybeCompactLocked()
 	return nil

@@ -78,6 +78,20 @@ func TestPutGetOverwriteReopen(t *testing.T) {
 	}
 }
 
+// TestIndexHashCollisionMisses: the index names keys by hash, so two keys
+// can share an entry. A lookup that lands on the other key's record is a
+// miss, never that key's value and never a corruption error.
+func TestIndexHashCollisionMisses(t *testing.T) {
+	s := openMem(t, NewMemFS(), Options{Fsync: FsyncAlways})
+	defer s.Close()
+	mustPut(t, s, "a", "alpha")
+	s.mu.Lock()
+	s.index[s.keyOf("b")] = s.index[s.keyOf("a")] // as if "b" hashed like "a"
+	s.mu.Unlock()
+	wantMiss(t, s, "b")
+	wantGet(t, s, "a", "alpha")
+}
+
 func TestEmptyValueAndBinaryPayload(t *testing.T) {
 	fs := NewMemFS()
 	s := openMem(t, fs, Options{Fsync: FsyncAlways})
