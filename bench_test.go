@@ -343,34 +343,9 @@ func BenchmarkEngineCriticalInstance(b *testing.B) {
 }
 
 // BenchmarkEngineScaleOntology: a realistic materialization workload — a
-// DL-Lite TBox over a 2000-fact ABox, per variant. The setup certifies
-// termination with the exact decider AND resamples until the saturation is
-// of moderate size (a terminating chase can still be astronomically large:
-// chains of qualified existentials multiply; certification says "finite",
-// not "small").
+// DL-Lite TBox over a 2000-fact ABox, per variant (see ontologyCase).
 func BenchmarkEngineScaleOntology(b *testing.B) {
-	rng := rand.New(rand.NewSource(26))
-	var rules *logic.RuleSet
-	var db []logic.Atom
-	for {
-		rules = workload.RandomInclusionDependencies(rng, 12, 6, 40)
-		res, err := core.DecideLinearContext(context.Background(), rules, core.VariantSemiOblivious, core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Verdict.Answer != core.Terminating {
-			continue
-		}
-		db = workload.RandomABox(rng, rules, 2000, 300)
-		trial, err := chase.RunFromAtomsContext(context.Background(), db, rules, chase.SemiOblivious,
-			chase.Options{MaxFacts: 120_000, MaxTriggers: 120_000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if trial.Outcome == chase.Terminated && trial.Stats.FactsAdded >= 2_000 {
-			break
-		}
-	}
+	rules, db := ontologyCase(b)
 	for _, v := range []chase.Variant{chase.SemiOblivious, chase.Restricted} {
 		b.Run(v.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

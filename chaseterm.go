@@ -387,7 +387,8 @@ type ChaseResult struct {
 // Facts returns the final instance as sorted, rendered atoms. Invented
 // nulls render as z1, z2, …; Skolem terms as f0_Y(bob) etc. Rendering
 // happens lazily on the first call and is memoized; callers that only
-// inspect Stats or run queries never pay for it.
+// inspect Stats or run queries never pay for it. The strings are
+// substrings of one rendering of the whole instance.
 func (r *ChaseResult) Facts() []string {
 	r.factsOnce.Do(func() { r.facts = r.inst.Strings() })
 	return r.facts

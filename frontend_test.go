@@ -56,8 +56,8 @@ func TestFrontEndAllocs(t *testing.T) {
 		{"parse", 2400, func() { MustParseRules(src) }},
 		{"fingerprint", 32, func() { (&RuleSet{rs: rules.rs}).Fingerprint() }},
 		{"classification", 16, func() { rules.Classify(); rules.MaxArity(); rules.Predicates() }},
-		{"weak-acyclicity", 600, func() { acyclicity.IsWeaklyAcyclic(rules.rs) }},
-		{"rich-acyclicity", 860, func() { acyclicity.IsRichlyAcyclic(rules.rs) }},
+		{"weak-acyclicity", 80, func() { acyclicity.IsWeaklyAcyclic(rules.rs) }},
+		{"rich-acyclicity", 84, func() { acyclicity.IsRichlyAcyclic(rules.rs) }},
 	} {
 		if got := testing.AllocsPerRun(10, tc.run); got > tc.max {
 			t.Errorf("%s: %.0f allocations per call, want at most %.0f", tc.name, got, tc.max)

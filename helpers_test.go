@@ -2,10 +2,14 @@ package chaseterm
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"chaseterm/internal/chase"
+	"chaseterm/internal/core"
 	"chaseterm/internal/logic"
+	"chaseterm/internal/workload"
 )
 
 // decide runs AnalyzeDecide on the rules under variant v — all-instance
@@ -56,4 +60,35 @@ func taggedText(rs *logic.RuleSet, tag string) string {
 		b.WriteString(".\n")
 	}
 	return b.String()
+}
+
+// ontologyCase draws a realistic materialization workload: a random
+// 40-axiom DL-Lite TBox that the exact linear decider certifies
+// semi-oblivious-terminating, over a 2000-fact ABox on 300 constants,
+// resampled until the saturation derives at least 2,000 facts (a
+// terminating chase can still be astronomically large; certification says
+// "finite", not "small"). The draw is seeded, so every call returns the
+// same case.
+func ontologyCase(tb testing.TB) (*logic.RuleSet, []logic.Atom) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(26))
+	for {
+		rules := workload.RandomInclusionDependencies(rng, 12, 6, 40)
+		res, err := core.DecideLinearContext(context.Background(), rules, core.VariantSemiOblivious, core.Options{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if res.Verdict.Answer != core.Terminating {
+			continue
+		}
+		db := workload.RandomABox(rng, rules, 2000, 300)
+		trial, err := chase.RunFromAtomsContext(context.Background(), db, rules, chase.SemiOblivious,
+			chase.Options{MaxFacts: 120_000, MaxTriggers: 120_000})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if trial.Outcome == chase.Terminated && trial.Stats.FactsAdded >= 2_000 {
+			return rules, db
+		}
+	}
 }

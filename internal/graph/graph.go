@@ -14,16 +14,20 @@ type Edge struct {
 }
 
 // Graph is a directed multigraph over nodes 0..N-1 with regular and special
-// edges.
+// edges. edges is the only edge store: each node's out-edges are chained
+// through it in insertion order, from head[v] to tail[v] along next (all
+// three hold an edge index plus one; 0 ends the chain), so adding an edge
+// allocates nothing per node.
 type Graph struct {
-	n     int
-	adj   [][]Edge
-	edges []Edge
+	n          int
+	head, tail []int32
+	edges      []Edge
+	next       []int32
 }
 
 // New creates a graph with n nodes and no edges.
 func New(n int) *Graph {
-	return &Graph{n: n, adj: make([][]Edge, n)}
+	return &Graph{n: n, head: make([]int32, n), tail: make([]int32, n)}
 }
 
 // Len returns the number of nodes.
@@ -35,7 +39,8 @@ func (g *Graph) Edges() []Edge { return g.edges }
 
 // AddNode appends a fresh node and returns its index.
 func (g *Graph) AddNode() int {
-	g.adj = append(g.adj, nil)
+	g.head = append(g.head, 0)
+	g.tail = append(g.tail, 0)
 	g.n++
 	return g.n - 1
 }
@@ -43,25 +48,27 @@ func (g *Graph) AddNode() int {
 // AddEdge inserts a directed edge. Duplicate edges are kept (harmless for
 // the analyses here) unless AddEdgeDedup is used.
 func (g *Graph) AddEdge(from, to int, special bool) {
-	e := Edge{From: from, To: to, Special: special}
-	g.adj[from] = append(g.adj[from], e)
-	g.edges = append(g.edges, e)
+	g.edges = append(g.edges, Edge{From: from, To: to, Special: special})
+	g.next = append(g.next, 0)
+	ei := int32(len(g.edges))
+	if t := g.tail[from]; t != 0 {
+		g.next[t-1] = ei
+	} else {
+		g.head[from] = ei
+	}
+	g.tail[from] = ei
 }
 
 // AddEdgeDedup inserts the edge unless an identical edge already leaves
 // from. It is O(out-degree); fine for the schema-sized graphs used here.
 func (g *Graph) AddEdgeDedup(from, to int, special bool) {
-	for _, e := range g.adj[from] {
-		if e.To == to && e.Special == special {
+	for ei := g.head[from]; ei != 0; ei = g.next[ei-1] {
+		if e := &g.edges[ei-1]; e.To == to && e.Special == special {
 			return
 		}
 	}
 	g.AddEdge(from, to, special)
 }
-
-// Successors returns the out-edges of node v. The slice must not be
-// modified.
-func (g *Graph) Successors(v int) []Edge { return g.adj[v] }
 
 // SCC computes strongly connected components with Tarjan's algorithm
 // (iterative, so deep graphs cannot overflow the goroutine stack). It
@@ -81,14 +88,16 @@ func (g *Graph) SCC() (comp []int, ncomp int) {
 	var stack []int
 	next := 0
 
+	// ei is the next out-edge of v to explore, as in Graph.head.
 	type frame struct {
-		v, ei int
+		v  int
+		ei int32
 	}
 	for root := 0; root < g.n; root++ {
 		if index[root] != unvisited {
 			continue
 		}
-		frames := []frame{{root, 0}}
+		frames := []frame{{root, g.head[root]}}
 		index[root] = next
 		low[root] = next
 		next++
@@ -96,16 +105,16 @@ func (g *Graph) SCC() (comp []int, ncomp int) {
 		onStack[root] = true
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if f.ei < len(g.adj[f.v]) {
-				w := g.adj[f.v][f.ei].To
-				f.ei++
+			if f.ei != 0 {
+				w := g.edges[f.ei-1].To
+				f.ei = g.next[f.ei-1]
 				if index[w] == unvisited {
 					index[w] = next
 					low[w] = next
 					next++
 					stack = append(stack, w)
 					onStack[w] = true
-					frames = append(frames, frame{w, 0})
+					frames = append(frames, frame{w, g.head[w]})
 				} else if onStack[w] {
 					if index[w] < low[f.v] {
 						low[f.v] = index[w]
@@ -221,10 +230,10 @@ func (g *Graph) pathBFS(src, dst int) []int {
 			}
 			return path
 		}
-		for _, e := range g.adj[v] {
-			if prev[e.To] == -1 {
-				prev[e.To] = v
-				queue = append(queue, e.To)
+		for ei := g.head[v]; ei != 0; ei = g.next[ei-1] {
+			if w := g.edges[ei-1].To; prev[w] == -1 {
+				prev[w] = v
+				queue = append(queue, w)
 			}
 		}
 	}
@@ -244,10 +253,10 @@ func (g *Graph) Reachable(sources ...int) []bool {
 	}
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, e := range g.adj[v] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				queue = append(queue, e.To)
+		for ei := g.head[v]; ei != 0; ei = g.next[ei-1] {
+			if w := g.edges[ei-1].To; !seen[w] {
+				seen[w] = true
+				queue = append(queue, w)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -129,6 +130,25 @@ func TestAddEdgeDedup(t *testing.T) {
 	}
 }
 
+// TestOutEdgeOrder: a node's out-edges are visited in insertion order,
+// even when other nodes' edges are interleaved with them, so the BFS
+// witness takes the first-inserted branch; dedup sees the whole chain.
+func TestOutEdgeOrder(t *testing.T) {
+	g := New(5)
+	for _, e := range [][2]int{{0, 3}, {3, 4}, {0, 1}, {1, 4}, {0, 2}, {2, 4}} {
+		g.AddEdge(e[0], e[1], false)
+	}
+	g.AddEdgeDedup(0, 1, false)
+	g.AddEdgeDedup(2, 4, false)
+	g.AddEdge(4, 0, true)
+	if len(g.Edges()) != 7 {
+		t.Errorf("edges: %d, want 7 (dedup missed an existing edge)", len(g.Edges()))
+	}
+	if cyc, want := g.CycleThrough(Edge{From: 4, To: 0, Special: true}), []int{4, 0, 3, 4}; !slices.Equal(cyc, want) {
+		t.Errorf("cycle: %v, want %v", cyc, want)
+	}
+}
+
 func TestAddNode(t *testing.T) {
 	g := New(0)
 	a := g.AddNode()
@@ -137,7 +157,7 @@ func TestAddNode(t *testing.T) {
 		t.Errorf("AddNode ids: %d %d len %d", a, b, g.Len())
 	}
 	g.AddEdge(a, b, false)
-	if len(g.Successors(a)) != 1 {
+	if r := g.Reachable(a); !r[b] {
 		t.Error("edge lost")
 	}
 }

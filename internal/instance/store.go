@@ -3,7 +3,6 @@ package instance
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"chaseterm/internal/logic"
@@ -293,28 +292,55 @@ func FromAtoms(atoms []logic.Atom) (*Instance, error) {
 	return in, nil
 }
 
-// FactString renders a fact for diagnostics.
+// FactString renders a fact for diagnostics; see AppendFact.
 func (in *Instance) FactString(id FactID) string {
-	f := in.Fact(id)
-	if len(f.Args) == 0 {
-		return in.predNames[f.Pred]
+	return string(in.AppendFact(nil, id))
+}
+
+// AppendFact appends the fact's surface syntax to dst and returns the
+// extended buffer: p(t1,...,tn) with every term rendered by
+// TermTable.AppendTerm, or the bare predicate name of a nullary fact.
+func (in *Instance) AppendFact(dst []byte, id FactID) []byte {
+	dst = append(dst, in.predNames[in.facts.Tag(int32(id))]...)
+	args := in.facts.Tuple(int32(id))
+	if len(args) == 0 {
+		return dst
 	}
-	parts := make([]string, len(f.Args))
-	for i, a := range f.Args {
-		parts[i] = in.Terms.String(a)
+	dst = append(dst, '(')
+	for i, a := range args {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = in.Terms.AppendTerm(dst, a)
 	}
-	return in.predNames[f.Pred] + "(" + strings.Join(parts, ",") + ")"
+	return append(dst, ')')
 }
 
 // Strings renders every fact, sorted lexicographically — convenient for
-// tests and goldens.
+// tests and goldens. All facts are rendered into one buffer and converted
+// to one string, and each fact is a substring of it: a few allocations in
+// all rather than several per fact.
 func (in *Instance) Strings() []string {
-	out := make([]string, in.Size())
-	for i := range out {
-		out[i] = in.FactString(FactID(i))
+	ends := make([]int, in.Size())
+	var buf []byte
+	for i := range ends {
+		buf = in.AppendFact(buf, FactID(i))
+		ends[i] = len(buf)
 	}
+	out := SplitAt(make([]string, 0, len(ends)), string(buf), ends)
 	sort.Strings(out)
 	return out
+}
+
+// SplitAt appends to dst the consecutive substrings of s that end at the
+// given offsets: s[0:ends[0]], s[ends[0]:ends[1]], ...
+func SplitAt(dst []string, s string, ends []int) []string {
+	lo := 0
+	for _, hi := range ends {
+		dst = append(dst, s[lo:hi])
+		lo = hi
+	}
+	return dst
 }
 
 // MaxInventedDepth returns the maximum Skolem/null depth over all terms

@@ -29,8 +29,7 @@
 package instance
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -235,7 +234,7 @@ func (t *TermTable) Name(id TermID) string {
 	in := &t.infos[id]
 	switch in.kind {
 	case KindNull:
-		return fmt.Sprintf("z%d", in.aux)
+		return string(t.AppendTerm(nil, id))
 	case KindSkolem:
 		return t.fnNames[t.sk.Tag(in.aux)]
 	default:
@@ -243,20 +242,33 @@ func (t *TermTable) Name(id TermID) string {
 	}
 }
 
-// String renders the term for diagnostics.
+// String renders the term for diagnostics; see AppendTerm.
 func (t *TermTable) String(id TermID) string {
-	in := t.infos[id]
+	if in := &t.infos[id]; in.kind == KindConst {
+		return in.name
+	}
+	return string(t.AppendTerm(nil, id))
+}
+
+// AppendTerm appends the term's surface syntax to dst and returns the
+// extended buffer: a constant's name, a null as z<n>, a Skolem term as
+// f(args) with its arguments rendered recursively.
+func (t *TermTable) AppendTerm(dst []byte, id TermID) []byte {
+	in := &t.infos[id]
 	switch in.kind {
 	case KindConst:
-		return in.name
+		return append(dst, in.name...)
 	case KindNull:
-		return fmt.Sprintf("z%d", in.aux)
+		return strconv.AppendInt(append(dst, 'z'), int64(in.aux), 10)
 	default:
-		args := t.SkolemArgs(id)
-		parts := make([]string, len(args))
-		for i, a := range args {
-			parts[i] = t.String(a)
+		dst = append(dst, t.fnNames[t.sk.Tag(in.aux)]...)
+		dst = append(dst, '(')
+		for i, a := range t.sk.Tuple(in.aux) {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = t.AppendTerm(dst, a)
 		}
-		return t.Name(id) + "(" + strings.Join(parts, ",") + ")"
+		return append(dst, ')')
 	}
 }

@@ -235,10 +235,11 @@ func writeV2Error(w http.ResponseWriter, r *http.Request, apiErr *api.Error) {
 	})
 }
 
+// writeJSON writes v as one line of compact JSON, as the NDJSON stream
+// does: indentation would be a fifth of a chase result's body. Pipe a
+// response through jq to read it.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // nothing to do about a failed write
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // nothing to do about a failed write
 }

@@ -311,3 +311,40 @@ func TestV2BatchEndpoint(t *testing.T) {
 		t.Errorf("result 2: %+v", out.Results[2])
 	}
 }
+
+// TestResponsesAreCompact: every one-shot body — analyze, batch, error,
+// health, capabilities, stats — is one line of compact JSON.
+func TestResponsesAreCompact(t *testing.T) {
+	srv := newTestServer(t, Options{Workers: 2})
+	var bodies [][]byte
+	for _, req := range []string{
+		`{"kind": "chase", "rules": "p(X) -> q(X,Y).", "database": "p(a). p(b).", "returnFacts": true}`,
+		`{"kind": "decide", "rules": "nope nope"}`,
+	} {
+		_, data := postRaw(t, srv.URL+"/v2/analyze", req)
+		bodies = append(bodies, data)
+	}
+	_, data := postRaw(t, srv.URL+"/v2/batch", `{"jobs": [{"kind": "classify", "rules": "p(X) -> q(X)."}]}`)
+	bodies = append(bodies, data)
+	for _, path := range []string{"/healthz", "/v2/capabilities", "/v1/stats"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, data)
+	}
+	for _, data := range bodies {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, data); err != nil {
+			t.Fatalf("%v: %s", err, data)
+		}
+		if want := append(compact.Bytes(), '\n'); !bytes.Equal(data, want) {
+			t.Errorf("body is not one line of compact JSON:\n%s", data)
+		}
+	}
+}

@@ -20,6 +20,9 @@ type ChaseSink interface {
 	// library's surface syntax (e.g. "hasFather(bob,f0_Y(bob))"), in
 	// derivation order and without duplicates. The slice is reused
 	// between calls: copy it if the sink retains facts past the call.
+	// The strings themselves are not reused, but a batch's strings share
+	// one allocation, so retaining any one of them keeps the whole
+	// batch's text alive.
 	// stats is the running total at emission time.
 	EmitFacts(facts []string, stats ChaseStats)
 	// Progress is a liveness heartbeat delivered between batches (every
@@ -38,17 +41,23 @@ const streamBatchSize = 256
 // sinkAdapter bridges the engine-level chase.StreamSink (FactID ranges
 // over the live instance) to the public ChaseSink (rendered batches),
 // coalescing per-application ranges into batches of streamBatchSize.
+// Facts are rendered back to back into buf, ending at ends; a flush
+// converts buf to one string and hands the sink its per-fact substrings,
+// so a batch costs one allocation rather than several per fact.
 type sinkAdapter struct {
-	in   *instance.Instance
-	sink ChaseSink
-	buf  []string
+	in    *instance.Instance
+	sink  ChaseSink
+	buf   []byte
+	ends  []int
+	batch []string
 }
 
 func (a *sinkAdapter) EmitFacts(lo, hi instance.FactID, stats chase.Stats) {
 	for id := lo; id < hi; id++ {
-		a.buf = append(a.buf, a.in.FactString(id))
+		a.buf = a.in.AppendFact(a.buf, id)
+		a.ends = append(a.ends, len(a.buf))
 	}
-	if len(a.buf) >= streamBatchSize {
+	if len(a.ends) >= streamBatchSize {
 		a.flush(stats)
 	}
 }
@@ -60,13 +69,14 @@ func (a *sinkAdapter) Progress(stats chase.Stats) {
 	a.sink.Progress(toChaseStats(stats))
 }
 
-// flush hands the buffered batch to the sink and recycles the buffer.
+// flush hands the buffered batch to the sink and recycles the buffers.
 func (a *sinkAdapter) flush(stats chase.Stats) {
-	if len(a.buf) == 0 {
+	if len(a.ends) == 0 {
 		return
 	}
-	a.sink.EmitFacts(a.buf, toChaseStats(stats))
-	a.buf = a.buf[:0]
+	a.batch = instance.SplitAt(a.batch[:0], string(a.buf), a.ends)
+	a.sink.EmitFacts(a.batch, toChaseStats(stats))
+	a.buf, a.ends = a.buf[:0], a.ends[:0]
 }
 
 func toChaseStats(s chase.Stats) ChaseStats {
