@@ -290,6 +290,13 @@ func (Analyzer) analyze(ctx context.Context, req Request) (*Report, error) {
 		// would answer a different question.
 		return nil, fmt.Errorf("chaseterm: analysis request has a nil database")
 	}
+	if req.database != nil {
+		// A fact read with the wrong arity would be matched as another
+		// atom by the deciders and the engine, or crash them.
+		if err := req.database.CheckArities(req.Rules); err != nil {
+			return nil, err
+		}
+	}
 	tr := obs.FromContext(ctx) // nil-safe: Add on a nil trace is a no-op
 	stage := time.Now()
 	rep := &Report{

@@ -239,6 +239,55 @@ func TestAnalyzeRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// arityMismatches pairs rule sets with databases whose facts use a rule
+// predicate with another arity. Parsed separately, neither text is
+// wrong on its own.
+var arityMismatches = []struct{ rules, db string }{
+	{"p(X,Y) -> p(Y,Z).", "p(a,b,c)."},
+	{"p(X,Y), q(X) -> p(Y,Z).", "p(a,b,c). q(a)."},
+	{"p(X,Y) -> p(Y,Z).", "p(a)."},
+	{"p(X,Y), q(X) -> p(Y,Z).", "p(a). q(a)."},
+	{"p(X,Y), q(X,W) -> p(Y,Z), q(Y,X).", "p(a,b). q(a)."},
+	{"a(X), b(Y) -> c(X,Y). c(X,Y) -> c(Y,Z).", "a(x). b(y,z)."},
+}
+
+// TestAnalyzeRejectsDatabaseArityMismatch: a database that disagrees
+// with the rules' arities is an error before any decider or engine runs,
+// for every variant — not a misread verdict or a panic.
+func TestAnalyzeRejectsDatabaseArityMismatch(t *testing.T) {
+	for _, c := range arityMismatches {
+		rules := chaseterm.MustParseRules(c.rules)
+		db := chaseterm.MustParseDatabase(c.db)
+		for _, kind := range []chaseterm.AnalysisKind{chaseterm.AnalyzeDecide, chaseterm.AnalyzeChase} {
+			for _, v := range []chaseterm.Variant{chaseterm.Oblivious, chaseterm.SemiOblivious, chaseterm.Restricted} {
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Errorf("%s on %s, %v %v: panic: %v", c.rules, c.db, kind, v, p)
+						}
+					}()
+					rep, err := an.Analyze(context.Background(), chaseterm.NewRequest(kind, rules,
+						chaseterm.WithDatabase(db), chaseterm.WithVariant(v)))
+					if err == nil || rep != nil {
+						t.Errorf("%s on %s, %v %v: report %v, error %v; want only an error", c.rules, c.db, kind, v, rep, err)
+					}
+				}()
+			}
+		}
+		if _, err := chaseterm.ExploreRestrictedSequences(db, rules, chaseterm.ExploreOptions{}); err == nil {
+			t.Errorf("%s on %s: sequence search accepted the database", c.rules, c.db)
+		}
+	}
+	_, err := chaseterm.EntailsContext(context.Background(), chaseterm.EntailmentInstance{
+		Rules: chaseterm.MustParseRules("e(X,Y) -> r(X,Y)."),
+		DB:    chaseterm.MustParseDatabase("e(a)."),
+		Goal:  "r(a,a)",
+	})
+	if err == nil {
+		t.Error("entailment accepted a database that disagrees with the rules")
+	}
+}
+
 func TestAnalysisKindRoundTrip(t *testing.T) {
 	kinds := []chaseterm.AnalysisKind{
 		chaseterm.AnalyzeClassify, chaseterm.AnalyzeDecide,

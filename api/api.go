@@ -59,7 +59,8 @@ type AnalyzeRequest struct {
 	Variant string `json:"variant,omitempty"`
 	// Database holds ground facts. For chase kinds it seeds the run
 	// (empty means the critical instance); for decide kinds it switches
-	// to the fixed-database decision problem.
+	// to the fixed-database decision problem. A fact that uses a rule
+	// predicate with another arity is a bad request.
 	Database string `json:"database,omitempty"`
 
 	// Decide budgets (zero = library defaults).
@@ -70,14 +71,6 @@ type AnalyzeRequest struct {
 	MaxTriggers int `json:"maxTriggers,omitempty"`
 	MaxFacts    int `json:"maxFacts,omitempty"`
 	MaxDepth    int `json:"maxDepth,omitempty"`
-	// ChaseWorkers sets the chase engine's match parallelism for this
-	// request: with a value > 1 each generation's matching is split
-	// across that many goroutines while fact application stays
-	// single-writer, so results are bit-identical to a sequential run.
-	// Zero defers to the server's configured default; 1 forces
-	// sequential. Servers that predate the parallel engine reject the
-	// field; probe Capabilities.ParallelChase first.
-	ChaseWorkers int `json:"chaseWorkers,omitempty"`
 	// ReturnFacts includes the final instance in a chase response; off
 	// by default because instances can be large.
 	ReturnFacts bool `json:"returnFacts,omitempty"`
@@ -227,9 +220,6 @@ type Capabilities struct {
 	// PortfolioRungs lists the portfolio's rung names in ladder order —
 	// the label set of the per-rung counters in /metrics and /v1/stats.
 	PortfolioRungs []string `json:"portfolioRungs,omitempty"`
-	// ParallelChase reports that chase requests accept the
-	// "chaseWorkers" field.
-	ParallelChase bool `json:"parallelChase"`
 }
 
 // BatchRequest is the body of POST /v2/batch: an ordered list of jobs,

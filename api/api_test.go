@@ -130,7 +130,6 @@ func goldenCases() []struct {
 				"rich-acyclicity", "weak-acyclicity", "joint-acyclicity",
 				"mfa", "critical-saturation", "linear-exact", "guarded-exact",
 			},
-			ParallelChase: true,
 		}},
 		{"batch_request.json", &BatchRequest{
 			Jobs: []AnalyzeRequest{

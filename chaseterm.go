@@ -315,6 +315,13 @@ func (d *Database) Size() int { return len(d.atoms) }
 // String renders the database in the input syntax.
 func (d *Database) String() string { return parse.FormatFacts(d.atoms) }
 
+// CheckArities reports an error when a fact of the database uses a
+// predicate with another arity than the rules give it. Every analysis
+// that puts the database under the rules runs it first.
+func (d *Database) CheckArities(rules *RuleSet) error {
+	return parse.CheckFactArities(rules.rs, d.atoms)
+}
+
 // CriticalDatabase returns the critical instance I*(Σ): all atoms over the
 // schema of the rule set filled with a fresh constant ✶ and the rule
 // constants. The (semi-)oblivious chase terminates on every database iff
@@ -350,12 +357,6 @@ type ChaseOptions struct {
 	MaxTriggers int
 	MaxFacts    int
 	MaxDepth    int
-	// Workers sets the engine's match parallelism: with Workers > 1 the
-	// FIFO engine matches each generation's new facts on that many
-	// goroutines while fact application stays single-writer. Results are
-	// bit-identical to the sequential engine at every worker count; 0 or
-	// 1 runs sequentially.
-	Workers int
 }
 
 // ChaseStats aggregates run statistics.
@@ -486,7 +487,6 @@ func runChase(ctx context.Context, db *Database, rules *RuleSet, v Variant, opt 
 		MaxTriggers: opt.MaxTriggers,
 		MaxFacts:    opt.MaxFacts,
 		MaxDepth:    int32(opt.MaxDepth),
-		Workers:     opt.Workers,
 	}
 	var res *chase.Result
 	var err error
@@ -775,6 +775,9 @@ type ExploreOptions struct {
 // concrete databases. (Deciding the restricted problems for all databases
 // is the paper's open problem and is not attempted.)
 func ExploreRestrictedSequences(db *Database, rules *RuleSet, opt ExploreOptions) (*ExploreResult, error) {
+	if err := db.CheckArities(rules); err != nil {
+		return nil, err
+	}
 	res, err := chase.ExploreRestrictedTermination(db.atoms, rules.rs, chase.ExploreOptions{
 		MaxStates: opt.MaxStates,
 		MaxFacts:  opt.MaxFacts,
@@ -836,6 +839,9 @@ func EntailsContext(ctx context.Context, inst EntailmentInstance) (bool, error) 
 	}
 	if len(goalFacts) != 1 {
 		return false, fmt.Errorf("chaseterm: goal must be a single ground atom")
+	}
+	if err := parse.CheckFactArities(inst.Rules.rs, append(goalFacts, inst.DB.atoms...)); err != nil {
+		return false, err
 	}
 	return looping.EntailedContext(ctx, looping.Instance{
 		Rules: inst.Rules.rs,

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	chase [-variant o|so|r] [-max-triggers N] [-max-facts N] [-workers N]
+//	chase [-variant o|so|r] [-max-triggers N] [-max-facts N]
 //	      [-print] [-stream] [-stats] [-precheck] rules.dl db.dl
 //
 // Files use the Datalog± syntax of the library: `body -> head.` rules with
@@ -31,7 +31,6 @@ func main() {
 	variant := flag.String("variant", "so", "chase variant: o|so|r (oblivious, semi-oblivious, restricted)")
 	maxTriggers := flag.Int("max-triggers", 100000, "trigger budget (0 = default)")
 	maxFacts := flag.Int("max-facts", 100000, "fact budget (0 = default)")
-	workers := flag.Int("workers", 0, "match parallelism; results are identical at every count (0 or 1 = sequential)")
 	printFacts := flag.Bool("print", false, "print the final instance")
 	stream := flag.Bool("stream", false, "print derived facts incrementally as the run produces them")
 	stats := flag.Bool("stats", false, "print per-stage timings and engine counters from the report")
@@ -53,7 +52,7 @@ func main() {
 	// Ctrl-C force-kills even while -print renders a huge partial
 	// instance.
 	go func() { <-ctx.Done(); stop() }()
-	if err := run(ctx, *variant, flag.Arg(0), flag.Arg(1), *maxTriggers, *maxFacts, *workers, *printFacts, *stream, *stats, *precheck); err != nil {
+	if err := run(ctx, *variant, flag.Arg(0), flag.Arg(1), *maxTriggers, *maxFacts, *printFacts, *stream, *stats, *precheck); err != nil {
 		if errors.Is(err, context.Canceled) {
 			// Partial stats were already printed; exit with the
 			// conventional interrupted status so wrappers stop too.
@@ -76,7 +75,7 @@ func (printSink) EmitFacts(facts []string, _ chaseterm.ChaseStats) {
 
 func (printSink) Progress(chaseterm.ChaseStats) {}
 
-func run(ctx context.Context, variantName, rulesPath, dbPath string, maxTriggers, maxFacts, workers int, printFacts, stream, stats, precheck bool) error {
+func run(ctx context.Context, variantName, rulesPath, dbPath string, maxTriggers, maxFacts int, printFacts, stream, stats, precheck bool) error {
 	v, err := chaseterm.ParseVariant(variantName)
 	if err != nil {
 		return err
@@ -111,7 +110,6 @@ func run(ctx context.Context, variantName, rulesPath, dbPath string, maxTriggers
 		chaseterm.WithChaseBudgets(chaseterm.ChaseOptions{
 			MaxTriggers: maxTriggers,
 			MaxFacts:    maxFacts,
-			Workers:     workers,
 		}),
 	}
 	if stream {

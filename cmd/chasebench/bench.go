@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"strings"
 	"testing"
 
 	"chaseterm/internal/chase"
@@ -175,38 +174,6 @@ func runBenchSuite(w io.Writer, quick bool, label string) error {
 			measurement("scale_ontology/"+v.String(), res, map[string]float64{"facts/run": facts}))
 	}
 
-	// chase_parallel/{1,4,8} — the same certified-terminating scale
-	// workload through the parallel engine at increasing worker counts,
-	// with workers=1 as the in-group sequential baseline. Results are
-	// bit-identical at every count, so facts/run must agree across the
-	// group; speedup_vs_1 records the measured ratio against the
-	// workers=1 entry (on a single-core host it hovers near or below 1 —
-	// the stripes only help when GOMAXPROCS offers real parallelism).
-	var parBase float64
-	for _, workers := range []int{1, 4, 8} {
-		workers := workers
-		var facts float64
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r, err := chase.RunFromAtomsContext(context.Background(), soDB, soRules, chase.SemiOblivious,
-					chase.Options{MaxFacts: 500_000, MaxTriggers: 500_000, Workers: workers})
-				if err != nil || r.Outcome != chase.Terminated {
-					b.Fatalf("parallel run (workers=%d): %v %v", workers, r, err)
-				}
-				facts = float64(r.Stats.FactsAdded)
-			}
-		})
-		metrics := map[string]float64{"facts/run": facts, "workers": float64(workers)}
-		if workers == 1 {
-			parBase = float64(res.NsPerOp())
-		} else if res.NsPerOp() > 0 {
-			metrics["speedup_vs_1"] = parBase / float64(res.NsPerOp())
-		}
-		run.Benchmarks = append(run.Benchmarks,
-			measurement(fmt.Sprintf("chase_parallel/%d", workers), res, metrics))
-	}
-
 	// homomorphism_join — the backtracking join of BenchmarkEngineHomomorphism.
 	in := instance.New()
 	e := in.Pred("e", 2)
@@ -339,35 +306,6 @@ func checkBenchReport(path string) error {
 			case b.OpsPerSec <= 0:
 				return fmt.Errorf("%s: %s/%s: opsPerSec %v", path, run.Label, b.Name, b.OpsPerSec)
 			}
-			if strings.HasPrefix(b.Name, "chase_parallel/") {
-				if err := checkParallelEntry(run.Label, b); err != nil {
-					return fmt.Errorf("%s: %w", path, err)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// checkParallelEntry validates a chase_parallel group entry: the name's
-// worker count must round-trip through the "workers" metric, and the
-// group's determinism contract means facts/run must be present (equal
-// counts across the group are asserted by the engine's own tests; the
-// report check just keeps the evidence attached).
-func checkParallelEntry(label string, b benchMeasurement) error {
-	var workers int
-	if _, err := fmt.Sscanf(b.Name, "chase_parallel/%d", &workers); err != nil || workers < 1 {
-		return fmt.Errorf("%s/%s: malformed chase_parallel name", label, b.Name)
-	}
-	if got, ok := b.Metrics["workers"]; !ok || int(got) != workers {
-		return fmt.Errorf("%s/%s: workers metric %v does not match the name", label, b.Name, b.Metrics["workers"])
-	}
-	if f, ok := b.Metrics["facts/run"]; !ok || f <= 0 {
-		return fmt.Errorf("%s/%s: missing facts/run metric", label, b.Name)
-	}
-	if workers > 1 {
-		if s, ok := b.Metrics["speedup_vs_1"]; !ok || s <= 0 {
-			return fmt.Errorf("%s/%s: missing speedup_vs_1 metric", label, b.Name)
 		}
 	}
 	return nil

@@ -515,36 +515,23 @@ func runE13(w io.Writer, quick bool) error {
 	rules := mustRules("r(X,Y) -> r(Y,Z).\nr(X,Y) -> r(Y,X).")
 	db := parse.MustParseFacts(`r(a,b).`)
 	fmt.Fprintln(w, "Σ = { r(X,Y)→∃Z r(Y,Z),  r(X,Y)→r(Y,X) },  D = { r(a,b) }.")
+	res, err := chase.RunFromAtomsContext(context.Background(), db, rules, chase.Restricted,
+		chase.Options{MaxTriggers: 2000})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "\n| schedule | outcome | triggers applied | facts |")
 	fmt.Fprintln(w, "|---|---|---|---|")
-	type sched struct {
-		name  string
-		rules *logic.RuleSet
-		order chase.Order
-	}
-	inventFirst := rules
-	repairFirst := mustRules("r(X,Y) -> r(Y,X).\nr(X,Y) -> r(Y,Z).")
-	for _, s := range []sched{
-		{"FIFO (fair)", rules, chase.OrderFIFO},
-		{"invent-rule priority", inventFirst, chase.OrderRulePriority},
-		{"repair-rule priority", repairFirst, chase.OrderRulePriority},
-	} {
-		res, err := chase.RunFromAtomsContext(context.Background(), parse.MustParseFacts(`r(a,b).`), s.rules, chase.Restricted,
-			chase.Options{Order: s.order, MaxTriggers: 2000})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "| %s | %s | %d | %d |\n", s.name, res.Outcome,
-			res.Stats.TriggersApplied, res.Stats.InitialFacts+res.Stats.FactsAdded)
-	}
+	fmt.Fprintf(w, "| FIFO (fair) | %s | %d | %d |\n", res.Outcome,
+		res.Stats.TriggersApplied, res.Stats.InitialFacts+res.Stats.FactsAdded)
 	exp, err := chase.ExploreRestrictedTermination(db, rules, chase.ExploreOptions{})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\nSequence search: terminating sequence found = %v (trace %v, %d states).\n",
 		exp.Found, exp.Trace, exp.StatesExplored)
-	fmt.Fprintln(w, "\nExpected: the fair FIFO run and the invent-first run diverge while the")
-	fmt.Fprintln(w, "repair-first run terminates — the restricted chase separates the paper's")
+	fmt.Fprintln(w, "\nExpected: the fair FIFO run diverges while the search finds a terminating")
+	fmt.Fprintln(w, "repair-first sequence — the restricted chase separates the paper's")
 	fmt.Fprintln(w, "∀-sequence and ∃-sequence problems (they coincide for o/so).")
 	return nil
 }

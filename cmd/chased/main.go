@@ -5,16 +5,12 @@
 //
 // Usage:
 //
-//	chased [-addr :8080] [-workers N] [-chase-workers N] [-cache-size N] [-timeout 30s]
+//	chased [-addr :8080] [-workers N] [-cache-size N] [-timeout 30s]
 //	       [-pprof addr] [-log-json] [-log-level info] [-slow-request 0]
 //	       [-store verdicts.db] [-fsync always|interval|never]
 //
-// -chase-workers sets the default match parallelism of chase runs: each
-// generation's trigger matching is split across that many goroutines
-// while fact application stays single-writer, so results are
-// bit-identical to a sequential run. Requests can override it per job
-// with the chaseWorkers field; GET /v2/capabilities advertises the
-// feature as "parallelChase".
+// -workers bounds the analyses that run at once, chases included; each
+// chase runs on one sequential engine.
 //
 // -store enables the persistent verdict store: decide verdicts are
 // written through to a crash-safe append-only file and survive process
@@ -75,25 +71,22 @@ import (
 )
 
 type config struct {
-	addr         string
-	workers      int
-	chaseWorkers int
-	cacheSize    int
-	timeout      time.Duration
-	pprofAddr    string
-	logJSON      bool
-	logLevel     string
-	slowRequest  time.Duration
-	storePath    string
-	fsync        string
+	addr        string
+	workers     int
+	cacheSize   int
+	timeout     time.Duration
+	pprofAddr   string
+	logJSON     bool
+	logLevel    string
+	slowRequest time.Duration
+	storePath   string
+	fsync       string
 }
 
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&cfg.workers, "workers", 0, "concurrent analyses (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.chaseWorkers, "chase-workers", 0,
-		"default match parallelism of chase runs; requests may override via chaseWorkers (0 or 1 = sequential)")
 	flag.IntVar(&cfg.cacheSize, "cache-size", 0, "verdict cache entries (0 = 1024)")
 	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-job timeout")
 	flag.StringVar(&cfg.pprofAddr, "pprof", "",
@@ -176,13 +169,12 @@ func run(ctx context.Context, cfg config, logger *slog.Logger, ready func(net.Ad
 	}
 
 	eng := service.New(service.Options{
-		Workers:      cfg.workers,
-		CacheSize:    cfg.cacheSize,
-		JobTimeout:   cfg.timeout,
-		ChaseWorkers: cfg.chaseWorkers,
-		Logger:       logger,
-		SlowRequest:  cfg.slowRequest,
-		Store:        verdicts,
+		Workers:     cfg.workers,
+		CacheSize:   cfg.cacheSize,
+		JobTimeout:  cfg.timeout,
+		Logger:      logger,
+		SlowRequest: cfg.slowRequest,
+		Store:       verdicts,
 	})
 	defer eng.Close()
 

@@ -144,53 +144,6 @@ func TestDiscoverRediscoveryAllocFree(t *testing.T) {
 	}
 }
 
-// TestStripeMatchAllocFree pins the parallel engine's stripe-match inner
-// loop: matching one delta fact through a snapshot — both when the
-// candidates are fresh (recorded into the stripe's warmed arena) and
-// when they are known duplicates (dropped by the trigger-set
-// pre-filter) — must not allocate.
-func TestStripeMatchAllocFree(t *testing.T) {
-	e, in := saturatedEngine(t, "e(X,Y) -> r(X,Y).", chainDB(16), SemiOblivious)
-	a, _ := in.Terms.LookupConst("a3")
-	b, _ := in.Terms.LookupConst("a4")
-	ep, ok := in.LookupPred("e")
-	if !ok {
-		t.Fatal("setup: predicate e missing")
-	}
-	fid, ok := in.Lookup(ep, []instance.TermID{a, b})
-	if !ok {
-		t.Fatal("setup: anchor fact missing")
-	}
-	e.par = newParRun(e, 2)
-	st := &e.par.stripes[0]
-	snap := in.Freeze()
-	defer snap.Release()
-	// Fresh-candidate path: the engine's trigger set is empty, so every
-	// discovered binding is recorded.
-	st.matchFact(snap, fid) // warm the scratch and arena
-	if len(st.arena) == 0 {
-		t.Fatal("setup: stripe match recorded no candidates")
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		st.arena = st.arena[:0]
-		st.matchFact(snap, fid)
-	}); n != 0 {
-		t.Errorf("stripe match (recording) allocates %v per run, want 0", n)
-	}
-	// Duplicate path: once the trigger is known, the pre-filter drops the
-	// candidate before it reaches the arena.
-	e.offer(0, []instance.TermID{a, b})
-	st.arena = st.arena[:0]
-	if n := testing.AllocsPerRun(200, func() {
-		st.matchFact(snap, fid)
-	}); n != 0 {
-		t.Errorf("stripe match (pre-filtered) allocates %v per run, want 0", n)
-	}
-	if len(st.arena) != 0 {
-		t.Error("known-duplicate candidates must be dropped by the pre-filter")
-	}
-}
-
 // TestSteadyStateRunAllocsPerTrigger runs a whole chase over an already
 // saturated instance — every application is a no-op, every rediscovered
 // trigger a dedup hit — and bounds the measured allocations per applied

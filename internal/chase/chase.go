@@ -20,11 +20,11 @@
 //     be extended to a homomorphism h′ mapping the head into the current
 //     instance.
 //
-// All engines schedule triggers in FIFO order, which realizes the fairness
+// The engine schedules triggers in FIFO order, which realizes the fairness
 // condition of the paper's definition of (possibly infinite) chase
 // sequences: every trigger that arises is eventually considered. Budgets
-// on applied triggers, facts, and invented-term depth make the engines
-// usable as bounded oracles for the termination deciders in internal/core.
+// on applied triggers, facts, and invented-term depth make the engine
+// usable as a bounded oracle for the termination deciders in internal/core.
 package chase
 
 import (
@@ -130,55 +130,8 @@ type Options struct {
 	// model-faithful-acyclicity stopping rule: a run that saturates
 	// without such a term proves termination on every instance.
 	StopOnCyclicSkolem bool
-	// Order selects the trigger scheduling policy (default OrderFIFO).
-	Order Order
-	// Workers selects the generation-based parallel engine: trigger
-	// matching fans out over this many workers against a frozen snapshot
-	// while applications stay under the single writer (see parallel.go).
-	// 0 and 1 run the classic sequential loop. The parallel engine is
-	// defined only for OrderFIFO — the other orders are inherently
-	// sequential scheduling policies — and silently degrades to the
-	// sequential loop for them. At any worker count the results are
-	// bit-identical to the sequential engine: same facts and fact ids,
-	// same invented terms, same outcome and statistics.
+	// Workers is ignored: ROADMAP item 2's benchmark-only change deletes it with chase.parallel_ratio.
 	Workers int
-}
-
-// Order is a trigger scheduling policy. The paper distinguishes the
-// ∀-sequence and ∃-sequence termination problems: does EVERY fair chase
-// sequence terminate, or does SOME sequence terminate? For the oblivious
-// and semi-oblivious chase the two coincide (every trigger must fire
-// exactly once regardless of order), but for the restricted chase the
-// order decides which triggers are already satisfied when considered — so
-// different policies genuinely explore different sequences. A finite
-// sequence is vacuously fair, so any policy that terminates yields a valid
-// terminating chase sequence (a CT^r_∃ witness); only OrderFIFO guarantees
-// fairness on infinite runs.
-type Order int
-
-const (
-	// OrderFIFO processes triggers first-in first-out — fair on infinite
-	// runs (every discovered trigger is eventually considered).
-	OrderFIFO Order = iota
-	// OrderLIFO processes the most recently discovered trigger first
-	// (depth-first chase). Not fair on infinite runs.
-	OrderLIFO
-	// OrderRulePriority always prefers pending triggers of lower-indexed
-	// rules, FIFO within a rule. Not fair on infinite runs. Useful to
-	// bias the restricted chase toward "repairing" rules before
-	// "inventing" ones.
-	OrderRulePriority
-)
-
-func (o Order) String() string {
-	switch o {
-	case OrderFIFO:
-		return "fifo"
-	case OrderLIFO:
-		return "lifo"
-	default:
-		return "rule-priority"
-	}
 }
 
 func (o Options) withDefaults() Options {
@@ -194,14 +147,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxDepth <= 0 {
 		o.MaxDepth = 1 << 30
-	}
-	if o.Workers < 0 {
-		o.Workers = 0
-	}
-	// A worker is one OS-schedulable goroutine per match phase; beyond
-	// any plausible core count extra workers only cost spawn overhead.
-	if o.Workers > 1024 {
-		o.Workers = 1024
 	}
 	return o
 }
@@ -239,14 +184,11 @@ type Result struct {
 // references across calls and must not mutate the instance.
 type StreamSink interface {
 	// EmitFacts reports that the facts [lo, hi) were appended to the
-	// instance — by one trigger application (sequential engine) or by
-	// one generation batch (parallel engine, Options.Workers > 1).
-	// Either way ranges are contiguous and strictly increasing:
-	// successive calls tile the derived suffix of the instance exactly
-	// once, so a consumer streaming the run sees every derived fact once
-	// and in derivation order, and the union of the emitted ranges is
-	// identical at every worker count. stats is the running total after
-	// the application(s).
+	// instance by one trigger application. Ranges are contiguous and
+	// strictly increasing: successive calls tile the derived suffix of
+	// the instance exactly once, so a consumer streaming the run sees
+	// every derived fact once and in derivation order. stats is the
+	// running total after the application.
 	EmitFacts(lo, hi instance.FactID, stats Stats)
 	// Progress is a liveness heartbeat, delivered every ~ctxCheckInterval
 	// scheduler steps even when no facts are being derived — e.g. a
@@ -305,15 +247,11 @@ type Engine struct {
 
 	// seen is the trigger identity set, tagged by rule; a trigger is
 	// queued as its member id. Ids are assigned in discovery order, so
-	// FIFO pops the range [qhead, seen.Len()) and needs no queue.
-	seen    instance.TupleSet
-	qhead   int
-	stack   []int32   // OrderLIFO: pending ids
-	buckets [][]int32 // OrderRulePriority: pending ids per rule
-	bheads  []int
-	pending int
-	stats   Stats
-	byPred  map[instance.PredID][][2]int // pred -> (rule, bodyAtom) pairs
+	// the FIFO queue is the id range [qhead, seen.Len()).
+	seen   instance.TupleSet
+	qhead  int
+	stats  Stats
+	byPred map[instance.PredID][][2]int // pred -> (rule, bodyAtom) pairs
 	// scratch holds a frontier projection: the semi-oblivious trigger
 	// key in offer, the oblivious and restricted frontier in frontierOf.
 	// The variants never overlap, so one buffer serves both.
@@ -332,53 +270,17 @@ type Engine struct {
 	// RunStreamContext). The hot loop pays one nil check per applied
 	// trigger when unset, preserving the zero-allocation steady state.
 	sink StreamSink
-	// deferDiscovery, set by the parallel engine's writer phase, makes
-	// apply skip inline trigger discovery: the generation's delta facts
-	// are matched afterwards against a frozen snapshot (see parallel.go).
-	deferDiscovery bool
-	// par is the parallel engine's reusable fan-out state (stripes and
-	// merge refs); nil until the first parallel run.
-	par *parRun
 }
 
-// push schedules the newly discovered trigger id of rule according to
-// the configured order. FIFO keeps no store: its pending ids are the
-// tail of the trigger set.
-func (e *Engine) push(id int32, rule int) {
-	e.pending++
-	switch e.opt.Order {
-	case OrderLIFO:
-		e.stack = append(e.stack, id)
-	case OrderRulePriority:
-		e.buckets[rule] = append(e.buckets[rule], id)
-	}
-}
-
-// pop removes the next trigger id according to the configured order.
+// pop removes the oldest pending trigger id: the head of the range
+// [qhead, seen.Len()).
 func (e *Engine) pop() (int32, bool) {
-	if e.pending == 0 {
+	if e.qhead == e.seen.Len() {
 		return 0, false
 	}
-	e.pending--
-	switch e.opt.Order {
-	case OrderLIFO:
-		id := e.stack[len(e.stack)-1]
-		e.stack = e.stack[:len(e.stack)-1]
-		return id, true
-	case OrderRulePriority:
-		for r := range e.buckets {
-			if e.bheads[r] < len(e.buckets[r]) {
-				id := e.buckets[r][e.bheads[r]]
-				e.bheads[r]++
-				return id, true
-			}
-		}
-		panic("chase: pending count out of sync")
-	default:
-		id := int32(e.qhead)
-		e.qhead++
-		return id, true
-	}
+	id := int32(e.qhead)
+	e.qhead++
+	return id, true
 }
 
 // frontierOf resolves a queued trigger id to its rule and frontier
@@ -436,10 +338,6 @@ func NewEngine(in *instance.Instance, rs *logic.RuleSet, v Variant, opt Options)
 	e.offerFn = func(b []instance.TermID) bool {
 		e.offer(e.curRule, b)
 		return true
-	}
-	if e.opt.Order == OrderRulePriority {
-		e.buckets = make([][]int32, len(e.rules))
-		e.bheads = make([]int, len(e.rules))
 	}
 	return e, nil
 }
@@ -548,12 +446,9 @@ func (e *Engine) offer(rule int, binding []instance.TermID) {
 	default: // Oblivious and Restricted identify triggers by the full h.
 		key = binding
 	}
-	id, added := e.seen.Insert(int32(rule), key)
-	if !added {
-		return
+	if _, added := e.seen.Insert(int32(rule), key); added {
+		e.stats.TriggersEnqueued++
 	}
-	e.push(id, rule)
-	e.stats.TriggersEnqueued++
 }
 
 // scratchFrontier projects the binding onto the rule frontier using the
@@ -611,9 +506,6 @@ func (e *Engine) RunStreamContext(ctx context.Context, sink StreamSink) (*Result
 //
 //chaselint:hotpath
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
-	if e.opt.Workers > 1 && e.opt.Order == OrderFIFO {
-		return e.runParallel(ctx)
-	}
 	done := ctx.Done() // nil for context.Background(): checks compile out
 	e.stats.InitialFacts = e.in.Size()
 	// Seed: all homomorphisms on the initial instance. Seeding a rule is
@@ -643,7 +535,7 @@ loop:
 		}
 		steps++
 		if e.stats.TriggersApplied >= e.opt.MaxTriggers || e.in.Size() >= e.opt.MaxFacts {
-			if e.pending > 0 {
+			if e.qhead < e.seen.Len() {
 				outcome = BudgetExceeded
 			}
 			break loop
@@ -758,9 +650,7 @@ func (e *Engine) apply(cr *compiledRule, fr []instance.TermID) (added int, maxDe
 		if isNew {
 			added++
 			e.stats.FactsAdded++
-			if !e.deferDiscovery {
-				e.discover(fid)
-			}
+			e.discover(fid)
 		}
 	}
 	e.argBuf = args[:0]

@@ -84,29 +84,25 @@ func resultDigest(res *Result) string {
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
-// TestRestrictedHeadPlanDigests runs every pinned case sequentially and
-// with CHASE_WORKERS (default 8) workers and requires the recorded
-// digest both times.
+// TestRestrictedHeadPlanDigests runs every pinned case and requires the
+// recorded digest.
 func TestRestrictedHeadPlanDigests(t *testing.T) {
-	workers := testWorkers(t)
 	for _, c := range digestCases {
 		rules, db := scaleOntologyCase(c.seed, c.tbox)
-		for _, w := range []int{1, workers} {
-			in, err := instance.FromAtoms(db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := NewEngine(in, rules, c.variant, Options{MaxFacts: 200_000, MaxTriggers: 400_000, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.RunContext(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := resultDigest(res); got != c.digest {
-				t.Errorf("seed %d, %v, workers %d: digest %s (%v, %+v), want %s", c.seed, c.variant, w, got, res.Outcome, res.Stats, c.digest)
-			}
+		in, err := instance.FromAtoms(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(in, rules, c.variant, Options{MaxFacts: 200_000, MaxTriggers: 400_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resultDigest(res); got != c.digest {
+			t.Errorf("seed %d, %v: digest %s (%v, %+v), want %s", c.seed, c.variant, got, res.Outcome, res.Stats, c.digest)
 		}
 	}
 }

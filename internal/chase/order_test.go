@@ -2,6 +2,7 @@ package chase
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"chaseterm/internal/parse"
@@ -16,35 +17,28 @@ import (
 //
 // On D = {r(a,b)}: applying σ2 first yields r(b,a), after which every
 // σ1-trigger is satisfied (r(Y,·) exists for Y ∈ {a,b}) — a terminating
-// restricted sequence exists. A σ1-eager order keeps inventing fresh
-// values whose σ1-triggers are unsatisfied — a non-terminating (fair, when
-// FIFO) restricted sequence also exists.
+// restricted sequence exists, and the sequence search finds it. The fair
+// FIFO chase considers σ1's trigger first and keeps inventing fresh
+// values whose σ1-triggers are unsatisfied — a non-terminating fair
+// restricted sequence also exists.
 func TestRestrictedOrderSeparation(t *testing.T) {
 	rules := parse.MustParseRules(`r(X,Y) -> r(Y,Z).
 r(X,Y) -> r(Y,X).`)
-	db := parse.MustParseFacts(`r(a,b).`)
-
-	// Rule-priority with σ2 first: reorder by swapping rule indexes.
-	swapped := parse.MustParseRules(`r(X,Y) -> r(Y,X).
-r(X,Y) -> r(Y,Z).`)
-	res, err := RunFromAtomsContext(context.Background(), db, swapped, Restricted, Options{Order: OrderRulePriority, MaxTriggers: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome != Terminated {
-		t.Errorf("repair-first restricted chase should terminate, got %v after %d triggers",
-			res.Outcome, res.Stats.TriggersApplied)
-	}
-
-	// Invent-first priority diverges.
-	db2 := parse.MustParseFacts(`r(a,b).`)
-	res, err = RunFromAtomsContext(context.Background(), db2, rules, Restricted, Options{Order: OrderRulePriority, MaxTriggers: 300})
+	res, err := RunFromAtomsContext(context.Background(), parse.MustParseFacts(`r(a,b).`), rules, Restricted, Options{MaxTriggers: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Outcome == Terminated {
-		t.Errorf("invent-first restricted chase should diverge, terminated after %d triggers",
+		t.Errorf("fair restricted chase should diverge, terminated after %d triggers",
 			res.Stats.TriggersApplied)
+	}
+
+	exp, err := ExploreRestrictedTermination(parse.MustParseFacts(`r(a,b).`), rules, ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !exp.Found || !reflect.DeepEqual(exp.Trace, []int{1}) {
+		t.Errorf("sequence search: found %v, trace %v; want the repair-first sequence [1]", exp.Found, exp.Trace)
 	}
 
 	// The oblivious chase is order-insensitive for termination: both rule
@@ -55,65 +49,12 @@ r(X,Y) -> r(Y,Z).`)
 	} {
 		db := parse.MustParseFacts(`r(a,b).`)
 		res, err := RunFromAtomsContext(context.Background(), db, parse.MustParseRules(rs), Oblivious,
-			Options{Order: OrderRulePriority, MaxTriggers: 300})
+			Options{MaxTriggers: 300})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Outcome == Terminated {
 			t.Error("oblivious chase must diverge under every order")
 		}
-	}
-}
-
-// TestOrdersProduceSameSemiObliviousResult: for the semi-oblivious chase,
-// every order yields the same final instance on terminating inputs (the
-// result is the least fixpoint of the Skolemized rules).
-func TestOrdersProduceSameSemiObliviousResult(t *testing.T) {
-	rules := parse.MustParseRules(`e(X,Y) -> r(X,Z), r(Z,Y).
-r(X,Y) -> s(Y).`)
-	var want []string
-	for i, ord := range []Order{OrderFIFO, OrderLIFO, OrderRulePriority} {
-		db := parse.MustParseFacts(`e(a,b). e(b,c).`)
-		res, err := RunFromAtomsContext(context.Background(), db, rules, SemiOblivious, Options{Order: ord})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Outcome != Terminated {
-			t.Fatalf("%v: not terminated", ord)
-		}
-		got := res.Instance.Strings()
-		if i == 0 {
-			want = got
-			continue
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: %d facts, want %d", ord, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Errorf("%v: fact %d = %s, want %s", ord, j, got[j], want[j])
-			}
-		}
-	}
-}
-
-// TestLIFOOnTerminatingInput: LIFO explores depth-first but must reach the
-// same saturation.
-func TestLIFOOnTerminatingInput(t *testing.T) {
-	rules := parse.MustParseRules(`p(X) -> q(X).
-q(X) -> r(X).`)
-	db := parse.MustParseFacts(`p(a). p(b).`)
-	res, err := RunFromAtomsContext(context.Background(), db, rules, SemiOblivious, Options{Order: OrderLIFO})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome != Terminated || res.Instance.Size() != 6 {
-		t.Errorf("outcome %v size %d", res.Outcome, res.Instance.Size())
-	}
-}
-
-func TestOrderStrings(t *testing.T) {
-	if OrderFIFO.String() != "fifo" || OrderLIFO.String() != "lifo" || OrderRulePriority.String() != "rule-priority" {
-		t.Error("order strings wrong")
 	}
 }

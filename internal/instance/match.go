@@ -279,9 +279,7 @@ func (L *matchLevel) start(src candSrc) {
 // sources enumerate facts in insertion order — extents are appended to
 // and posting chains are tail-linked by Add — so fact ids are strictly
 // increasing and the first candidate at or beyond limit exhausts the
-// level. That monotonicity is what makes the horizon bound of
-// Snapshot.FindHomsAnchoredAsOfWith a single compare instead of a
-// filter.
+// level: the bound is a single compare instead of a filter.
 func (L *matchLevel) next(in *Instance, limit FactID) (FactID, bool) {
 	if L.src.list != nil {
 		if L.pos < len(L.src.list) {
@@ -396,9 +394,9 @@ func (in *Instance) candSource(pa *PatternAtom, binding []TermID) candSrc {
 // It reports whether the enumeration ran to completion. A nil yield is
 // the allocation-free existence check: the enumeration "stops" (returns
 // false) at the first complete match. Facts with id >= limit are
-// invisible to the enumeration; unbounded callers pass the instance
-// size (no fact is ever excluded, and candidate sources are monotone in
-// fact id, so the bound costs one compare per candidate).
+// invisible to the enumeration; every caller passes the instance size
+// (no fact is ever excluded, and candidate sources are monotone in fact
+// id, so the bound costs one compare per candidate).
 //
 //chaselint:hotpath
 func (in *Instance) runPlan(p *Pattern, order []int32, sc *MatchScratch, binding []TermID, limit FactID, yield func([]TermID) bool) bool {

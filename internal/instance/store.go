@@ -3,7 +3,6 @@ package instance
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"chaseterm/internal/logic"
 )
@@ -90,16 +89,8 @@ func (pt *postTable) grow() {
 // caller; once an instance is frozen — no more writers — any number of
 // goroutines may read it concurrently (Contains, ByPred, ByPosTerm,
 // FindHoms and friends with per-goroutine MatchScratch, FactString, ...).
-// The Freeze/Release Snapshot API makes that contract checked rather than
-// advisory: while a Snapshot is live, the hot mutators panic.
 type Instance struct {
 	Terms *TermTable
-
-	// frozen counts live Snapshots (see Freeze/Release in snapshot.go);
-	// gen counts freezes. While frozen is non-zero the hot mutators
-	// panic, enforcing the single-writer/frozen-read contract above.
-	frozen atomic.Int32
-	gen    uint64
 
 	predByName map[string]PredID
 	predNames  []string
@@ -129,12 +120,6 @@ func New() *Instance {
 // different arities is a programming error and panics (the parser and
 // RuleSet.Validate reject such inputs earlier).
 func (in *Instance) Pred(name string, arity int) PredID {
-	if in.frozen.Load() != 0 {
-		if id, ok := in.predByName[name]; ok && in.predArity[id] == arity {
-			return id // pure lookup: no mutation, safe while frozen
-		}
-		panic("instance: Pred interning on a frozen instance (live Snapshot; see Freeze/Release)")
-	}
 	if id, ok := in.predByName[name]; ok {
 		if in.predArity[id] != arity {
 			panic(fmt.Sprintf("instance: predicate %s used with arity %d and %d", name, in.predArity[id], arity))
@@ -178,9 +163,6 @@ func (in *Instance) Fact(id FactID) Fact {
 //
 //chaselint:hotpath
 func (in *Instance) Add(p PredID, args []TermID) (FactID, bool) {
-	if in.frozen.Load() != 0 {
-		panic("instance: Add on a frozen instance (live Snapshot; see Freeze/Release)")
-	}
 	m, added := in.facts.Insert(int32(p), args)
 	id := FactID(m)
 	if !added {

@@ -1,7 +1,7 @@
 // Package instance implements ground instances: interned ground terms
 // (constants, labelled nulls, Skolem terms), fact storage with secondary
-// indexes, and homomorphism enumeration — the machinery the chase engines
-// in package chase are built on.
+// indexes, and homomorphism enumeration — the machinery the chase engine
+// in package chase is built on.
 //
 // Terms and facts are interned to dense integer ids so that equality is an
 // integer comparison and facts can be deduplicated in O(1); this is what
@@ -20,18 +20,13 @@
 // a per-goroutine MatchScratch over patterns whose plans were compiled
 // before the hand-off (CompileBody compiles them eagerly).
 //
-// The contract is checked, not advisory: Instance.Freeze returns a
-// Snapshot read view and arms a guard that makes the hot mutators (Add,
-// FreshNull, Skolem, ...) panic until the matching Release. The chase
-// engine owns its instance exclusively while running sequentially, and
-// its parallel match phases read through Snapshots; the service layer
-// only shares chase results after the run completes.
+// The contract is documented, not checked: nothing stops a second writer
+// or a reader racing the writer, and `go test -race` is what catches one.
+// The chase engine owns its instance exclusively while it runs, and the
+// service layer only shares chase results after the run completes.
 package instance
 
-import (
-	"strconv"
-	"sync/atomic"
-)
+import "strconv"
 
 // TermID is a dense identifier of an interned ground term.
 type TermID int32
@@ -89,10 +84,6 @@ type TermTable struct {
 	consts map[string]TermID
 	nulls  int
 
-	// frozen mirrors Instance.frozen for the owning instance's Snapshots:
-	// interning panics while a snapshot is live.
-	frozen atomic.Int32
-
 	fnNames []string
 	fnIDs   map[string]SkolemFnID
 	// sk interns the Skolem terms: tag = function symbol, tuple = the
@@ -117,9 +108,6 @@ func (t *TermTable) Const(name string) TermID {
 	if id, ok := t.consts[name]; ok {
 		return id
 	}
-	if t.frozen.Load() != 0 {
-		panic("instance: Const interning on a frozen term table (live Snapshot; see Freeze/Release)")
-	}
 	id := TermID(len(t.infos))
 	t.infos = append(t.infos, termInfo{kind: KindConst, name: name})
 	t.consts[name] = id
@@ -137,9 +125,6 @@ func (t *TermTable) LookupConst(name string) (TermID, bool) {
 // (max birth depth of the trigger's image terms, plus one); it is used for
 // run statistics only.
 func (t *TermTable) FreshNull(depth int32) TermID {
-	if t.frozen.Load() != 0 {
-		panic("instance: FreshNull on a frozen term table (live Snapshot; see Freeze/Release)")
-	}
 	id := TermID(len(t.infos))
 	t.nulls++
 	// The "z<n>" display name is rendered lazily by Name/String so that
@@ -180,9 +165,6 @@ func (t *TermTable) SkolemFnBytes(name []byte) SkolemFnID {
 //
 //chaselint:hotpath
 func (t *TermTable) Skolem(fn SkolemFnID, args []TermID) TermID {
-	if t.frozen.Load() != 0 {
-		panic("instance: Skolem interning on a frozen term table (live Snapshot; see Freeze/Release)")
-	}
 	m, added := t.sk.Insert(int32(fn), args)
 	if !added {
 		return t.skTerm[m]

@@ -261,30 +261,38 @@ func Parse(src string) (*Program, error) {
 	if err := prog.Rules.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkFactArities(prog); err != nil {
+	if err := CheckFactArities(prog.Rules, prog.Facts); err != nil {
 		return nil, err
 	}
 	return prog, nil
 }
 
-// checkFactArities requires the facts to agree with the rules' arities
-// and with each other. The rules' arities come from their schema summary,
-// so only the predicates that occur in facts alone get a map.
-func checkFactArities(prog *Program) error {
+// CheckFactArities requires the facts to agree with the rules' arities
+// and with each other. Parse runs it on one text; callers that parse
+// rules and facts separately run it where the two meet, before the facts
+// reach an instance compiled from the rules. The rules' arities come
+// from their schema summary, so only the predicates that occur in facts
+// alone get a map.
+func CheckFactArities(rules *logic.RuleSet, facts []logic.Atom) error {
 	var factOnly map[string]int
-	for _, f := range prog.Facts {
-		k, ok := prog.Rules.Arity(f.Pred)
-		if !ok {
+	for _, f := range facts {
+		k, inRules := rules.Arity(f.Pred)
+		if !inRules {
 			if factOnly == nil {
 				factOnly = make(map[string]int)
 			}
-			if k, ok = factOnly[f.Pred]; !ok {
+			var seen bool
+			if k, seen = factOnly[f.Pred]; !seen {
 				factOnly[f.Pred] = len(f.Args)
 				continue
 			}
 		}
 		if k != len(f.Args) {
-			return fmt.Errorf("parse: fact %s uses predicate %s with arity %d, rules use %d", f, f.Pred, len(f.Args), k)
+			other := "an earlier fact uses"
+			if inRules {
+				other = "rules use"
+			}
+			return fmt.Errorf("parse: fact %s uses predicate %s with arity %d, %s %d", f, f.Pred, len(f.Args), other, k)
 		}
 	}
 	return nil

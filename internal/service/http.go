@@ -156,7 +156,6 @@ func Capabilities() api.Capabilities {
 		Version:        api.Version,
 		Portfolio:      true,
 		PortfolioRungs: chaseterm.PortfolioRungNames(),
-		ParallelChase:  true,
 	}
 }
 

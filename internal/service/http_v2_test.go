@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -347,4 +348,65 @@ func TestResponsesAreCompact(t *testing.T) {
 			t.Errorf("body is not one line of compact JSON:\n%s", data)
 		}
 	}
+}
+
+// wantErrorEnvelope fails unless the response is the given status with an
+// error envelope carrying the given code.
+func wantErrorEnvelope(t *testing.T, what string, resp *http.Response, data []byte, status int, code api.Code) {
+	t.Helper()
+	if resp.StatusCode != status {
+		t.Errorf("%s: status %d (%s), want %d", what, resp.StatusCode, data, status)
+		return
+	}
+	var env api.ErrorEnvelope
+	if err := json.Unmarshal(data, &env); err != nil || env.Error == nil || env.Error.Code != code {
+		t.Errorf("%s: body %s, want an error envelope with code %s", what, data, code)
+	}
+}
+
+// TestChaseWorkersValidation: the chase runs on one sequential engine and
+// the wire has no chaseWorkers field, so strict decoding rejects a
+// request that carries one, whatever its value, on every route.
+func TestChaseWorkersValidation(t *testing.T) {
+	srv := newTestServer(t, Options{Workers: 1})
+	for _, workers := range []string{"0", "1", "8"} {
+		job := `{"kind": "chase", "rules": "p(X) -> q(X,Y).", "database": "p(a).", "chaseWorkers": ` + workers + `}`
+		for route, body := range map[string]string{
+			"/v2/analyze":      job,
+			"/v2/chase/stream": job,
+			"/v2/batch":        `{"jobs": [` + job + `]}`,
+		} {
+			resp, data := postRaw(t, srv.URL+route, body)
+			wantErrorEnvelope(t, route+" chaseWorkers="+workers, resp, data, http.StatusBadRequest, api.CodeBadRequest)
+		}
+	}
+}
+
+// TestDatabaseArityMismatchIsBadRequest: a database that disagrees with
+// the rules' arities is a client error, answered while the request is
+// read. The engine's worker pool is closed before the requests arrive,
+// so one that got as far as a worker would answer 503 instead.
+func TestDatabaseArityMismatchIsBadRequest(t *testing.T) {
+	eng := New(Options{Workers: 1})
+	srv := httptest.NewServer(NewHandler(eng))
+	t.Cleanup(srv.Close)
+	eng.Close()
+	for _, c := range []struct{ rules, db string }{
+		{"p(X,Y) -> p(Y,Z).", "p(a,b,c)."},
+		{"p(X,Y), q(X) -> p(Y,Z).", "p(a,b,c). q(a)."},
+		{"p(X,Y) -> p(Y,Z).", "p(a)."},
+		{"p(X,Y), q(X) -> p(Y,Z).", "p(a). q(a)."},
+		{"p(X,Y), q(X,W) -> p(Y,Z), q(Y,X).", "p(a,b). q(a)."},
+		{"a(X), b(Y) -> c(X,Y). c(X,Y) -> c(Y,Z).", "a(x). b(y,z)."},
+	} {
+		for _, kind := range []api.Kind{api.KindDecide, api.KindChase} {
+			resp, data := postJSON(t, srv.URL+"/v2/analyze", api.AnalyzeRequest{Kind: kind, Rules: c.rules, Database: c.db})
+			wantErrorEnvelope(t, string(kind)+" "+c.rules+" on "+c.db, resp, data, http.StatusBadRequest, api.CodeBadRequest)
+		}
+		resp, data := postJSON(t, srv.URL+"/v2/chase/stream", api.AnalyzeRequest{Rules: c.rules, Database: c.db})
+		wantErrorEnvelope(t, "stream "+c.rules+" on "+c.db, resp, data, http.StatusBadRequest, api.CodeBadRequest)
+	}
+	// A database that fits gets past the check and meets the closed pool.
+	resp, data := postJSON(t, srv.URL+"/v2/analyze", api.AnalyzeRequest{Kind: api.KindChase, Rules: "p(X,Y) -> p(Y,Z).", Database: "p(a,b)."})
+	wantErrorEnvelope(t, "fitting database", resp, data, http.StatusServiceUnavailable, api.CodeUnavailable)
 }

@@ -51,12 +51,6 @@ var ErrUnprocessable = errors.New("analysis failed")
 // facts/triggers/shapes, 250k node types).
 const maxRequestBudget = 10_000_000
 
-// maxChaseWorkers caps the per-request chase parallelism. Results are
-// identical at every worker count, so a huge value buys nothing but
-// goroutine churn; the cap keeps one request from spawning an
-// unreasonable match fleet.
-const maxChaseWorkers = 64
-
 // Options configure an Engine; zero values select the defaults noted on
 // each field.
 type Options struct {
@@ -69,10 +63,7 @@ type Options struct {
 	JobTimeout time.Duration
 	// MaxBatch bounds jobs per Batch call (default 256).
 	MaxBatch int
-	// ChaseWorkers is the default match parallelism of chase runs when a
-	// request does not set its own chaseWorkers field (cmd/chased's
-	// -chase-workers flag). 0 or 1 means sequential; results are
-	// bit-identical either way.
+	// ChaseWorkers is ignored: ROADMAP item 2's benchmark-only change deletes it with chase.parallel_ratio.
 	ChaseWorkers int
 	// DecideFunc overrides the all-instance decision procedure — for
 	// tests and instrumentation wrappers. Nil means the library decider
@@ -499,9 +490,9 @@ var variantKeys = [...]string{chaseterm.Oblivious: "o", chaseterm.SemiOblivious:
 // cache's content address, so these decisions run uncached (still
 // pool-bounded and deadline-bounded).
 func (e *Engine) doDecideOnDatabase(ctx context.Context, req api.AnalyzeRequest, rules *chaseterm.RuleSet, variant chaseterm.Variant) (*api.AnalyzeResponse, error) {
-	db, err := chaseterm.ParseDatabase(req.Database)
+	db, err := parseDatabase(req.Database, rules)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, err
 	}
 	opts := []chaseterm.RequestOption{
 		chaseterm.WithVariant(variant),
@@ -524,18 +515,13 @@ func (e *Engine) doDecideOnDatabase(ctx context.Context, req api.AnalyzeRequest,
 }
 
 // chaseRequestOptions translates the chase-relevant wire fields —
-// variant, budgets, database, parallelism — into facade options. Shared
-// by the one-shot (doChase) and streaming (ChaseStream) paths so the
-// two translations cannot drift. A request that leaves chaseWorkers at
-// zero inherits the server's configured default.
-func (e *Engine) chaseRequestOptions(req api.AnalyzeRequest) ([]chaseterm.RequestOption, error) {
+// variant, budgets, database — into facade options. Shared by the
+// one-shot (doChase) and streaming (ChaseStream) paths so the two
+// translations cannot drift.
+func chaseRequestOptions(req api.AnalyzeRequest, rules *chaseterm.RuleSet) ([]chaseterm.RequestOption, error) {
 	variant, err := parseVariant(req.Variant)
 	if err != nil {
 		return nil, err
-	}
-	workers := req.ChaseWorkers
-	if workers == 0 {
-		workers = e.opts.ChaseWorkers
 	}
 	opts := []chaseterm.RequestOption{
 		chaseterm.WithVariant(variant),
@@ -543,21 +529,33 @@ func (e *Engine) chaseRequestOptions(req api.AnalyzeRequest) ([]chaseterm.Reques
 			MaxTriggers: req.MaxTriggers,
 			MaxFacts:    req.MaxFacts,
 			MaxDepth:    req.MaxDepth,
-			Workers:     workers,
 		}),
 	}
 	if strings.TrimSpace(req.Database) != "" {
-		db, err := chaseterm.ParseDatabase(req.Database)
+		db, err := parseDatabase(req.Database, rules)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+			return nil, err
 		}
 		opts = append(opts, chaseterm.WithDatabase(db))
 	}
 	return opts, nil
 }
 
+// parseDatabase parses a request's database and checks it against the
+// rules' arities; either failure is the client's.
+func parseDatabase(src string, rules *chaseterm.RuleSet) (*chaseterm.Database, error) {
+	db, err := chaseterm.ParseDatabase(src)
+	if err == nil {
+		err = db.CheckArities(rules)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return db, nil
+}
+
 func (e *Engine) doChase(ctx context.Context, req api.AnalyzeRequest, rules *chaseterm.RuleSet) (*api.AnalyzeResponse, error) {
-	opts, err := e.chaseRequestOptions(req)
+	opts, err := chaseRequestOptions(req, rules)
 	if err != nil {
 		return nil, err
 	}
@@ -716,10 +714,6 @@ func checkBudgets(req api.AnalyzeRequest) error {
 			return fmt.Errorf("%w: %s must be between 0 and %d, got %d",
 				ErrBadRequest, b.name, maxRequestBudget, b.val)
 		}
-	}
-	if req.ChaseWorkers < 0 || req.ChaseWorkers > maxChaseWorkers {
-		return fmt.Errorf("%w: chaseWorkers must be between 0 and %d, got %d",
-			ErrBadRequest, maxChaseWorkers, req.ChaseWorkers)
 	}
 	return nil
 }

@@ -69,7 +69,7 @@ func (e *Engine) ChaseStream(ctx context.Context, req api.AnalyzeRequest, emit f
 		return err
 	}
 	// ReturnFacts is deliberately inert here: the facts ARE the stream.
-	opts, err := e.chaseRequestOptions(req)
+	opts, err := chaseRequestOptions(req, rules)
 	if err != nil {
 		return err
 	}
