@@ -288,6 +288,37 @@ func TestAnalyzeRejectsDatabaseArityMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckAritiesRepeatAllocFree: a database remembers the rule set it
+// last passed against, so the repeat check of one request allocates
+// nothing, even with a fact-only predicate (whose first check builds a
+// map). A rule set it clashes with is still checked, and fails.
+func TestCheckAritiesRepeatAllocFree(t *testing.T) {
+	rules := chaseterm.MustParseRules("p(X,Y) -> p(Y,Z).")
+	db := chaseterm.MustParseDatabase("p(a,b). p(b,c). extra(a).")
+	if err := db.CheckArities(rules); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := db.CheckArities(rules); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("repeat CheckArities allocates %v times, want 0", n)
+	}
+	for _, clash := range []string{"p(X) -> q(X).", "extra(X,Y) -> p(X,Y)."} {
+		if err := db.CheckArities(chaseterm.MustParseRules(clash)); err == nil {
+			t.Errorf("database passed against %s", clash)
+		}
+		if err := db.CheckArities(rules); err != nil {
+			t.Errorf("after %s: %v", clash, err)
+		}
+	}
+	// An equal but separately parsed rule set is checked afresh, and passes.
+	if err := db.CheckArities(chaseterm.MustParseRules("p(X,Y) -> p(Y,Z).")); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestAnalysisKindRoundTrip(t *testing.T) {
 	kinds := []chaseterm.AnalysisKind{
 		chaseterm.AnalyzeClassify, chaseterm.AnalyzeDecide,

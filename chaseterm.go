@@ -49,6 +49,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"chaseterm/internal/acyclicity"
 	"chaseterm/internal/chase"
@@ -289,6 +290,10 @@ func (r *RuleSet) Internal() *logic.RuleSet { return r.rs }
 // Database is a finite set of ground facts.
 type Database struct {
 	atoms []logic.Atom
+	// checked is the last rule set the facts passed CheckArities
+	// against, so the checks of one request along its path (the service,
+	// then the analyzer) walk the facts once.
+	checked atomic.Pointer[logic.RuleSet]
 }
 
 // ParseDatabase parses ground facts from text.
@@ -317,9 +322,17 @@ func (d *Database) String() string { return parse.FormatFacts(d.atoms) }
 
 // CheckArities reports an error when a fact of the database uses a
 // predicate with another arity than the rules give it. Every analysis
-// that puts the database under the rules runs it first.
+// that puts the database under the rules runs it first. A repeat check
+// against the rule set that passed last returns at once.
 func (d *Database) CheckArities(rules *RuleSet) error {
-	return parse.CheckFactArities(rules.rs, d.atoms)
+	if rules.rs != nil && d.checked.Load() == rules.rs {
+		return nil
+	}
+	if err := parse.CheckFactArities(rules.rs, d.atoms); err != nil {
+		return err
+	}
+	d.checked.Store(rules.rs)
+	return nil
 }
 
 // CriticalDatabase returns the critical instance I*(Σ): all atoms over the

@@ -43,8 +43,13 @@ func chainDB(n int) []logic.Atom {
 	return facts
 }
 
+// The duplicate offer and rediscovery pins use a rule whose frontier
+// misses a body variable: its semi-oblivious triggers go through the
+// identity set. A one-atom rule whose key is the whole binding appends
+// its triggers without a probe, and the engine never offers one twice.
+
 func TestOfferDuplicateAllocFree(t *testing.T) {
-	e, _ := saturatedEngine(t, "e(X,Y) -> r(X,Y).", chainDB(16), SemiOblivious)
+	e, _ := saturatedEngine(t, "e(X,Y) -> r(X).", chainDB(16), SemiOblivious)
 	binding := []instance.TermID{1, 2}
 	e.offer(0, binding) // first offer inserts
 	enq := e.stats.TriggersEnqueued
@@ -118,7 +123,7 @@ func TestHeadSatisfiedTwoAtomAllocFree(t *testing.T) {
 }
 
 func TestDiscoverRediscoveryAllocFree(t *testing.T) {
-	e, in := saturatedEngine(t, "e(X,Y) -> r(X,Y).", chainDB(16), SemiOblivious)
+	e, in := saturatedEngine(t, "e(X,Y) -> r(X).", chainDB(16), SemiOblivious)
 	a, _ := in.Terms.LookupConst("a3")
 	b, _ := in.Terms.LookupConst("a4")
 	ep, ok := in.LookupPred("e")

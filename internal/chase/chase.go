@@ -227,10 +227,14 @@ type compiledRule struct {
 	// len(frontier) variables are the frontier (in the same order),
 	// used for restricted-chase satisfaction checks.
 	headPattern *instance.Pattern
+	// unique is set when no two of the rule's triggers can share an
+	// identity key (see uniqueTriggers), so offer appends them to the
+	// queue without probing the identity set.
+	unique bool
 }
 
 // Engine runs one chase over one instance. Create with NewEngine, then call
-// Run. The instance is mutated in place.
+// RunContext or RunStreamContext once. The instance is mutated in place.
 //
 // The steady-state loop — popping a trigger whose facts all exist and
 // whose successor triggers are all duplicates — is allocation-free: the
@@ -247,11 +251,13 @@ type Engine struct {
 
 	// seen is the trigger identity set, tagged by rule; a trigger is
 	// queued as its member id. Ids are assigned in discovery order, so
-	// the FIFO queue is the id range [qhead, seen.Len()).
+	// the FIFO queue is the id range [qhead, seen.Len()). The triggers of
+	// unique rules are appended, not inserted: they take an id but no
+	// hash slot.
 	seen   instance.TupleSet
 	qhead  int
 	stats  Stats
-	byPred map[instance.PredID][][2]int // pred -> (rule, bodyAtom) pairs
+	byPred [][][2]int // PredID -> (rule, bodyAtom) pairs
 	// scratch holds a frontier projection: the semi-oblivious trigger
 	// key in offer, the oblivious and restricted frontier in frontierOf.
 	// The variants never overlap, so one buffer serves both.
@@ -323,7 +329,6 @@ func NewEngine(in *instance.Instance, rs *logic.RuleSet, v Variant, opt Options)
 		in:      in,
 		variant: v,
 		opt:     opt.withDefaults(),
-		byPred:  make(map[instance.PredID][][2]int),
 		rules:   make([]compiledRule, len(rs.Rules)),
 	}
 	var ar ruleArena
@@ -331,6 +336,12 @@ func NewEngine(in *instance.Instance, rs *logic.RuleSet, v Variant, opt Options)
 		if err := compileRule(in, ri, r, &e.rules[ri], &ar); err != nil {
 			return nil, err
 		}
+		e.rules[ri].unique = uniqueTriggers(&e.rules[ri], v)
+	}
+	// Every predicate of the rules and the instance is interned by now,
+	// and a run derives facts of head predicates only.
+	e.byPred = make([][][2]int, in.NumPreds())
+	for ri := range e.rules {
 		for ai, pa := range e.rules[ri].body.Atoms {
 			e.byPred[pa.Pred] = append(e.byPred[pa.Pred], [2]int{ri, ai})
 		}
@@ -431,10 +442,27 @@ func compileHeadPattern(ps *instance.PatternSet, in *instance.Instance, frontier
 	return ps.Compile(in, head, frontier)
 }
 
+// uniqueTriggers reports whether the variant's trigger key of cr fixes
+// the fact its body maps to, so no two triggers of the rule share a key.
+// That holds for a one-atom body (a linear rule, Theorems 2–3 of the
+// paper) when the key is the whole homomorphism: under the oblivious and
+// restricted chase, and under the semi-oblivious chase when the frontier
+// holds every body variable. Such a trigger is found exactly once — its
+// fact anchors the rule once, at seeding or when discover sees the fact
+// new — so it can never repeat.
+func uniqueTriggers(cr *compiledRule, v Variant) bool {
+	if len(cr.body.Atoms) != 1 {
+		return false
+	}
+	return v != SemiOblivious || len(cr.frontier) == len(cr.body.VarNames)
+}
+
 // offer registers a discovered homomorphism as a trigger, deduplicating by
-// the variant's trigger identity. A duplicate offer — the steady state of
-// a saturating run — performs zero allocations: the identity key is hashed
-// from the binding in place and compared against the tuple-set arena.
+// the variant's trigger identity. A unique rule's trigger (see
+// uniqueTriggers) is appended to the queue without a probe. A duplicate
+// offer — the steady state of a saturating run — performs zero
+// allocations: the identity key is hashed from the binding in place and
+// compared against the tuple-set arena.
 //
 //chaselint:hotpath
 func (e *Engine) offer(rule int, binding []instance.TermID) {
@@ -445,6 +473,11 @@ func (e *Engine) offer(rule int, binding []instance.TermID) {
 		key = e.scratchFrontier(cr, binding)
 	default: // Oblivious and Restricted identify triggers by the full h.
 		key = binding
+	}
+	if cr.unique {
+		e.seen.Append(int32(rule), key)
+		e.stats.TriggersEnqueued++
+		return
 	}
 	if _, added := e.seen.Insert(int32(rule), key); added {
 		e.stats.TriggersEnqueued++

@@ -27,6 +27,12 @@ func determinismCorpus() []corpusCase {
 	slDB := workload.RandomABox(rng, sl, 40, 12)
 	guarded := workload.RandomGuarded(rng, workload.Config{NumPreds: 4, NumRules: 4, MaxArity: 3})
 	guardedDB := workload.RandomABox(rng, guarded, 40, 12)
+	// A terminating DL-Lite TBox (the class the service chases) whose
+	// semi-oblivious run derives 10,170 facts: its one-atom rules append
+	// their triggers without a probe, its domain and range axioms probe.
+	dlRNG := rand.New(rand.NewSource(927))
+	dlLite := workload.RandomInclusionDependencies(dlRNG, 12, 6, 40)
+	dlLiteDB := workload.RandomABox(dlRNG, dlLite, 1000, 200)
 	return []corpusCase{
 		{"example1-budget", workload.Example1(), workload.Example1DB(),
 			Options{MaxTriggers: 500}},
@@ -41,6 +47,7 @@ func determinismCorpus() []corpusCase {
 		{"inclusion-deps", incl, inclDB, Options{MaxTriggers: 20_000, MaxFacts: 20_000}},
 		{"random-sl", sl, slDB, Options{MaxTriggers: 10_000, MaxFacts: 10_000}},
 		{"random-guarded", guarded, guardedDB, Options{MaxTriggers: 5_000, MaxFacts: 10_000}},
+		{"dl-lite", dlLite, dlLiteDB, Options{}},
 	}
 }
 
@@ -78,6 +85,9 @@ var corpusPins = map[string]struct {
 	"random-guarded/oblivious":       {"c7101ecb18e11e75", 4999, [][2]instance.FactID{{28, 6697}}},
 	"random-guarded/semi-oblivious":  {"f9823d368b0c310d", 11, [][2]instance.FactID{{28, 41}}},
 	"random-guarded/restricted":      {"5882295548404ed6", 2, [][2]instance.FactID{{28, 30}}},
+	"dl-lite/oblivious":              {"833f33d62f9934d6", 8988, [][2]instance.FactID{{914, 11084}}},
+	"dl-lite/semi-oblivious":         {"53ee7b3984d470c8", 8988, [][2]instance.FactID{{914, 11084}}},
+	"dl-lite/restricted":             {"9c901857f837a2fe", 6754, [][2]instance.FactID{{914, 8625}}},
 }
 
 // normalizeRanges merges a stream's emitted ranges into the minimal

@@ -62,8 +62,16 @@ func termsEqual(a, b []TermID) bool {
 // types, whose ids may be node-local; it is also the frontier dedup of
 // the sequence explorer. Like Instance it is single-writer (see the
 // package comment).
+//
+// Append adds a member that bypasses the hash table: it takes the next
+// id like an Insert miss, but Lookup and Insert never find it. The
+// caller guarantees that an appended key is never inserted or looked up
+// — that it is unique by construction, like a chase trigger fixed by the
+// fact it anchors on — so the set needs no probe to admit it. Ids stay
+// dense and ordered across both kinds of member.
 type TupleSet struct {
-	slots []int32  // id+1; 0 = empty
+	slots []int32  // id+1 of inserted members; 0 = empty
+	n     int      // inserted members (appended ones take no slot)
 	tags  []int32  // per id
 	offs  []int32  // len = len(tags)+1; tuple i is arena[offs[i]:offs[i+1]]
 	arena []TermID // concatenated member tuples
@@ -95,8 +103,7 @@ func (s *TupleSet) keyAt(id int32) (int32, []TermID) {
 func (s *TupleSet) Insert(tag int32, tuple []TermID) (int32, bool) {
 	if len(s.slots) == 0 {
 		s.grow(16)
-		s.offs = append(s.offs, 0)
-	} else if len(s.tags)*4 >= len(s.slots)*3 {
+	} else if s.n*4 >= len(s.slots)*3 {
 		s.grow(len(s.slots) * 2)
 	}
 	h := hashTuple(tag, tuple)
@@ -105,11 +112,9 @@ func (s *TupleSet) Insert(tag int32, tuple []TermID) (int32, bool) {
 	for {
 		v := s.slots[i]
 		if v == 0 {
-			id := int32(len(s.tags))
-			s.tags = append(s.tags, tag)
-			s.arena = append(s.arena, tuple...)
-			s.offs = append(s.offs, int32(len(s.arena)))
+			id := s.Append(tag, tuple)
 			s.slots[i] = id + 1
+			s.n++
 			return id, true
 		}
 		t, tup := s.keyAt(v - 1)
@@ -118,6 +123,23 @@ func (s *TupleSet) Insert(tag int32, tuple []TermID) (int32, bool) {
 		}
 		i = (i + 1) & mask
 	}
+}
+
+// Append adds (tag, tuple) as a member with the next id without entering
+// it in the hash table, and returns the id. The caller guarantees the key
+// is unique: it is never inserted, looked up, or appended again, since
+// Lookup and Insert would not find it. The tuple is copied into the arena.
+//
+//chaselint:hotpath
+func (s *TupleSet) Append(tag int32, tuple []TermID) int32 {
+	if len(s.offs) == 0 {
+		s.offs = append(reserve(s.offs, 1), 0)
+	}
+	id := int32(len(s.tags))
+	s.tags = append(reserve(s.tags, 1), tag)
+	s.arena = append(reserve(s.arena, len(tuple)), tuple...)
+	s.offs = append(reserve(s.offs, 1), int32(len(s.arena)))
+	return id
 }
 
 // Lookup returns the member id of (tag, tuple) if present. It performs
@@ -152,15 +174,35 @@ func (s *TupleSet) Contains(tag int32, tuple []TermID) bool {
 	return ok
 }
 
+// grow re-slots the inserted members into a table of size slots. It
+// walks the old table, not the ids, so appended members stay out.
 func (s *TupleSet) grow(size int) {
+	old := s.slots
 	s.slots = make([]int32, size)
 	mask := uint64(size - 1)
-	for id := range s.tags {
-		tag, tup := s.keyAt(int32(id))
+	for _, v := range old {
+		if v == 0 {
+			continue
+		}
+		tag, tup := s.keyAt(v - 1)
 		i := hashTuple(tag, tup) & mask
 		for s.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		s.slots[i] = int32(id) + 1
+		s.slots[i] = v
 	}
+}
+
+// reserve returns s with room for n more elements. When it must
+// reallocate, it at least doubles the capacity: append grows a large
+// slice by about 1.25 times, so an arena grown by append alone is
+// copied and allocated about five times its final size, and one grown
+// through reserve about twice.
+func reserve[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	grown := make([]T, len(s), max(2*cap(s), len(s)+n, 8))
+	copy(grown, s)
+	return grown
 }

@@ -3,6 +3,7 @@ package instance
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"chaseterm/internal/logic"
 )
@@ -168,9 +169,9 @@ func (in *Instance) Add(p PredID, args []TermID) (FactID, bool) {
 	if !added {
 		return id, false
 	}
-	for range args {
-		in.next = append(in.next, 0)
-	}
+	n := len(in.next)
+	in.next = reserve(in.next, len(args))[:n+len(args)]
+	clear(in.next[n:])
 	in.byPred[p] = append(in.byPred[p], id)
 	for i, t := range args {
 		if (in.index.n+len(args))*4 >= len(in.index.entries)*3 {
@@ -299,17 +300,52 @@ func (in *Instance) AppendFact(dst []byte, id FactID) []byte {
 }
 
 // Strings renders every fact, sorted lexicographically — convenient for
-// tests and goldens. All facts are rendered into one buffer and converted
-// to one string, and each fact is a substring of it: a few allocations in
-// all rather than several per fact.
+// tests and goldens. Each fact is a substring of one string, sized
+// exactly before it is written: a first pass renders each term that
+// occurs in a fact once and sums the facts' lengths, a second copies the
+// predicate names and term texts into place. The result takes a few
+// allocations in all, and no buffer growth.
 func (in *Instance) Strings() []string {
+	// span[t] is term t's text in terms as [lo, hi+1); 0 = not rendered.
+	span := make([][2]int32, in.Terms.Len())
+	var terms []byte
 	ends := make([]int, in.Size())
-	var buf []byte
+	n := 0
 	for i := range ends {
-		buf = in.AppendFact(buf, FactID(i))
-		ends[i] = len(buf)
+		args := in.facts.Tuple(int32(i))
+		n += len(in.predNames[in.facts.Tag(int32(i))])
+		if len(args) > 0 {
+			n += len(args) + 1 // parentheses and commas
+		}
+		for _, a := range args {
+			sp := &span[a]
+			if sp[1] == 0 {
+				sp[0] = int32(len(terms))
+				terms = in.Terms.AppendTerm(terms, a)
+				sp[1] = int32(len(terms)) + 1
+			}
+			n += int(sp[1] - 1 - sp[0])
+		}
+		ends[i] = n
 	}
-	out := SplitAt(make([]string, 0, len(ends)), string(buf), ends)
+	var b strings.Builder
+	b.Grow(n)
+	for i := range ends {
+		b.WriteString(in.predNames[in.facts.Tag(int32(i))])
+		args := in.facts.Tuple(int32(i))
+		for j, a := range args {
+			if j == 0 {
+				b.WriteByte('(')
+			} else {
+				b.WriteByte(',')
+			}
+			b.Write(terms[span[a][0] : span[a][1]-1])
+		}
+		if len(args) > 0 {
+			b.WriteByte(')')
+		}
+	}
+	out := SplitAt(make([]string, 0, len(ends)), b.String(), ends)
 	sort.Strings(out)
 	return out
 }

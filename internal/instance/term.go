@@ -9,6 +9,13 @@
 // the frontier are indistinguishable" concrete: equal frontier tuples yield
 // the identical Skolem term ids and therefore the identical facts.
 //
+// Facts, Skolem terms and the chase engine's triggers live in TupleSets:
+// dense ids over one flat arena, deduplicated through an open-addressed
+// hash table. TupleSet.Append admits a member without the table, for a
+// caller that guarantees the key is never inserted, looked up or
+// appended again (the engine's triggers of one-atom rule bodies, which
+// the anchoring fact makes unique). The arenas grow by doubling.
+//
 // # Concurrency: the single-writer contract
 //
 // Instances, term tables and tuple sets are single-writer data structures:
