@@ -26,10 +26,11 @@ func allocBytesPerRun(runs int, f func()) float64 {
 // the DL-Lite ontology case (see ontologyCase), database load included,
 // and by one Strings call on its 26,049-fact semi-oblivious result: the
 // engine's arenas grow by doubling, the triggers of one-atom bodies take
-// no hash slot, and Strings sizes its text once. The bounds are the
-// measured 8.54 MB, 5.12 MB and 1.18 MB plus 5%. The count pins
-// (AllocsPerRun) miss a change that allocates as often but copies more;
-// these catch it.
+// no hash slot, the posting index keeps only the columns the engine's
+// plans probe (none for the semi-oblivious chase), and Strings sizes its
+// text once. The bounds are the measured 4.65 MB, 4.22 MB and 1.18 MB
+// plus 5%. The count pins (AllocsPerRun) miss a change that allocates as
+// often but copies more; these catch it.
 func TestOntologyChaseAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what the runtime allocates")
@@ -39,8 +40,8 @@ func TestOntologyChaseAllocBytes(t *testing.T) {
 		v           chase.Variant
 		chase, strs float64 // strs 0: Strings not pinned
 	}{
-		{chase.SemiOblivious, 8_970_000, 1_235_000},
-		{chase.Restricted, 5_380_000, 0},
+		{chase.SemiOblivious, 4_880_000, 1_235_000},
+		{chase.Restricted, 4_430_000, 0},
 	} {
 		var res *chase.Result
 		got := allocBytesPerRun(3, func() {

@@ -395,7 +395,22 @@ type ChaseResult struct {
 
 	factsOnce sync.Once
 	facts     []string
+	// indexOnce indexes every column of inst before the first query
+	// compiles its pattern, so compiling a query over the result's
+	// predicates and constants writes nothing and queries may run
+	// concurrently.
+	indexOnce sync.Once
 	inst      *instance.Instance
+}
+
+// compileQuery compiles a conjunctive query over the chase result.
+func (r *ChaseResult) compileQuery(body string) (*instance.Pattern, error) {
+	atoms, err := parse.ParseAtomList(body)
+	if err != nil {
+		return nil, err
+	}
+	r.indexOnce.Do(r.inst.IndexAll)
+	return instance.CompileBody(r.inst, atoms)
 }
 
 // Facts returns the final instance as sorted, rendered atoms. Invented
@@ -420,11 +435,7 @@ func (r *ChaseResult) Facts() []string {
 // a tuple of rendered constants in answerVars order; answers are
 // deduplicated and sorted.
 func (r *ChaseResult) Query(body string, answerVars ...string) ([][]string, error) {
-	atoms, err := parse.ParseAtomList(body)
-	if err != nil {
-		return nil, err
-	}
-	pat, err := instance.CompileBody(r.inst, atoms)
+	pat, err := r.compileQuery(body)
 	if err != nil {
 		return nil, err
 	}
@@ -480,11 +491,7 @@ func (r *ChaseResult) CoreFacts() (facts []string, removed int) {
 // homomorphism into the chase result (invented values allowed — this is
 // certain-answer semantics for a boolean query over a universal model).
 func (r *ChaseResult) Holds(body string) (bool, error) {
-	atoms, err := parse.ParseAtomList(body)
-	if err != nil {
-		return false, err
-	}
-	pat, err := instance.CompileBody(r.inst, atoms)
+	pat, err := r.compileQuery(body)
 	if err != nil {
 		return false, err
 	}

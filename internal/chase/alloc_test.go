@@ -101,6 +101,36 @@ func TestHeadSatisfiedAllocFree(t *testing.T) {
 	}
 }
 
+// TestHeadSatisfiedExistentialAllocFree: a full rule's head, as in
+// TestHeadSatisfiedAllocFree, carries no head pattern and is checked by
+// lookup; the single-atom existential head r(X,Z) is checked through
+// its pattern, which walks the (r, 0, x) posting chain, and must stay
+// allocation-free both when the head is satisfied and when it is not.
+func TestHeadSatisfiedExistentialAllocFree(t *testing.T) {
+	full, _ := saturatedEngine(t, "e(X,Y) -> r(X,Y).", chainDB(4), Restricted)
+	if full.rules[0].headPattern != nil {
+		t.Fatal("a full rule carries a head pattern")
+	}
+	e, in := saturatedEngine(t, "e(X,Y) -> r(X,Z).", chainDB(16), Restricted)
+	a, _ := in.Terms.LookupConst("a0")
+	last, _ := in.Terms.LookupConst("a16")
+	cr := &e.rules[0]
+	r, _ := in.LookupPred("r")
+	if cr.headPattern == nil || !in.Indexed(r, 0) {
+		t.Fatal("setup: the existential head must be checked through an indexed pattern")
+	}
+	hit, miss := []instance.TermID{a}, []instance.TermID{last}
+	if !e.headSatisfied(cr, hit) || e.headSatisfied(cr, miss) {
+		t.Fatal("setup: the head must be satisfied for a0 only")
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		e.headSatisfied(cr, hit)
+		e.headSatisfied(cr, miss)
+	}); n != 0 {
+		t.Errorf("existential headSatisfied allocates %v per run, want 0", n)
+	}
+}
+
 // TestHeadSatisfiedTwoAtomAllocFree: the seeded plan of a qualified
 // existential's head, r(X,Z), c(Z) with X bound, walks a posting chain
 // and probes a second level, and must stay allocation-free both when

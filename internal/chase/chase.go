@@ -224,8 +224,10 @@ type compiledRule struct {
 	skolemFns []instance.SkolemFnID // per existential variable
 	head      []headAtom
 	// headPattern is the head compiled as a body-style pattern whose first
-	// len(frontier) variables are the frontier (in the same order),
-	// used for restricted-chase satisfaction checks.
+	// len(frontier) variables are the frontier (in the same order), used
+	// for the restricted chase's satisfaction checks of rules with
+	// existential variables; nil otherwise. A full rule's head is ground
+	// once the frontier is bound, so its check is a lookup per atom.
 	headPattern *instance.Pattern
 	// unique is set when no two of the rule's triggers can share an
 	// identity key (see uniqueTriggers), so offer appends them to the
@@ -264,7 +266,9 @@ type Engine struct {
 	scratch []instance.TermID
 	match   instance.MatchScratch
 	exBuf   []instance.TermID
-	argBuf  []instance.TermID
+	// argBuf holds one instantiated head atom (headArgs). NewEngine sizes
+	// it for the widest head atom, so it never grows.
+	argBuf []instance.TermID
 	// offerFn is the one seeding/discovery callback: it offers the found
 	// binding for rule curRule. The matcher is never re-entered while an
 	// enumeration is live (offer only hashes and enqueues), so a single
@@ -332,12 +336,28 @@ func NewEngine(in *instance.Instance, rs *logic.RuleSet, v Variant, opt Options)
 		rules:   make([]compiledRule, len(rs.Rules)),
 	}
 	var ar ruleArena
+	maxArity := 0
 	for ri, r := range rs.Rules {
-		if err := compileRule(in, ri, r, &e.rules[ri], &ar); err != nil {
+		cr := &e.rules[ri]
+		if err := compileRule(in, ri, r, cr, &ar); err != nil {
 			return nil, err
 		}
-		e.rules[ri].unique = uniqueTriggers(&e.rules[ri], v)
+		cr.unique = uniqueTriggers(cr, v)
+		// Only the restricted chase checks heads, and a full rule's
+		// check needs no pattern: the engine compiles only what it runs,
+		// so the instance indexes only the columns those plans probe.
+		if v == Restricted && cr.nExist > 0 {
+			hp, err := compileHeadPattern(&ar.ps, in, r.Frontier(), r.Head)
+			if err != nil {
+				return nil, err
+			}
+			cr.headPattern = hp
+		}
+		for _, ha := range cr.head {
+			maxArity = max(maxArity, len(ha.slots))
+		}
 	}
+	e.argBuf = make([]instance.TermID, 0, maxArity)
 	// Every predicate of the rules and the instance is interned by now,
 	// and a run derives facts of head predicates only.
 	e.byPred = make([][][2]int, in.NumPreds())
@@ -376,6 +396,9 @@ type ruleArena struct {
 	ps       instance.PatternSet
 }
 
+// compileRule compiles the rule's body pattern, frontier, Skolem
+// functions and head atoms into cr. It leaves cr.headPattern nil: the
+// caller compiles the head pattern where it runs one.
 func compileRule(in *instance.Instance, ri int, r *logic.TGD, cr *compiledRule, ar *ruleArena) error {
 	body, err := ar.ps.Compile(in, r.Body, nil)
 	if err != nil {
@@ -424,11 +447,6 @@ func compileRule(in *instance.Instance, ri int, r *logic.TGD, cr *compiledRule, 
 		})
 	}
 	cr.head = ar.heads[haStart:len(ar.heads):len(ar.heads)]
-	hp, err := compileHeadPattern(&ar.ps, in, fr, r.Head)
-	if err != nil {
-		return err
-	}
-	cr.headPattern = hp
 	return nil
 }
 
@@ -621,12 +639,42 @@ func (e *Engine) result(outcome Outcome) *Result {
 }
 
 // headSatisfied reports whether the head of cr, with its frontier bound to
-// fr, already has a homomorphism into the instance. Allocation-free: it
-// reuses the engine's match scratch.
+// fr, already has a homomorphism into the instance: a search of the head
+// pattern when the rule has existential variables, else one fact lookup
+// per head atom. Allocation-free: it reuses the engine's match scratch
+// and argument buffer.
 //
 //chaselint:hotpath
 func (e *Engine) headSatisfied(cr *compiledRule, fr []instance.TermID) bool {
-	return e.in.HasHomWith(&e.match, cr.headPattern, fr)
+	if cr.headPattern != nil {
+		return e.in.HasHomWith(&e.match, cr.headPattern, fr)
+	}
+	for i := range cr.head {
+		ha := &cr.head[i]
+		if !e.in.Contains(ha.pred, e.headArgs(ha, fr, nil)) {
+			return false
+		}
+	}
+	return true
+}
+
+// headArgs instantiates a head atom into the engine's argument buffer,
+// with the frontier bound to fr and the existential variables to ex.
+//
+//chaselint:hotpath
+func (e *Engine) headArgs(ha *headAtom, fr, ex []instance.TermID) []instance.TermID {
+	args := e.argBuf[:0]
+	for _, s := range ha.slots {
+		switch s.kind {
+		case slotFrontier:
+			args = append(args, fr[s.idx])
+		case slotExistential:
+			args = append(args, ex[s.idx])
+		default:
+			args = append(args, s.term)
+		}
+	}
+	return args
 }
 
 // apply fires a trigger: it invents nulls (oblivious/restricted) or Skolem
@@ -666,27 +714,14 @@ func (e *Engine) apply(cr *compiledRule, fr []instance.TermID) (added int, maxDe
 			maxDepth = d
 		}
 	}
-	args := e.argBuf
-	for _, ha := range cr.head {
-		args = args[:0]
-		for _, s := range ha.slots {
-			switch s.kind {
-			case slotFrontier:
-				args = append(args, fr[s.idx])
-			case slotExistential:
-				args = append(args, ex[s.idx])
-			default:
-				args = append(args, s.term)
-			}
-		}
-		fid, isNew := e.in.Add(ha.pred, args)
+	for i := range cr.head {
+		fid, isNew := e.in.Add(cr.head[i].pred, e.headArgs(&cr.head[i], fr, ex))
 		if isNew {
 			added++
 			e.stats.FactsAdded++
 			e.discover(fid)
 		}
 	}
-	e.argBuf = args[:0]
 	return added, maxDepth
 }
 
@@ -738,13 +773,17 @@ func IsModel(in *instance.Instance, rs *logic.RuleSet) (string, error) {
 		if err := compileRule(in, ri, r, cr, &ar); err != nil {
 			return "", err
 		}
+		hp, err := compileHeadPattern(&ar.ps, in, r.Frontier(), r.Head)
+		if err != nil {
+			return "", err
+		}
 		violation := ""
 		in.FindHoms(cr.body, nil, func(b []instance.TermID) bool {
 			fr := make([]instance.TermID, len(cr.frontier))
 			for i, vi := range cr.frontier {
 				fr[i] = b[vi]
 			}
-			if !in.HasHom(cr.headPattern, fr) {
+			if !in.HasHom(hp, fr) {
 				parts := make([]string, len(b))
 				for i, t := range b {
 					parts[i] = cr.body.VarNames[i].String() + "=" + in.Terms.String(t)

@@ -133,12 +133,19 @@ func (s *TupleSet) Insert(tag int32, tuple []TermID) (int32, bool) {
 //chaselint:hotpath
 func (s *TupleSet) Append(tag int32, tuple []TermID) int32 {
 	if len(s.offs) == 0 {
-		s.offs = append(reserve(s.offs, 1), 0)
+		reserve(&s.offs, 1)
+		s.offs = append(s.offs, 0)
 	}
 	id := int32(len(s.tags))
-	s.tags = append(reserve(s.tags, 1), tag)
-	s.arena = append(reserve(s.arena, len(tuple)), tuple...)
-	s.offs = append(reserve(s.offs, 1), int32(len(s.arena)))
+	reserve(&s.tags, 1)
+	s.tags = append(s.tags, tag)
+	// Not append(s.arena, tuple...): that form stores the whole header.
+	n := len(s.arena)
+	reserve(&s.arena, len(tuple))
+	s.arena = s.arena[:n+len(tuple)]
+	copy(s.arena[n:], tuple)
+	reserve(&s.offs, 1)
+	s.offs = append(s.offs, int32(len(s.arena)))
 	return id
 }
 
@@ -193,16 +200,19 @@ func (s *TupleSet) grow(size int) {
 	}
 }
 
-// reserve returns s with room for n more elements. When it must
+// reserve makes room in *s for n more elements. When it must
 // reallocate, it at least doubles the capacity: append grows a large
 // slice by about 1.25 times, so an arena grown by append alone is
 // copied and allocated about five times its final size, and one grown
-// through reserve about twice.
-func reserve[T any](s []T, n int) []T {
-	if len(s)+n <= cap(s) {
-		return s
+// through reserve about twice. It stores the slice header only when it
+// reallocates, so the caller's following s = append(s, ...) fills in
+// place and writes just the length: a pointer store on every append
+// would cost a GC write barrier each time while the collector runs.
+func reserve[T any](s *[]T, n int) {
+	if len(*s)+n <= cap(*s) {
+		return
 	}
-	grown := make([]T, len(s), max(2*cap(s), len(s)+n, 8))
-	copy(grown, s)
-	return grown
+	grown := make([]T, len(*s), max(2*cap(*s), len(*s)+n, 8))
+	copy(grown, *s)
+	*s = grown
 }

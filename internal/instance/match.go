@@ -47,8 +47,11 @@ type Pattern struct {
 // CompileBody compiles a conjunction of logic atoms against the instance's
 // predicate and constant tables. The variable order (and hence the binding
 // layout) is the order of first occurrence. Join plans are compiled
-// eagerly, so the returned pattern is immediately safe for concurrent
-// enumeration over a frozen instance.
+// eagerly, and the instance indexes the columns they probe (see
+// PatternSet.Compile), so the returned pattern is immediately safe for
+// concurrent enumeration over a frozen instance. Compiling is a write
+// under the single-writer contract: it interns predicates and constants
+// and may index columns.
 func CompileBody(in *Instance, atoms []logic.Atom) (*Pattern, error) {
 	return (*PatternSet)(nil).Compile(in, atoms, nil)
 }
@@ -65,6 +68,25 @@ type PatternSet struct {
 	atoms []PatternAtom
 	slots []Slot
 	names []logic.Variable
+	sc    compileScratch
+}
+
+// compileScratch holds the bitmaps of plan compilation, reused across
+// the patterns of a set.
+type compileScratch struct {
+	bound, used []bool
+}
+
+// get returns the scratch bitmaps sized for nVars variables and nAtoms
+// atoms; their contents are unspecified.
+func (sc *compileScratch) get(nVars, nAtoms int) (bound, used []bool) {
+	if cap(sc.bound) < nVars {
+		sc.bound = make([]bool, nVars)
+	}
+	if cap(sc.used) < nAtoms {
+		sc.used = make([]bool, nAtoms)
+	}
+	return sc.bound[:nVars], sc.used[:nAtoms]
 }
 
 func (ps *PatternSet) pattern() *Pattern {
@@ -81,6 +103,14 @@ func (ps *PatternSet) pattern() *Pattern {
 // unanchored plan treats the seed variables as bound, because the caller
 // binds them (the chase puts a rule's frontier first in its head pattern
 // and binds it from the trigger).
+//
+// The instance indexes every column the pattern's plans probe: walking
+// each plan in order, a position that holds a constant, a seed variable
+// of the unanchored plan, or a variable bound by the anchor atom or by
+// an earlier level. Other columns stay unindexed unless another pattern
+// probes them, and the matcher reads their facts from the extent or
+// another indexed column. Like CompileBody, Compile is a write under the
+// single-writer contract.
 func (ps *PatternSet) Compile(in *Instance, atoms []logic.Atom, seedVars []logic.Variable) (*Pattern, error) {
 	if ps == nil {
 		ps = &PatternSet{}
@@ -115,8 +145,51 @@ func (ps *PatternSet) Compile(in *Instance, atoms []logic.Atom, seedVars []logic
 	}
 	p.Atoms = ps.atoms[atomStart:len(ps.atoms):len(ps.atoms)]
 	p.VarNames = ps.names[nameStart:len(ps.names):len(ps.names)]
-	p.Compile()
+	p.compile(&ps.sc)
+	p.indexProbed(in, &ps.sc)
 	return p, nil
+}
+
+// indexProbed indexes the columns the pattern's plans probe: walking
+// each plan in order, every position whose term is ground when its
+// level starts — a constant, or a variable the seeds, the anchor atom or
+// an earlier level binds. Those are the positions candSource can answer
+// from a posting chain.
+func (p *Pattern) indexProbed(in *Instance, sc *compileScratch) {
+	bound, _ := sc.get(p.NumVars, 0)
+	for a := -1; a < len(p.Atoms); a++ {
+		p.bindStart(a, bound)
+		for _, ai := range p.plans[1+a] {
+			pa := &p.Atoms[ai]
+			for i, s := range pa.Args {
+				if !s.IsVar || bound[s.Var] {
+					in.IndexColumn(pa.Pred, i)
+				}
+			}
+			for _, s := range pa.Args {
+				if s.IsVar {
+					bound[s.Var] = true
+				}
+			}
+		}
+	}
+}
+
+// bindStart sets bound to the variables bound before the first level of
+// a plan: the anchor atom's, or with no anchor (anchor < 0) the seeds.
+func (p *Pattern) bindStart(anchor int, bound []bool) {
+	clear(bound)
+	if anchor < 0 {
+		for v := 0; v < p.seeds; v++ {
+			bound[v] = true
+		}
+		return
+	}
+	for _, s := range p.Atoms[anchor].Args {
+		if s.IsVar {
+			bound[s.Var] = true
+		}
+	}
 }
 
 func varIndexIn(names []logic.Variable, v logic.Variable) int {
@@ -154,8 +227,13 @@ var smallPlans = [][][]int32{
 // use the (pred, pos, term) index. Compile is idempotent; CompileBody
 // and the chase compiler call it eagerly. Patterns built by hand are
 // compiled lazily on first use, which is safe only under the package's
-// single-writer contract.
+// single-writer contract, and index no column: their probes of
+// unindexed columns read the extent.
 func (p *Pattern) Compile() {
+	p.compile(&compileScratch{})
+}
+
+func (p *Pattern) compile(sc *compileScratch) {
 	if p.plans != nil {
 		return
 	}
@@ -165,10 +243,9 @@ func (p *Pattern) Compile() {
 		return
 	}
 	plans := make([][]int32, 1+n)
-	// One backing array for every plan order; one pair of scratch bitmaps.
+	// One backing array for every plan order.
 	backing := make([]int32, 0, n+n*max(n-1, 0))
-	bound := make([]bool, p.NumVars)
-	used := make([]bool, n)
+	bound, used := sc.get(p.NumVars, n)
 	for a := -1; a < n; a++ {
 		start := len(backing)
 		backing = p.planOrder(a, backing, bound, used)
@@ -184,25 +261,12 @@ func (p *Pattern) Compile() {
 // lower index. bound and used are caller-provided scratch bitmaps.
 func (p *Pattern) planOrder(anchor int, backing []int32, bound, used []bool) []int32 {
 	n := len(p.Atoms)
-	for i := range bound {
-		bound[i] = false
-	}
-	for i := range used {
-		used[i] = false
-	}
+	p.bindStart(anchor, bound)
+	clear(used)
 	size := n
-	if anchor < 0 {
-		for v := 0; v < p.seeds; v++ {
-			bound[v] = true
-		}
-	} else {
+	if anchor >= 0 {
 		used[anchor] = true
 		size = n - 1
-		for _, s := range p.Atoms[anchor].Args {
-			if s.IsVar {
-				bound[s.Var] = true
-			}
-		}
 	}
 	order := backing
 	for len(order) < len(backing)+size {
@@ -361,14 +425,20 @@ func undoBinding(binding []TermID, bound []int32) {
 // candSource returns the candidate source for a pattern atom under the
 // current binding, choosing the most selective available access path: the
 // shortest (pred, pos, term) index chain among the ground argument
-// positions, else the full predicate extent. Allocation-free.
+// positions of indexed columns, else the full predicate extent. A ground
+// position of an unindexed column is left to the other source, which
+// holds every fact matching it. Allocation-free.
 //
 //chaselint:hotpath
 func (in *Instance) candSource(pa *PatternAtom, binding []TermID) candSrc {
 	ext := in.byPred[pa.Pred]
 	best := candSrc{list: ext, n: int32(len(ext))}
 	usedIndex := false
+	col := in.preds[pa.Pred].col
 	for i, s := range pa.Args {
+		if !in.indexed[col+int32(i)] {
+			continue
+		}
 		var t TermID = NoTerm
 		if !s.IsVar {
 			t = s.Term

@@ -14,7 +14,7 @@ func refTermString(t *TermTable, id TermID) string {
 	in := t.infos[id]
 	switch in.kind {
 	case KindConst:
-		return in.name
+		return t.names[in.aux]
 	case KindNull:
 		return fmt.Sprintf("z%d", in.aux)
 	default:
@@ -86,8 +86,10 @@ func TestRenderMatchesReference(t *testing.T) {
 		if got, want := tt.String(id), refTermString(tt, id); got != want {
 			t.Errorf("term %d: String %q, reference %q", id, got, want)
 		}
-		want := tt.infos[id].name
+		var want string
 		switch tt.Kind(id) {
+		case KindConst:
+			want = tt.names[tt.infos[id].aux]
 		case KindNull:
 			want = fmt.Sprintf("z%d", tt.infos[id].aux)
 		case KindSkolem:

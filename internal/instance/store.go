@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"chaseterm/internal/logic"
 )
@@ -27,7 +28,8 @@ type Fact struct {
 // facts exactly as posting-list slices would — without allocating a list
 // per key. Entries live inline in an open-addressed, pointer-free table
 // (count == 0 marks an empty slot), so index maintenance costs neither a
-// Go map operation nor GC scan work.
+// Go map operation nor GC scan work. Only indexed columns keep chains
+// (see Instance.IndexColumn).
 type postEntry struct {
 	pred       PredID
 	pos        int32
@@ -60,12 +62,21 @@ func (pt *postTable) lookup(p PredID, pos int32, term TermID) *postEntry {
 	}
 }
 
-func (pt *postTable) grow() {
-	old := pt.entries
-	size := 2 * len(old)
-	if size == 0 {
-		size = 64
+// reserve sizes the table, by doubling from 64 entries, so that n more
+// entries keep its load at most 3/4.
+func (pt *postTable) reserve(n int) {
+	size := max(len(pt.entries), 64)
+	for (pt.n+n)*4 > size*3 {
+		size *= 2
 	}
+	if size > len(pt.entries) {
+		pt.resize(size)
+	}
+}
+
+// resize re-slots the entries into a table of size entries.
+func (pt *postTable) resize(size int) {
+	old := pt.entries
 	pt.entries = make([]postEntry, size)
 	mask := uint64(size - 1)
 	for i := range old {
@@ -84,29 +95,42 @@ func (pt *postTable) grow() {
 // Instance is a set of facts (a database instance, possibly containing
 // invented nulls or Skolem terms) with per-predicate extents and a
 // (predicate, position, term) hash index used by the homomorphism matcher.
+// The index is kept per column — a (predicate, position) pair — and only
+// for the columns compiled patterns probe (see IndexColumn).
 //
 // Concurrency: an Instance is single-writer. Mutating methods (Add, Pred,
-// AddLogicAtom, and anything that interns terms) must be serialized by the
-// caller; once an instance is frozen — no more writers — any number of
-// goroutines may read it concurrently (Contains, ByPred, ByPosTerm,
-// FindHoms and friends with per-goroutine MatchScratch, FactString, ...).
+// AddLogicAtom, IndexColumn, PatternSet.Compile and CompileBody, and
+// anything that interns terms) must be serialized by the caller; once an
+// instance is frozen — no more writers — any number of goroutines may
+// read it concurrently (Contains, ByPred, ByPosTerm, FindHoms and friends
+// with per-goroutine MatchScratch, FactString, ...).
 type Instance struct {
 	Terms *TermTable
 
 	predByName map[string]PredID
 	predNames  []string
-	predArity  []int
+	preds      []predInfo
+	// indexed holds one flag per column, predicate p's at preds[p].col
+	// onward: whether the column keeps posting chains.
+	indexed []bool
 
 	// facts stores and deduplicates the facts: tag = predicate, member
 	// id = FactID, and its arena holds every fact's arguments.
 	facts TupleSet
 	// next is parallel to the facts' arena: the next fact id+1 in the
-	// (pred, pos, term) chain through that argument, 0 at the tail.
+	// (pred, pos, term) chain through that argument, 0 at the tail or in
+	// an unindexed column. It is nil until a column is indexed.
 	next   []int32
 	byPred [][]FactID
 	index  postTable
 
 	atomBuf []TermID // AddLogicAtom scratch (single-writer, like all mutation)
+}
+
+// predInfo describes an interned predicate.
+type predInfo struct {
+	arity int32
+	col   int32 // the predicate's first flag in Instance.indexed
 }
 
 // New creates an empty instance with a fresh term table.
@@ -122,15 +146,16 @@ func New() *Instance {
 // RuleSet.Validate reject such inputs earlier).
 func (in *Instance) Pred(name string, arity int) PredID {
 	if id, ok := in.predByName[name]; ok {
-		if in.predArity[id] != arity {
-			panic(fmt.Sprintf("instance: predicate %s used with arity %d and %d", name, in.predArity[id], arity))
+		if a := in.PredArity(id); a != arity {
+			panic(fmt.Sprintf("instance: predicate %s used with arity %d and %d", name, a, arity))
 		}
 		return id
 	}
 	id := PredID(len(in.predNames))
 	in.predByName[name] = id
 	in.predNames = append(in.predNames, name)
-	in.predArity = append(in.predArity, arity)
+	in.preds = append(in.preds, predInfo{arity: int32(arity), col: int32(len(in.indexed))})
+	in.indexed = append(in.indexed, make([]bool, arity)...)
 	in.byPred = append(in.byPred, nil)
 	return id
 }
@@ -145,7 +170,7 @@ func (in *Instance) LookupPred(name string) (PredID, bool) {
 func (in *Instance) PredName(p PredID) string { return in.predNames[p] }
 
 // PredArity returns the arity of a predicate id.
-func (in *Instance) PredArity(p PredID) int { return in.predArity[p] }
+func (in *Instance) PredArity(p PredID) int { return int(in.preds[p].arity) }
 
 // NumPreds returns the number of interned predicates.
 func (in *Instance) NumPreds() int { return len(in.predNames) }
@@ -161,6 +186,8 @@ func (in *Instance) Fact(id FactID) Fact {
 
 // Add inserts the fact p(args...) if not already present. It returns the
 // fact id and whether the fact was newly added. The args slice is copied.
+// A new fact is linked into the posting chains of its indexed columns
+// only.
 //
 //chaselint:hotpath
 func (in *Instance) Add(p PredID, args []TermID) (FactID, bool) {
@@ -169,25 +196,89 @@ func (in *Instance) Add(p PredID, args []TermID) (FactID, bool) {
 	if !added {
 		return id, false
 	}
-	n := len(in.next)
-	in.next = reserve(in.next, len(args))[:n+len(args)]
-	clear(in.next[n:])
+	reserve(&in.byPred[p], 1)
 	in.byPred[p] = append(in.byPred[p], id)
+	if in.next == nil {
+		return id, true // no column is indexed
+	}
+	// next only grows, so its memory past the length is still zero.
+	n := len(in.next) + len(args)
+	reserve(&in.next, len(args))
+	in.next = in.next[:n]
+	col := in.preds[p].col
 	for i, t := range args {
-		if (in.index.n+len(args))*4 >= len(in.index.entries)*3 {
-			in.index.grow()
-		}
-		e := in.index.lookup(p, int32(i), t)
-		if e.count == 0 {
-			*e = postEntry{pred: p, pos: int32(i), term: t, head: id, tail: id, count: 1}
-			in.index.n++
-		} else {
-			in.next[in.facts.offs[e.tail]+int32(i)] = int32(id) + 1
-			e.tail = id
-			e.count++
+		if in.indexed[col+int32(i)] {
+			in.link(p, int32(i), t, id)
 		}
 	}
 	return id, true
+}
+
+// link appends fact id to the posting chain of (p, pos, t).
+//
+//chaselint:hotpath
+func (in *Instance) link(p PredID, pos int32, t TermID, id FactID) {
+	if (in.index.n+1)*4 > len(in.index.entries)*3 {
+		in.index.reserve(1)
+	}
+	e := in.index.lookup(p, pos, t)
+	if e.count == 0 {
+		*e = postEntry{pred: p, pos: pos, term: t, head: id, tail: id, count: 1}
+		in.index.n++
+		return
+	}
+	in.next[in.facts.offs[e.tail]+pos] = int32(id) + 1
+	e.tail = id
+	e.count++
+}
+
+// IndexColumn makes the column (p, pos) keep posting chains, so the
+// matcher can walk the facts whose argument at pos is a given term
+// instead of scanning p's extent. It links the facts stored so far, in
+// insertion order, and Add links every later one. Indexing a column
+// again only reads its flag. A column is indexed when a compiled
+// pattern's plans probe it (PatternSet.Compile); the first indexed
+// column allocates the chain array, so an instance none of whose
+// columns is probed keeps no index at all. IndexColumn is a write under
+// the single-writer contract.
+func (in *Instance) IndexColumn(p PredID, pos int) {
+	if pos < 0 || pos >= in.PredArity(p) {
+		panic(fmt.Sprintf("instance: column %d of %s/%d", pos, in.predNames[p], in.PredArity(p)))
+	}
+	c := int(in.preds[p].col) + pos
+	if in.indexed[c] {
+		return
+	}
+	in.indexed[c] = true
+	if in.next == nil {
+		in.next = make([]int32, len(in.facts.arena), max(cap(in.facts.arena), 8))
+	}
+	facts := in.byPred[p]
+	in.index.reserve(len(facts))
+	for _, id := range facts {
+		in.link(p, int32(pos), in.facts.arena[in.facts.offs[id]+int32(pos)], id)
+	}
+}
+
+// IndexAll indexes every column of every predicate interned so far.
+func (in *Instance) IndexAll() {
+	for p, pi := range in.preds {
+		for pos := range int(pi.arity) {
+			in.IndexColumn(PredID(p), pos)
+		}
+	}
+}
+
+// Indexed reports whether the column (p, pos) keeps posting chains; a
+// position outside p's arity is no column.
+func (in *Instance) Indexed(p PredID, pos int) bool {
+	return pos >= 0 && pos < in.PredArity(p) && in.indexed[int(in.preds[p].col)+pos]
+}
+
+// IndexBytes returns the bytes held by the posting index: its table and
+// its chain array. It is 0 while no column is indexed.
+func (in *Instance) IndexBytes() int {
+	return cap(in.index.entries)*int(unsafe.Sizeof(postEntry{})) + cap(in.next)*4
 }
 
 // Contains reports whether the fact p(args...) is present. It performs no
@@ -211,11 +302,10 @@ func (in *Instance) Lookup(p PredID, args []TermID) (FactID, bool) {
 // order. The slice must not be modified.
 func (in *Instance) ByPred(p PredID) []FactID { return in.byPred[p] }
 
-// posting looks up the (pred, pos, term) index chain.
+// posting looks up the (pred, pos, term) index chain. The column must be
+// indexed (which also sizes the table): an unindexed column has no
+// chains, so a miss there would say nothing about the facts.
 func (in *Instance) posting(p PredID, pos int32, term TermID) (postEntry, bool) {
-	if len(in.index.entries) == 0 {
-		return postEntry{}, false
-	}
 	e := in.index.lookup(p, pos, term)
 	if e.count == 0 {
 		return postEntry{}, false
@@ -224,11 +314,24 @@ func (in *Instance) posting(p PredID, pos int32, term TermID) (postEntry, bool) 
 }
 
 // ByPosTerm returns the ids of all facts with predicate p whose argument
-// at position pos equals term, in insertion order. The index stores
-// intrusive chains, so this materializes a fresh slice per call — it is a
+// at position pos equals term, in insertion order. It walks the column's
+// posting chain when the column is indexed and scans p's extent when it
+// is not; either way it materializes a fresh slice per call — it is a
 // convenience for tests and diagnostics; the matcher walks the chains
 // directly.
 func (in *Instance) ByPosTerm(p PredID, pos int, term TermID) []FactID {
+	if pos < 0 || pos >= in.PredArity(p) {
+		return nil
+	}
+	if !in.Indexed(p, pos) {
+		var out []FactID
+		for _, id := range in.byPred[p] {
+			if in.facts.arena[in.facts.offs[id]+int32(pos)] == term {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
 	ref, ok := in.posting(p, int32(pos), term)
 	if !ok {
 		return nil

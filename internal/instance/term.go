@@ -1,6 +1,6 @@
 // Package instance implements ground instances: interned ground terms
-// (constants, labelled nulls, Skolem terms), fact storage with secondary
-// indexes, and homomorphism enumeration — the machinery the chase engine
+// (constants, labelled nulls, Skolem terms), fact storage with a posting
+// index, and homomorphism enumeration — the machinery the chase engine
 // in package chase is built on.
 //
 // Terms and facts are interned to dense integer ids so that equality is an
@@ -16,6 +16,14 @@
 // appended again (the engine's triggers of one-atom rule bodies, which
 // the anchoring fact makes unique). The arenas grow by doubling.
 //
+// The (predicate, position, term) posting index is demand-driven: a
+// column — a (predicate, position) pair — keeps posting chains only once
+// a compiled pattern's plans probe it (Instance.IndexColumn), and the
+// matcher reads any other column's facts from the predicate's extent or
+// another indexed column. An instance whose patterns probe no column,
+// such as one chased by rules with one body atom and no constants,
+// keeps no index at all.
+//
 // # Concurrency: the single-writer contract
 //
 // Instances, term tables and tuple sets are single-writer data structures:
@@ -25,7 +33,12 @@
 // synchronized — any number of goroutines may read concurrently: Contains,
 // Lookup, ByPred, ByPosTerm, rendering, and homomorphism enumeration with
 // a per-goroutine MatchScratch over patterns whose plans were compiled
-// before the hand-off (CompileBody compiles them eagerly).
+// before the hand-off (CompileBody compiles them eagerly). Compiling a
+// pattern is itself a write: it interns predicates and constants and
+// may index columns. A reader that compiles after the hand-off — a query
+// over a shared chase result — stays read-only only when every column is
+// indexed first (IndexAll) and the pattern names interned predicates and
+// constants only.
 //
 // The contract is documented, not checked: nothing stops a second writer
 // or a reader racing the writer, and `go test -race` is what catches one.
@@ -74,11 +87,11 @@ type SkolemFnID int32
 // NoSkolemFn is returned by SkolemFnOf for non-Skolem terms.
 const NoSkolemFn SkolemFnID = -1
 
+// termInfo holds no pointer, so the GC never scans the infos array.
 type termInfo struct {
 	kind TermKind
-	name string // constant name; empty for nulls and Skolem terms
-	// aux is the null ordinal (nulls) or the member id in TermTable.sk
-	// (Skolem terms).
+	// aux is the index in TermTable.names (constants), the null ordinal
+	// (nulls) or the member id in TermTable.sk (Skolem terms).
 	aux   int32
 	depth int32 // Skolem nesting depth; "birth depth" for nulls; 0 for constants
 }
@@ -88,6 +101,7 @@ type termInfo struct {
 // must be serialized, concurrent reads of a frozen table are safe.
 type TermTable struct {
 	infos  []termInfo
+	names  []string // constant names, indexed by termInfo.aux
 	consts map[string]TermID
 	nulls  int
 
@@ -116,7 +130,9 @@ func (t *TermTable) Const(name string) TermID {
 		return id
 	}
 	id := TermID(len(t.infos))
-	t.infos = append(t.infos, termInfo{kind: KindConst, name: name})
+	reserve(&t.infos, 1)
+	t.infos = append(t.infos, termInfo{kind: KindConst, aux: int32(len(t.names))})
+	t.names = append(t.names, name)
 	t.consts[name] = id
 	return id
 }
@@ -136,6 +152,7 @@ func (t *TermTable) FreshNull(depth int32) TermID {
 	t.nulls++
 	// The "z<n>" display name is rendered lazily by Name/String so that
 	// inventing a null costs no formatting allocation on the chase path.
+	reserve(&t.infos, 1)
 	t.infos = append(t.infos, termInfo{kind: KindNull, aux: int32(t.nulls), depth: depth})
 	return id
 }
@@ -183,7 +200,9 @@ func (t *TermTable) Skolem(fn SkolemFnID, args []TermID) TermID {
 		}
 	}
 	id := TermID(len(t.infos))
+	reserve(&t.infos, 1)
 	t.infos = append(t.infos, termInfo{kind: KindSkolem, aux: m, depth: depth + 1})
+	reserve(&t.skTerm, 1)
 	t.skTerm = append(t.skTerm, id)
 	return id
 }
@@ -227,14 +246,14 @@ func (t *TermTable) Name(id TermID) string {
 	case KindSkolem:
 		return t.fnNames[t.sk.Tag(in.aux)]
 	default:
-		return in.name
+		return t.names[in.aux]
 	}
 }
 
 // String renders the term for diagnostics; see AppendTerm.
 func (t *TermTable) String(id TermID) string {
 	if in := &t.infos[id]; in.kind == KindConst {
-		return in.name
+		return t.names[in.aux]
 	}
 	return string(t.AppendTerm(nil, id))
 }
@@ -246,7 +265,7 @@ func (t *TermTable) AppendTerm(dst []byte, id TermID) []byte {
 	in := &t.infos[id]
 	switch in.kind {
 	case KindConst:
-		return append(dst, in.name...)
+		return append(dst, t.names[in.aux]...)
 	case KindNull:
 		return strconv.AppendInt(append(dst, 'z'), int64(in.aux), 10)
 	default:

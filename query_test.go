@@ -2,6 +2,8 @@ package chaseterm
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -128,5 +130,62 @@ func TestQueryRepeatedVariable(t *testing.T) {
 	}
 	if len(ans) != 1 || ans[0][0] != "a" {
 		t.Errorf("answers: %v", ans)
+	}
+}
+
+// TestConcurrentQueries: goroutines query one chase result at once, the
+// first queries included. Compiling a query indexes the columns its plan
+// probes, so the result indexes every column once, before the first
+// compile, and the queries themselves stay read-only; -race checks it.
+func TestConcurrentQueries(t *testing.T) {
+	queries := []struct {
+		body string
+		vars []string
+	}{
+		{`teaches(P,C), course(C)`, []string{"P", "C"}},
+		{`advises(X,Y), professor(X)`, []string{"X", "Y"}},
+		{`teaches(turing,C), course(C)`, nil},
+		{`student(ada)`, nil},
+	}
+	answers := func(res *ChaseResult, i int) string {
+		q := queries[i]
+		if q.vars == nil {
+			ok, err := res.Holds(q.body)
+			if err != nil {
+				return err.Error()
+			}
+			return fmt.Sprint(ok)
+		}
+		ans, err := res.Query(q.body, q.vars...)
+		if err != nil {
+			return err.Error()
+		}
+		return fmt.Sprint(ans)
+	}
+	ref := chaseOntology(t)
+	want := make([]string, len(queries))
+	for i := range queries {
+		want[i] = answers(ref, i)
+	}
+	res := chaseOntology(t)
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 4 * len(queries) {
+				i := (g + k) % len(queries)
+				if got := answers(res, i); got != want[i] {
+					errs <- fmt.Sprintf("%s: %s, want %s", queries[i].body, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
 	}
 }
