@@ -25,12 +25,13 @@ func allocBytesPerRun(runs int, f func()) float64 {
 // TestOntologyChaseAllocBytes pins the bytes allocated by the chase of
 // the DL-Lite ontology case (see ontologyCase), database load included,
 // and by one Strings call on its 26,049-fact semi-oblivious result: the
-// engine's arenas grow by doubling, the triggers of one-atom bodies take
-// no hash slot, the posting index keeps only the columns the engine's
-// plans probe (none for the semi-oblivious chase), and Strings sizes its
-// text once. The bounds are the measured 4.65 MB, 4.22 MB and 1.18 MB
-// plus 5%. The count pins (AllocsPerRun) miss a change that allocates as
-// often but copies more; these catch it.
+// engine's arenas grow by doubling, a one-atom rule's trigger waits in
+// the queue as its anchor fact and keeps no identity key (the restricted
+// chase keeps no trigger set at all), the posting index keeps only the
+// columns the engine's plans probe (none for the semi-oblivious chase),
+// and Strings sizes its text once. The bounds are the measured 3.21 MB,
+// 1.99 MB and 1.18 MB plus 5%. The count pins (AllocsPerRun) miss a
+// change that allocates as often but copies more; these catch it.
 func TestOntologyChaseAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what the runtime allocates")
@@ -40,8 +41,8 @@ func TestOntologyChaseAllocBytes(t *testing.T) {
 		v           chase.Variant
 		chase, strs float64 // strs 0: Strings not pinned
 	}{
-		{chase.SemiOblivious, 4_880_000, 1_235_000},
-		{chase.Restricted, 4_430_000, 0},
+		{chase.SemiOblivious, 3_367_000, 1_235_000},
+		{chase.Restricted, 2_090_000, 0},
 	} {
 		var res *chase.Result
 		got := allocBytesPerRun(3, func() {

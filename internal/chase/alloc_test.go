@@ -45,8 +45,8 @@ func chainDB(n int) []logic.Atom {
 
 // The duplicate offer and rediscovery pins use a rule whose frontier
 // misses a body variable: its semi-oblivious triggers go through the
-// identity set. A one-atom rule whose key is the whole binding appends
-// its triggers without a probe, and the engine never offers one twice.
+// identity set. A one-atom rule whose key is the whole binding queues
+// its anchor facts, and the engine never offers one of its triggers.
 
 func TestOfferDuplicateAllocFree(t *testing.T) {
 	e, _ := saturatedEngine(t, "e(X,Y) -> r(X).", chainDB(16), SemiOblivious)
@@ -180,11 +180,12 @@ func TestDiscoverRediscoveryAllocFree(t *testing.T) {
 }
 
 // TestSteadyStateRunAllocsPerTrigger runs a whole chase over an already
-// saturated instance — every application is a no-op, every rediscovered
-// trigger a dedup hit — and bounds the measured allocations per applied
-// trigger. The budget of 0.5 leaves room only for the amortized growth of
-// the queue and arenas during seeding; the per-trigger loop itself is
-// allocation-free.
+// saturated instance — every application is a no-op, so no trigger is
+// discovered — and bounds the measured allocations per applied trigger.
+// Both rules are unique, so seeding queues 400 anchor facts and the run
+// allocates only for the queue's doublings, the frontier buffer and the
+// result: 9 times. The budget of 0.05 (20 allocations) leaves
+// room for those only; the per-trigger loop itself is allocation-free.
 func TestSteadyStateRunAllocsPerTrigger(t *testing.T) {
 	rules := parse.MustParseRules("e(X,Y) -> r(X,Y).\nr(X,Y) -> s(Y,X).")
 	in, err := instance.FromAtoms(chainDB(200))
@@ -213,18 +214,19 @@ func TestSteadyStateRunAllocsPerTrigger(t *testing.T) {
 		t.Fatal("no triggers applied")
 	}
 	perTrigger := float64(m1.Mallocs-m0.Mallocs) / float64(res.Stats.TriggersApplied)
-	if perTrigger >= 0.5 {
-		t.Errorf("steady-state run: %.3f allocs per applied trigger (%d allocs / %d triggers), want < 0.5",
+	if perTrigger >= 0.05 {
+		t.Errorf("steady-state run: %.3f allocs per applied trigger (%d allocs / %d triggers), want < 0.05",
 			perTrigger, m1.Mallocs-m0.Mallocs, res.Stats.TriggersApplied)
 	}
 }
 
 // TestGrowthRunAllocs pins the growth path: a chase that derives 4,000
 // facts and, semi-obliviously, interns 4,000 Skolem terms from a
-// 2,000-fact database. Facts, Skolem terms and queued triggers all live
-// in the arenas of instance.TupleSets, so a run allocates only for the
-// amortized growth of those arenas and of the indexes (about 350 times,
-// FromAtoms included) — never once per fact, term or trigger.
+// 2,000-fact database. Facts, Skolem terms and the triggers that can
+// repeat live in the arenas of instance.TupleSets, and pending triggers
+// in the engine's ring, so a run allocates only for the amortized growth
+// of those arenas, the ring and the indexes (190 to 290 times, FromAtoms
+// included) — never once per fact, term or trigger.
 func TestGrowthRunAllocs(t *testing.T) {
 	rules := parse.MustParseRules("e(X,Y) -> r(Y,Z).\nr(X,Y) -> s(X,Y,W).")
 	db := chainDB(2000)

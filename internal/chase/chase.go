@@ -229,43 +229,55 @@ type compiledRule struct {
 	// existential variables; nil otherwise. A full rule's head is ground
 	// once the frontier is bound, so its check is a lookup per atom.
 	headPattern *instance.Pattern
-	// unique is set when no two of the rule's triggers can share an
-	// identity key (see uniqueTriggers), so offer appends them to the
-	// queue without probing the identity set.
+	// unique is set when a trigger of the rule is fixed by the one fact
+	// its body atom maps to (see uniqueTriggers). The engine queues such a
+	// trigger as that fact and keeps no identity key for it.
 	unique bool
+	// argPos maps each variable of a unique rule's body atom to the first
+	// argument position that holds it; nil for other rules.
+	argPos []int
 }
 
 // Engine runs one chase over one instance. Create with NewEngine, then call
 // RunContext or RunStreamContext once. The instance is mutated in place.
 //
+// Pending triggers wait in a FIFO ring of (rule, ref) pairs that reuses
+// the slots of popped triggers. A unique rule's trigger is its anchor
+// fact: the engine reads its frontier from the fact's arguments when it
+// pops it and keeps no identity key for it, so the oblivious and
+// restricted chase of linear rules (Theorems 2–3 of the paper) keep no
+// trigger set at all. Any other trigger is its member id in the identity
+// set seen, whose tuple holds its key.
+//
 // The steady-state loop — popping a trigger whose facts all exist and
 // whose successor triggers are all duplicates — is allocation-free: the
 // trigger identity set, fact store and Skolem interner are
-// instance.TupleSets probed against their arenas, a queued trigger is
-// just its member id in the trigger set (whose tuple holds its
-// frontier), and the per-application existential/argument buffers and
-// homomorphism scratch are pooled on the engine.
+// instance.TupleSets probed against their arenas, and the ring, the
+// per-application existential/argument buffers and the homomorphism
+// scratch are pooled on the engine.
 type Engine struct {
 	in      *instance.Instance
 	rules   []compiledRule
 	variant Variant
 	opt     Options
 
-	// seen is the trigger identity set, tagged by rule; a trigger is
-	// queued as its member id. Ids are assigned in discovery order, so
-	// the FIFO queue is the id range [qhead, seen.Len()). The triggers of
-	// unique rules are appended, not inserted: they take an id but no
-	// hash slot.
+	// seen is the identity set of the triggers that can repeat, tagged by
+	// rule; the triggers of unique rules never enter it.
 	seen   instance.TupleSet
-	qhead  int
+	queue  ring
 	stats  Stats
 	byPred [][][2]int // PredID -> (rule, bodyAtom) pairs
 	// scratch holds a frontier projection: the semi-oblivious trigger
 	// key in offer, the oblivious and restricted frontier in frontierOf.
 	// The variants never overlap, so one buffer serves both.
 	scratch []instance.TermID
-	match   instance.MatchScratch
-	exBuf   []instance.TermID
+	// fr holds the frontier of a popped unique trigger, read from its
+	// anchor fact. It cannot be scratch: under the semi-oblivious chase,
+	// apply → discover → offer of a probed rule rewrites scratch while
+	// apply is still writing head atoms from the frontier.
+	fr    []instance.TermID
+	match instance.MatchScratch
+	exBuf []instance.TermID
 	// argBuf holds one instantiated head atom (headArgs). NewEngine sizes
 	// it for the widest head atom, so it never grows.
 	argBuf []instance.TermID
@@ -282,27 +294,27 @@ type Engine struct {
 	sink StreamSink
 }
 
-// pop removes the oldest pending trigger id: the head of the range
-// [qhead, seen.Len()).
-func (e *Engine) pop() (int32, bool) {
-	if e.qhead == e.seen.Len() {
-		return 0, false
+// frontierOf resolves a popped trigger of rule cr to its frontier. A
+// unique rule's trigger reads it from the arguments of its anchor fact
+// ref into e.fr. Any other trigger reads its key, member ref of seen:
+// the semi-oblivious key is the frontier itself; the oblivious and
+// restricted key is the full binding, projected into e.scratch.
+//
+//chaselint:hotpath
+func (e *Engine) frontierOf(cr *compiledRule, ref int32) []instance.TermID {
+	if cr.unique {
+		args := e.in.Fact(instance.FactID(ref)).Args
+		e.fr = e.fr[:0]
+		for _, vi := range cr.frontier {
+			e.fr = append(e.fr, args[cr.argPos[vi]])
+		}
+		return e.fr
 	}
-	id := int32(e.qhead)
-	e.qhead++
-	return id, true
-}
-
-// frontierOf resolves a queued trigger id to its rule and frontier
-// tuple. The semi-oblivious key is the frontier itself; the oblivious
-// and restricted key is the full binding, projected into e.scratch.
-func (e *Engine) frontierOf(id int32) (*compiledRule, []instance.TermID) {
-	cr := &e.rules[e.seen.Tag(id)]
-	key := e.seen.Tuple(id)
+	key := e.seen.Tuple(ref)
 	if e.variant == SemiOblivious {
-		return cr, key
+		return key
 	}
-	return cr, e.scratchFrontier(cr, key)
+	return e.scratchFrontier(cr, key)
 }
 
 // fnOccurs reports whether the Skolem function fn occurs in term t
@@ -342,12 +354,14 @@ func NewEngine(in *instance.Instance, rs *logic.RuleSet, v Variant, opt Options)
 		if err := compileRule(in, ri, r, cr, &ar); err != nil {
 			return nil, err
 		}
-		cr.unique = uniqueTriggers(cr, v)
+		if cr.unique = uniqueTriggers(cr, v); cr.unique {
+			cr.argPos = ar.argPositions(cr.body)
+		}
 		// Only the restricted chase checks heads, and a full rule's
 		// check needs no pattern: the engine compiles only what it runs,
 		// so the instance indexes only the columns those plans probe.
 		if v == Restricted && cr.nExist > 0 {
-			hp, err := compileHeadPattern(&ar.ps, in, r.Frontier(), r.Head)
+			hp, err := ar.ps.CompileHead(in, r.Head, r.Frontier())
 			if err != nil {
 				return nil, err
 			}
@@ -390,10 +404,25 @@ func varPos(vars []logic.Variable, v logic.Variable) int {
 // arena needs no pre-counting pass.
 type ruleArena struct {
 	frontier []int
+	argPos   []int
 	fns      []instance.SkolemFnID
 	heads    []headAtom
 	slots    []headSlot
 	ps       instance.PatternSet
+}
+
+// argPositions returns, for each variable of a one-atom body, the first
+// argument position that holds it. The pattern numbers variables in
+// order of first occurrence, so a slot whose variable is the next number
+// is a first occurrence.
+func (ar *ruleArena) argPositions(body *instance.Pattern) []int {
+	start := len(ar.argPos)
+	for i, s := range body.Atoms[0].Args {
+		if s.IsVar && s.Var == len(ar.argPos)-start {
+			ar.argPos = append(ar.argPos, i)
+		}
+	}
+	return ar.argPos[start:len(ar.argPos):len(ar.argPos)]
 }
 
 // compileRule compiles the rule's body pattern, frontier, Skolem
@@ -450,16 +479,6 @@ func compileRule(in *instance.Instance, ri int, r *logic.TGD, cr *compiledRule, 
 	return nil
 }
 
-// compileHeadPattern compiles head atoms, drawing storage from ps (nil:
-// fresh storage), into a body-style pattern whose variables
-// 0..len(frontier)-1 are the frontier variables in order; existential
-// variables follow. The frontier is the pattern's seed: every
-// restricted-chase satisfaction check binds it from the trigger, and the
-// head's join plan starts from the atoms that hold it.
-func compileHeadPattern(ps *instance.PatternSet, in *instance.Instance, frontier []logic.Variable, head []logic.Atom) (*instance.Pattern, error) {
-	return ps.Compile(in, head, frontier)
-}
-
 // uniqueTriggers reports whether the variant's trigger key of cr fixes
 // the fact its body maps to, so no two triggers of the rule share a key.
 // That holds for a one-atom body (a linear rule, Theorems 2–3 of the
@@ -467,7 +486,8 @@ func compileHeadPattern(ps *instance.PatternSet, in *instance.Instance, frontier
 // restricted chase, and under the semi-oblivious chase when the frontier
 // holds every body variable. Such a trigger is found exactly once — its
 // fact anchors the rule once, at seeding or when discover sees the fact
-// new — so it can never repeat.
+// new — so it can never repeat, and the fact alone identifies it: the
+// engine queues the fact and reads the frontier from its arguments.
 func uniqueTriggers(cr *compiledRule, v Variant) bool {
 	if len(cr.body.Atoms) != 1 {
 		return false
@@ -475,29 +495,42 @@ func uniqueTriggers(cr *compiledRule, v Variant) bool {
 	return v != SemiOblivious || len(cr.frontier) == len(cr.body.VarNames)
 }
 
-// offer registers a discovered homomorphism as a trigger, deduplicating by
-// the variant's trigger identity. A unique rule's trigger (see
-// uniqueTriggers) is appended to the queue without a probe. A duplicate
+// anchor queues the trigger of unique rule ri that a fact with arguments
+// args anchors, if the fact matches the rule's body atom: it holds the
+// atom's constants, and the positions of a repeated variable hold one
+// term. The check replaces a matcher enumeration; a match is one
+// homomorphism, since the atom holds every body variable.
+//
+//chaselint:hotpath
+func (e *Engine) anchor(ri int, fid instance.FactID, args []instance.TermID) {
+	cr := &e.rules[ri]
+	for i, s := range cr.body.Atoms[0].Args {
+		if !s.IsVar {
+			if args[i] != s.Term {
+				return
+			}
+		} else if args[cr.argPos[s.Var]] != args[i] {
+			return
+		}
+	}
+	e.queue.push(pending{rule: int32(ri), ref: int32(fid)})
+	e.stats.TriggersEnqueued++
+}
+
+// offer registers a homomorphism of a rule that is not unique as a
+// trigger, deduplicating by the variant's trigger identity. A duplicate
 // offer — the steady state of a saturating run — performs zero
 // allocations: the identity key is hashed from the binding in place and
 // compared against the tuple-set arena.
 //
 //chaselint:hotpath
 func (e *Engine) offer(rule int, binding []instance.TermID) {
-	cr := &e.rules[rule]
-	var key []instance.TermID
-	switch e.variant {
-	case SemiOblivious:
-		key = e.scratchFrontier(cr, binding)
-	default: // Oblivious and Restricted identify triggers by the full h.
-		key = binding
+	key := binding // Oblivious and Restricted identify triggers by the full h.
+	if e.variant == SemiOblivious {
+		key = e.scratchFrontier(&e.rules[rule], binding)
 	}
-	if cr.unique {
-		e.seen.Append(int32(rule), key)
-		e.stats.TriggersEnqueued++
-		return
-	}
-	if _, added := e.seen.Insert(int32(rule), key); added {
+	if id, added := e.seen.Insert(int32(rule), key); added {
+		e.queue.push(pending{rule: int32(rule), ref: id})
 		e.stats.TriggersEnqueued++
 	}
 }
@@ -561,10 +594,17 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	e.stats.InitialFacts = e.in.Size()
 	// Seed: all homomorphisms on the initial instance. Seeding a rule is
 	// itself a join over the whole instance, so the context is checked
-	// between rules.
+	// between rules. A unique rule's triggers are the facts of its
+	// predicate's extent that match its body atom.
 	for ri := range e.rules {
 		if canceled(done) {
 			return e.result(Canceled), ctx.Err()
+		}
+		if cr := &e.rules[ri]; cr.unique {
+			for _, fid := range e.in.ByPred(cr.body.Atoms[0].Pred) {
+				e.anchor(ri, fid, e.in.Fact(fid).Args)
+			}
+			continue
 		}
 		e.curRule = ri
 		e.in.FindHomsWith(&e.match, e.rules[ri].body, nil, e.offerFn)
@@ -586,16 +626,17 @@ loop:
 		}
 		steps++
 		if e.stats.TriggersApplied >= e.opt.MaxTriggers || e.in.Size() >= e.opt.MaxFacts {
-			if e.qhead < e.seen.Len() {
+			if e.queue.n > 0 {
 				outcome = BudgetExceeded
 			}
 			break loop
 		}
-		id, ok := e.pop()
+		p, ok := e.queue.pop()
 		if !ok {
 			break loop
 		}
-		cr, fr := e.frontierOf(id)
+		cr := &e.rules[p.rule]
+		fr := e.frontierOf(cr, p.ref)
 		if e.variant == Restricted && e.headSatisfied(cr, fr) {
 			e.stats.TriggersSatisfied++
 			continue
@@ -727,14 +768,19 @@ func (e *Engine) apply(cr *compiledRule, fr []instance.TermID) (added int, maxDe
 
 // discover finds the triggers newly enabled by fact fid: for every rule
 // body atom with a matching predicate, homomorphisms that map that atom to
-// fid. The per-variant trigger identity deduplicates homomorphisms found
+// fid. A unique rule's trigger is the fact itself (see anchor). For other
+// rules the per-variant trigger identity deduplicates homomorphisms found
 // through several anchors.
 //
 //chaselint:hotpath
 func (e *Engine) discover(fid instance.FactID) {
-	pred := e.in.Fact(fid).Pred
-	for _, ra := range e.byPred[pred] {
+	f := e.in.Fact(fid)
+	for _, ra := range e.byPred[f.Pred] {
 		ri, ai := ra[0], ra[1]
+		if e.rules[ri].unique {
+			e.anchor(ri, fid, f.Args)
+			continue
+		}
 		e.curRule = ri
 		e.in.FindHomsAnchoredWith(&e.match, e.rules[ri].body, ai, fid, e.offerFn)
 	}
@@ -773,7 +819,7 @@ func IsModel(in *instance.Instance, rs *logic.RuleSet) (string, error) {
 		if err := compileRule(in, ri, r, cr, &ar); err != nil {
 			return "", err
 		}
-		hp, err := compileHeadPattern(&ar.ps, in, r.Frontier(), r.Head)
+		hp, err := ar.ps.CompileHead(in, r.Head, r.Frontier())
 		if err != nil {
 			return "", err
 		}

@@ -8,6 +8,7 @@ import (
 
 	"chaseterm/internal/instance"
 	"chaseterm/internal/logic"
+	"chaseterm/internal/parse"
 	"chaseterm/internal/workload"
 )
 
@@ -28,8 +29,8 @@ func determinismCorpus() []corpusCase {
 	guarded := workload.RandomGuarded(rng, workload.Config{NumPreds: 4, NumRules: 4, MaxArity: 3})
 	guardedDB := workload.RandomABox(rng, guarded, 40, 12)
 	// A terminating DL-Lite TBox (the class the service chases) whose
-	// semi-oblivious run derives 10,170 facts: its one-atom rules append
-	// their triggers without a probe, its domain and range axioms probe.
+	// semi-oblivious run derives 10,170 facts: its one-atom rules queue
+	// their anchor facts, its domain and range axioms probe.
 	dlRNG := rand.New(rand.NewSource(927))
 	dlLite := workload.RandomInclusionDependencies(dlRNG, 12, 6, 40)
 	dlLiteDB := workload.RandomABox(dlRNG, dlLite, 1000, 200)
@@ -48,6 +49,30 @@ func determinismCorpus() []corpusCase {
 		{"random-sl", sl, slDB, Options{MaxTriggers: 10_000, MaxFacts: 10_000}},
 		{"random-guarded", guarded, guardedDB, Options{MaxTriggers: 5_000, MaxFacts: 10_000}},
 		{"dl-lite", dlLite, dlLiteDB, Options{}},
+		// Semi-obliviously the p2 rule's triggers are unique and those of
+		// p1(X,Y) -> p1(Y,Y) are not: its key drops X. Applying a p2
+		// trigger writes p1(X,Z), whose discovery projects a p1 key into
+		// the engine's scratch buffer, before it writes p0(Y,X). A p2
+		// frontier kept in that buffer derives p0(b, <Skolem term>)
+		// instead of p0(b,a).
+		{"frontier-alias", parse.MustParseRules(`
+			p2(X,Y) -> p1(X,Z), p0(Y,X).
+			p1(X,Y) -> p1(Y,Y).
+			p0(X,Y) -> p1(X,Z).`),
+			parse.MustParseFacts(`p2(a,b). p2(b,c). p0(c,a).`), Options{}},
+		// One-atom bodies that a fact matches only if it repeats a term or
+		// holds a constant: the facts failing those checks anchor no
+		// trigger.
+		{"repeated-and-constant", parse.MustParseRules(`
+			e(X,X) -> s(X,Z).
+			e(a,Y) -> t(Y,Y).
+			t(X,X) -> e(X,X).
+			s(X,Y) -> u(Y,X,Y).
+			u(X,a,X) -> e(a,X).
+			u(X,Y,X) -> v(Y).
+			v(X) -> e(X,b).`),
+			parse.MustParseFacts(`e(a,a). e(a,b). e(b,b). e(c,c). e(b,a). t(c,d). u(c,a,d). u(d,d,d).`),
+			Options{}},
 	}
 }
 
@@ -88,6 +113,15 @@ var corpusPins = map[string]struct {
 	"dl-lite/oblivious":              {"833f33d62f9934d6", 8988, [][2]instance.FactID{{914, 11084}}},
 	"dl-lite/semi-oblivious":         {"53ee7b3984d470c8", 8988, [][2]instance.FactID{{914, 11084}}},
 	"dl-lite/restricted":             {"9c901857f837a2fe", 6754, [][2]instance.FactID{{914, 8625}}},
+
+	// Pinned before the engine queued a one-atom rule's trigger as its
+	// anchor fact.
+	"frontier-alias/oblivious":             {"62af720f08c4fb4c", 10, [][2]instance.FactID{{3, 15}}},
+	"frontier-alias/semi-oblivious":        {"c0ec7474142ecd4d", 8, [][2]instance.FactID{{3, 13}}},
+	"frontier-alias/restricted":            {"a0de66ace25e1345", 6, [][2]instance.FactID{{3, 11}}},
+	"repeated-and-constant/oblivious":      {"97d720abd1d9f2c4", 21, [][2]instance.FactID{{8, 29}}},
+	"repeated-and-constant/semi-oblivious": {"c8747ef3c4d92cfd", 21, [][2]instance.FactID{{8, 29}}},
+	"repeated-and-constant/restricted":     {"6709dfbbd4585a8c", 21, [][2]instance.FactID{{8, 29}}},
 }
 
 // normalizeRanges merges a stream's emitted ranges into the minimal

@@ -148,6 +148,7 @@ type choice struct {
 func activeTriggers(in *instance.Instance, rs *logic.RuleSet) ([]choice, error) {
 	var out []choice
 	var seen instance.TupleSet // frontier identity, tagged by rule
+	var heads instance.PatternSet
 	fr := make([]instance.TermID, 0, 8)
 	for ri, r := range rs.Rules {
 		body, err := instance.CompileBody(in, r.Body)
@@ -155,7 +156,7 @@ func activeTriggers(in *instance.Instance, rs *logic.RuleSet) ([]choice, error) 
 			return nil, err
 		}
 		frontier := r.Frontier()
-		headPat, err := compileHeadPattern(nil, in, frontier, r.Head)
+		headPat, err := heads.CompileHead(in, r.Head, frontier)
 		if err != nil {
 			return nil, err
 		}

@@ -28,9 +28,12 @@ func runEngine(t *testing.T, facts, rules string, v Variant) *Engine {
 }
 
 // TestUniqueTriggersTakeNoSlot: the triggers of a one-atom rule whose key
-// is the whole binding are queued without a hash slot, every other
-// trigger is found in the identity set under its own id, and no rule
-// queues one key twice.
+// is the whole binding are queued as their anchor facts and never enter
+// the identity set; every other trigger is found there under its own id,
+// and no rule queues one key twice. A unique rule queues one trigger per
+// fact matching its body atom — each fact anchors it once, at seeding or
+// when discovered — so the identity set plus those facts account for
+// every enqueued trigger, and every rule queues at least one.
 func TestUniqueTriggersTakeNoSlot(t *testing.T) {
 	const rules = `
 		e(X,Y) -> r(X,Y).
@@ -47,33 +50,41 @@ func TestUniqueTriggersTakeNoSlot(t *testing.T) {
 	}
 	for v, want := range unique {
 		e := runEngine(t, facts, rules, v)
+		perRule := [4]int{}
 		for ri := range e.rules {
-			if e.rules[ri].unique != want[ri] {
-				t.Errorf("%v rule %d: unique = %v, want %v", v, ri, e.rules[ri].unique, want[ri])
+			cr := &e.rules[ri]
+			if cr.unique != want[ri] {
+				t.Errorf("%v rule %d: unique = %v, want %v", v, ri, cr.unique, want[ri])
+			}
+			if cr.unique {
+				perRule[ri] = e.in.CountHoms(cr.body)
 			}
 		}
-		if e.seen.Len() != e.stats.TriggersEnqueued {
-			t.Errorf("%v: %d queued triggers, %d enqueued", v, e.seen.Len(), e.stats.TriggersEnqueued)
-		}
 		keys := map[string]bool{}
-		perRule := [4]int{}
 		for id := int32(0); id < int32(e.seen.Len()); id++ {
 			rule, key := e.seen.Tag(id), e.seen.Tuple(id)
+			if want[rule] {
+				t.Errorf("%v: unique rule %d's trigger %v entered the identity set", v, rule, key)
+			}
 			perRule[rule]++
 			k := fmt.Sprint(rule, key)
 			if keys[k] {
 				t.Errorf("%v: trigger %s queued twice", v, k)
 			}
 			keys[k] = true
-			got, found := e.seen.Lookup(rule, key)
-			if found == want[rule] || (found && got != id) {
-				t.Errorf("%v: trigger %d (%s): Lookup = (%d, %v), unique %v", v, id, k, got, found, want[rule])
+			if got, found := e.seen.Lookup(rule, key); !found || got != id {
+				t.Errorf("%v: trigger %d (%s): Lookup = (%d, %v)", v, id, k, got, found)
 			}
 		}
+		total := 0
 		for ri, n := range perRule {
+			total += n
 			if n == 0 {
 				t.Errorf("%v: rule %d queued no trigger", v, ri)
 			}
+		}
+		if total != e.stats.TriggersEnqueued {
+			t.Errorf("%v: %d set members plus unique anchors, %d enqueued", v, total, e.stats.TriggersEnqueued)
 		}
 	}
 }

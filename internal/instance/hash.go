@@ -58,20 +58,12 @@ func termsEqual(a, b []TermID) bool {
 // as an id-indexed store. The zero value is ready to use. TupleSet holds
 // an instance's facts (tag = predicate, id = FactID), a term table's
 // Skolem terms (tag = function symbol), the chase engine's triggers
-// (tag = rule, id = queue position) and the guarded decider's node
-// types, whose ids may be node-local; it is also the frontier dedup of
-// the sequence explorer. Like Instance it is single-writer (see the
-// package comment).
-//
-// Append adds a member that bypasses the hash table: it takes the next
-// id like an Insert miss, but Lookup and Insert never find it. The
-// caller guarantees that an appended key is never inserted or looked up
-// — that it is unique by construction, like a chase trigger fixed by the
-// fact it anchors on — so the set needs no probe to admit it. Ids stay
-// dense and ordered across both kinds of member.
+// that can repeat (tag = rule) and the guarded decider's node types,
+// whose ids may be node-local; it is also the frontier dedup of the
+// sequence explorer. Like Instance it is single-writer (see the package
+// comment).
 type TupleSet struct {
-	slots []int32  // id+1 of inserted members; 0 = empty
-	n     int      // inserted members (appended ones take no slot)
+	slots []int32  // id+1 of members; 0 = empty
 	tags  []int32  // per id
 	offs  []int32  // len = len(tags)+1; tuple i is arena[offs[i]:offs[i+1]]
 	arena []TermID // concatenated member tuples
@@ -103,7 +95,7 @@ func (s *TupleSet) keyAt(id int32) (int32, []TermID) {
 func (s *TupleSet) Insert(tag int32, tuple []TermID) (int32, bool) {
 	if len(s.slots) == 0 {
 		s.grow(16)
-	} else if s.n*4 >= len(s.slots)*3 {
+	} else if len(s.tags)*4 >= len(s.slots)*3 {
 		s.grow(len(s.slots) * 2)
 	}
 	h := hashTuple(tag, tuple)
@@ -112,9 +104,8 @@ func (s *TupleSet) Insert(tag int32, tuple []TermID) (int32, bool) {
 	for {
 		v := s.slots[i]
 		if v == 0 {
-			id := s.Append(tag, tuple)
+			id := s.append(tag, tuple)
 			s.slots[i] = id + 1
-			s.n++
 			return id, true
 		}
 		t, tup := s.keyAt(v - 1)
@@ -125,13 +116,11 @@ func (s *TupleSet) Insert(tag int32, tuple []TermID) (int32, bool) {
 	}
 }
 
-// Append adds (tag, tuple) as a member with the next id without entering
-// it in the hash table, and returns the id. The caller guarantees the key
-// is unique: it is never inserted, looked up, or appended again, since
-// Lookup and Insert would not find it. The tuple is copied into the arena.
+// append stores (tag, tuple) under the next id, copying the tuple into
+// the arena, and returns the id; Insert enters it in the table.
 //
 //chaselint:hotpath
-func (s *TupleSet) Append(tag int32, tuple []TermID) int32 {
+func (s *TupleSet) append(tag int32, tuple []TermID) int32 {
 	if len(s.offs) == 0 {
 		reserve(&s.offs, 1)
 		s.offs = append(s.offs, 0)
@@ -181,8 +170,8 @@ func (s *TupleSet) Contains(tag int32, tuple []TermID) bool {
 	return ok
 }
 
-// grow re-slots the inserted members into a table of size slots. It
-// walks the old table, not the ids, so appended members stay out.
+// grow re-slots the members into a table of size slots, walking the old
+// table.
 func (s *TupleSet) grow(size int) {
 	old := s.slots
 	s.slots = make([]int32, size)

@@ -272,3 +272,61 @@ func TestIndexColumnChainsInInsertionOrder(t *testing.T) {
 		t.Fatal("indexing a column twice changed its chains")
 	}
 }
+
+// TestCompileHeadIndexesOnlyUnanchoredPlan: Compile indexes the columns
+// of every plan, CompileHead only those of the unanchored plan, which is
+// the only plan a head check runs — also when the frontier is empty, as
+// in the head q(Y), r(Y) of p(X) -> q(Y), r(Y).
+func TestCompileHeadIndexesOnlyUnanchoredPlan(t *testing.T) {
+	x, y := logic.Variable("X"), logic.Variable("Y")
+	type col struct {
+		pred string
+		pos  int
+	}
+	for _, tc := range []struct {
+		atoms      []logic.Atom
+		frontier   []logic.Variable
+		head, body []col
+	}{
+		// Seeded by X: r(X,Y) probes (r, 0), then c(Y) probes (c, 0);
+		// anchored at c(Y), r(X,Y) would probe (r, 1).
+		{[]logic.Atom{logic.NewAtom("r", x, y), logic.NewAtom("c", y)}, []logic.Variable{x},
+			[]col{{"r", 0}, {"c", 0}}, []col{{"r", 0}, {"c", 0}, {"r", 1}}},
+		// No seeds: q(Y) is scanned, then r(Y) probes (r, 0); anchored
+		// at r(Y), q(Y) would probe (q, 0).
+		{[]logic.Atom{logic.NewAtom("q", y), logic.NewAtom("r", y)}, nil,
+			[]col{{"r", 0}}, []col{{"r", 0}, {"q", 0}}},
+	} {
+		for _, head := range []bool{true, false} {
+			in := New()
+			var err error
+			want := tc.body
+			if head {
+				want = tc.head
+				_, err = (*PatternSet)(nil).CompileHead(in, tc.atoms, tc.frontier)
+			} else {
+				_, err = (*PatternSet)(nil).Compile(in, tc.atoms, tc.frontier)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []col
+			for p := range in.NumPreds() {
+				for pos := range in.PredArity(PredID(p)) {
+					if in.Indexed(PredID(p), pos) {
+						got = append(got, col{in.PredName(PredID(p)), pos})
+					}
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%v seeded %v, head %v: indexed %v, want %v", tc.atoms, tc.frontier, head, got, want)
+			}
+			for _, c := range want {
+				p, _ := in.LookupPred(c.pred)
+				if !in.Indexed(p, c.pos) {
+					t.Errorf("%v seeded %v, head %v: indexed %v, want %v", tc.atoms, tc.frontier, head, got, want)
+				}
+			}
+		}
+	}
+}

@@ -22,8 +22,9 @@ type PatternAtom struct {
 
 // Pattern is a compiled conjunction of atoms over variables indexed
 // 0..NumVars-1, ready for homomorphism enumeration against an instance.
-// A pattern compiled with seed variables (PatternSet.Compile) plans its
-// unanchored enumeration with the seeds bound, as its callers bind them.
+// A pattern compiled with seed variables (PatternSet.Compile and
+// CompileHead) plans its unanchored enumeration with the seeds bound, as
+// its callers bind them.
 type Pattern struct {
 	Atoms   []PatternAtom
 	NumVars int
@@ -33,7 +34,7 @@ type Pattern struct {
 
 	// seeds counts the leading variables 0..seeds-1 that callers bind
 	// through the initial binding of FindHomsWith/HasHomWith (the
-	// frontier of a head pattern, see PatternSet.Compile). The
+	// frontier of a head pattern, see PatternSet.CompileHead). The
 	// unanchored plan treats them as bound, so it starts from the atoms
 	// that hold them.
 	seeds int
@@ -101,8 +102,7 @@ func (ps *PatternSet) pattern() *Pattern {
 // storage from the set. seedVars, when non-nil, takes the first variable
 // indexes in order and is recorded as the pattern's seeds: the
 // unanchored plan treats the seed variables as bound, because the caller
-// binds them (the chase puts a rule's frontier first in its head pattern
-// and binds it from the trigger).
+// binds them.
 //
 // The instance indexes every column the pattern's plans probe: walking
 // each plan in order, a position that holds a constant, a seed variable
@@ -112,6 +112,22 @@ func (ps *PatternSet) pattern() *Pattern {
 // another indexed column. Like CompileBody, Compile is a write under the
 // single-writer contract.
 func (ps *PatternSet) Compile(in *Instance, atoms []logic.Atom, seedVars []logic.Variable) (*Pattern, error) {
+	return ps.compile(in, atoms, seedVars, true)
+}
+
+// CompileHead compiles a rule head for satisfaction checks: like Compile
+// with the rule's frontier as seedVars (the chase binds the frontier
+// from the trigger), except that the instance indexes only the columns
+// of the unanchored plan. A head check only asks whether the seeded head
+// has a match (HasHomWith) and never anchors the pattern, whether or not
+// the frontier is empty.
+func (ps *PatternSet) CompileHead(in *Instance, head []logic.Atom, frontier []logic.Variable) (*Pattern, error) {
+	return ps.compile(in, head, frontier, false)
+}
+
+// compile is Compile; anchored says whether the instance indexes the
+// columns of the anchored plans too, or only the unanchored plan's.
+func (ps *PatternSet) compile(in *Instance, atoms []logic.Atom, seedVars []logic.Variable, anchored bool) (*Pattern, error) {
 	if ps == nil {
 		ps = &PatternSet{}
 	}
@@ -146,18 +162,23 @@ func (ps *PatternSet) Compile(in *Instance, atoms []logic.Atom, seedVars []logic
 	p.Atoms = ps.atoms[atomStart:len(ps.atoms):len(ps.atoms)]
 	p.VarNames = ps.names[nameStart:len(ps.names):len(ps.names)]
 	p.compile(&ps.sc)
-	p.indexProbed(in, &ps.sc)
+	p.indexProbed(in, &ps.sc, anchored)
 	return p, nil
 }
 
-// indexProbed indexes the columns the pattern's plans probe: walking
-// each plan in order, every position whose term is ground when its
-// level starts — a constant, or a variable the seeds, the anchor atom or
-// an earlier level binds. Those are the positions candSource can answer
-// from a posting chain.
-func (p *Pattern) indexProbed(in *Instance, sc *compileScratch) {
+// indexProbed indexes the columns the pattern's plans probe — the
+// unanchored plan's, and with anchored also every anchored plan's:
+// walking each plan in order, every position whose term is ground when
+// its level starts — a constant, or a variable the seeds, the anchor
+// atom or an earlier level binds. Those are the positions candSource can
+// answer from a posting chain.
+func (p *Pattern) indexProbed(in *Instance, sc *compileScratch, anchored bool) {
 	bound, _ := sc.get(p.NumVars, 0)
-	for a := -1; a < len(p.Atoms); a++ {
+	last := -1
+	if anchored {
+		last = len(p.Atoms) - 1
+	}
+	for a := -1; a <= last; a++ {
 		p.bindStart(a, bound)
 		for _, ai := range p.plans[1+a] {
 			pa := &p.Atoms[ai]

@@ -99,11 +99,11 @@ func (pt *postTable) resize(size int) {
 // for the columns compiled patterns probe (see IndexColumn).
 //
 // Concurrency: an Instance is single-writer. Mutating methods (Add, Pred,
-// AddLogicAtom, IndexColumn, PatternSet.Compile and CompileBody, and
-// anything that interns terms) must be serialized by the caller; once an
-// instance is frozen — no more writers — any number of goroutines may
-// read it concurrently (Contains, ByPred, ByPosTerm, FindHoms and friends
-// with per-goroutine MatchScratch, FactString, ...).
+// AddLogicAtom, IndexColumn, PatternSet.Compile, CompileHead and
+// CompileBody, and anything that interns terms) must be serialized by the
+// caller; once an instance is frozen — no more writers — any number of
+// goroutines may read it concurrently (Contains, ByPred, ByPosTerm,
+// FindHoms and friends with per-goroutine MatchScratch, FactString, ...).
 type Instance struct {
 	Terms *TermTable
 
@@ -237,8 +237,8 @@ func (in *Instance) link(p PredID, pos int32, t TermID, id FactID) {
 // instead of scanning p's extent. It links the facts stored so far, in
 // insertion order, and Add links every later one. Indexing a column
 // again only reads its flag. A column is indexed when a compiled
-// pattern's plans probe it (PatternSet.Compile); the first indexed
-// column allocates the chain array, so an instance none of whose
+// pattern's plans probe it (PatternSet.Compile, CompileHead); the first
+// indexed column allocates the chain array, so an instance none of whose
 // columns is probed keeps no index at all. IndexColumn is a write under
 // the single-writer contract.
 func (in *Instance) IndexColumn(p PredID, pos int) {

@@ -9,12 +9,9 @@
 // the frontier are indistinguishable" concrete: equal frontier tuples yield
 // the identical Skolem term ids and therefore the identical facts.
 //
-// Facts, Skolem terms and the chase engine's triggers live in TupleSets:
-// dense ids over one flat arena, deduplicated through an open-addressed
-// hash table. TupleSet.Append admits a member without the table, for a
-// caller that guarantees the key is never inserted, looked up or
-// appended again (the engine's triggers of one-atom rule bodies, which
-// the anchoring fact makes unique). The arenas grow by doubling.
+// Facts, Skolem terms and the chase engine's triggers that can repeat
+// live in TupleSets: dense ids over one flat arena, deduplicated through
+// an open-addressed hash table. The arenas grow by doubling.
 //
 // The (predicate, position, term) posting index is demand-driven: a
 // column — a (predicate, position) pair — keeps posting chains only once
