@@ -146,8 +146,10 @@ type Decision struct {
 	// Witness is a human-readable non-termination certificate, or a
 	// diagnostic for "unknown".
 	Witness string `json:"witness,omitempty"`
-	// SearchSpace is the explored abstraction size (shapes or node
-	// types).
+	// SearchSpace is the size of what the deciding procedure explored:
+	// shapes (linear deciders), node types (guarded), or the critical
+	// chase's facts (mfa, critical-saturation); 0 for the positional
+	// rungs and for verdicts no search decided.
 	SearchSpace int `json:"searchSpace"`
 
 	// DecidedBy names the portfolio rung whose verdict this decision

@@ -73,7 +73,7 @@ func BenchmarkChaseCancelOverhead(b *testing.B) {
 func BenchmarkE2_Example2Decide(b *testing.B) {
 	rules := workload.Example2()
 	for i := 0; i < b.N; i++ {
-		res, err := core.DecideLinearContext(context.Background(), rules, core.VariantSemiOblivious, core.Options{})
+		res, err := core.DecideLinearContext(context.Background(), rules, chase.SemiOblivious, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func BenchmarkE3_SLDecideSemiOblivious(b *testing.B) {
 	sets := benchSLSets(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DecideLinearContext(context.Background(), sets[i%len(sets)], core.VariantSemiOblivious, core.Options{}); err != nil {
+		if _, err := core.DecideLinearContext(context.Background(), sets[i%len(sets)], chase.SemiOblivious, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func BenchmarkE4_SLDecideOblivious(b *testing.B) {
 	sets := benchSLSets(64)
 	b.Run("critical-rich-acyclicity", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DecideLinearContext(context.Background(), sets[i%len(sets)], core.VariantOblivious, core.Options{}); err != nil {
+			if _, err := core.DecideLinearContext(context.Background(), sets[i%len(sets)], chase.Oblivious, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -131,7 +131,7 @@ func BenchmarkE5_LinearDecide(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DecideLinearContext(context.Background(), sets[i%len(sets)], core.VariantSemiOblivious, core.Options{}); err != nil {
+		if _, err := core.DecideLinearContext(context.Background(), sets[i%len(sets)], chase.SemiOblivious, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func BenchmarkE6_SLFamily(b *testing.B) {
 		rules := workload.SLFamily(n, true)
 		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.DecideLinearContext(context.Background(), rules, core.VariantSemiOblivious, core.Options{}); err != nil {
+				if _, err := core.DecideLinearContext(context.Background(), rules, chase.SemiOblivious, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -158,7 +158,7 @@ func BenchmarkE7_LinearArity(b *testing.B) {
 		rules := workload.LinearArityFamily(w)
 		b.Run(fmt.Sprintf("arity=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.DecideLinearContext(context.Background(), rules, core.VariantSemiOblivious, core.Options{MaxShapes: 5_000_000}); err != nil {
+				if _, err := core.DecideLinearContext(context.Background(), rules, chase.SemiOblivious, core.Options{MaxShapes: 5_000_000}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -176,7 +176,7 @@ func BenchmarkE8_GuardedDecide(b *testing.B) {
 	}
 	b.Run("random", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DecideGuardedContext(context.Background(), sets[i%len(sets)], core.Options{}); err != nil {
+			if _, err := core.DecideGuardedContext(context.Background(), sets[i%len(sets)], chase.SemiOblivious, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -185,7 +185,7 @@ func BenchmarkE8_GuardedDecide(b *testing.B) {
 		rules := workload.GuardedArityFamily(w)
 		b.Run(fmt.Sprintf("arity=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.DecideGuardedContext(context.Background(), rules, core.Options{}); err != nil {
+				if _, err := core.DecideGuardedContext(context.Background(), rules, chase.SemiOblivious, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -204,7 +204,7 @@ func BenchmarkE9_Looping(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := core.DecideLinearContext(context.Background(), looped, core.VariantSemiOblivious, core.Options{MaxShapes: 5_000_000})
+				res, err := core.DecideLinearContext(context.Background(), looped, chase.SemiOblivious, core.Options{MaxShapes: 5_000_000})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -262,7 +262,7 @@ func BenchmarkE12_AuxTransform(b *testing.B) {
 	}
 	b.Run("direct-o", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DecideLinearContext(context.Background(), sets[i%len(sets)], core.VariantOblivious, core.Options{}); err != nil {
+			if _, err := core.DecideLinearContext(context.Background(), sets[i%len(sets)], chase.Oblivious, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -270,7 +270,7 @@ func BenchmarkE12_AuxTransform(b *testing.B) {
 	b.Run("via-aux", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			aux := critical.AuxTransform(sets[i%len(sets)])
-			if _, err := core.DecideLinearContext(context.Background(), aux, core.VariantSemiOblivious, core.Options{}); err != nil {
+			if _, err := core.DecideLinearContext(context.Background(), aux, chase.SemiOblivious, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -392,7 +392,7 @@ func BenchmarkE14_CriteriaLadder(b *testing.B) {
 	})
 	b.Run("critical-WA", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DecideLinearContext(context.Background(), rs, core.VariantSemiOblivious, core.Options{}); err != nil {
+			if _, err := core.DecideLinearContext(context.Background(), rs, chase.SemiOblivious, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -63,65 +63,35 @@ import (
 
 // Variant selects a chase flavour. See the package documentation of
 // internal/chase for the exact trigger semantics.
-type Variant int
+type Variant = chase.Variant
 
 const (
 	// Oblivious applies one trigger per distinct homomorphism.
-	Oblivious Variant = iota
+	Oblivious = chase.Oblivious
 	// SemiOblivious (Skolem) applies one trigger per distinct frontier
 	// restriction.
-	SemiOblivious
+	SemiOblivious = chase.SemiOblivious
 	// Restricted applies only triggers whose head is not yet satisfied.
-	Restricted
+	Restricted = chase.Restricted
 )
-
-func (v Variant) String() string { return v.engine().String() }
-
-func (v Variant) engine() chase.Variant {
-	switch v {
-	case Oblivious:
-		return chase.Oblivious
-	case SemiOblivious:
-		return chase.SemiOblivious
-	default:
-		return chase.Restricted
-	}
-}
 
 // ParseVariant accepts "o"/"oblivious", "so"/"semi-oblivious"/"skolem",
 // "r"/"restricted"/"standard".
-func ParseVariant(s string) (Variant, error) {
-	cv, err := chase.ParseVariant(s)
-	if err != nil {
-		return 0, err
-	}
-	switch cv {
-	case chase.Oblivious:
-		return Oblivious, nil
-	case chase.SemiOblivious:
-		return SemiOblivious, nil
-	default:
-		return Restricted, nil
-	}
-}
+func ParseVariant(s string) (Variant, error) { return chase.ParseVariant(s) }
 
 // Class is a syntactic class of rule sets, ordered by inclusion.
-type Class int
+type Class = logic.Class
 
 const (
 	// SimpleLinear: one body atom, no repeated body variables.
-	SimpleLinear Class = iota
+	SimpleLinear = logic.ClassSimpleLinear
 	// Linear: one body atom.
-	Linear
+	Linear = logic.ClassLinear
 	// Guarded: some body atom holds all universally quantified variables.
-	Guarded
+	Guarded = logic.ClassGuarded
 	// General: everything else.
-	General
+	General = logic.ClassGeneral
 )
-
-func (c Class) String() string {
-	return [...]string{"simple-linear", "linear", "guarded", "general"}[c]
-}
 
 // RuleSet is a parsed, validated set of TGDs. It is read-only: its
 // schema summary and fingerprint are worked out once and kept, so one
@@ -158,18 +128,7 @@ func (r *RuleSet) String() string { return r.rs.String() }
 func (r *RuleSet) NumRules() int { return len(r.rs.Rules) }
 
 // Classify returns the most specific syntactic class containing the set.
-func (r *RuleSet) Classify() Class {
-	switch r.rs.Classify() {
-	case logic.ClassSimpleLinear:
-		return SimpleLinear
-	case logic.ClassLinear:
-		return Linear
-	case logic.ClassGuarded:
-		return Guarded
-	default:
-		return General
-	}
-}
+func (r *RuleSet) Classify() Class { return r.rs.Classify() }
 
 // MaxArity returns the maximum predicate arity of the schema.
 func (r *RuleSet) MaxArity() int { return r.rs.MaxArity() }
@@ -511,7 +470,7 @@ func runChase(ctx context.Context, db *Database, rules *RuleSet, v Variant, opt 
 	var res *chase.Result
 	var err error
 	if sink == nil {
-		res, err = chase.RunFromAtomsContext(ctx, db.atoms, rules.rs, v.engine(), copt)
+		res, err = chase.RunFromAtomsContext(ctx, db.atoms, rules.rs, v, copt)
 	} else {
 		var in *instance.Instance
 		in, err = instance.FromAtoms(db.atoms)
@@ -519,7 +478,7 @@ func runChase(ctx context.Context, db *Database, rules *RuleSet, v Variant, opt 
 			return nil, err
 		}
 		var eng *chase.Engine
-		eng, err = chase.NewEngine(in, rules.rs, v.engine(), copt)
+		eng, err = chase.NewEngine(in, rules.rs, v, copt)
 		if err != nil {
 			return nil, err
 		}
@@ -560,21 +519,17 @@ func runChase(ctx context.Context, db *Database, rules *RuleSet, v Variant, opt 
 }
 
 // Ternary is a three-valued answer.
-type Ternary int
+type Ternary = core.Answer
 
 const (
 	// Unknown: no procedure could decide (only outside the guarded class).
-	Unknown Ternary = iota
+	Unknown = core.Unknown
 	// Yes: the chase terminates on every database.
-	Yes
+	Yes = core.Terminating
 	// No: some database (the critical instance) has a non-terminating
 	// chase.
-	No
+	No = core.NonTerminating
 )
-
-func (t Ternary) String() string {
-	return [...]string{"unknown", "terminating", "non-terminating"}[t]
-}
 
 // Verdict is a termination decision (Report.Verdict of AnalyzeDecide).
 type Verdict struct {
@@ -589,14 +544,18 @@ type Verdict struct {
 	// critical-saturation, bounded-oracle, critical-weak-acyclicity,
 	// critical-rich-acyclicity, guarded-forest, guarded-forest(aux); a
 	// restricted-variant Yes appends "→restricted", and restricted-open
-	// marks the open restricted case. Fixed-database decisions append
-	// "(fixed-db)".
+	// marks the open restricted case. Fixed-database decisions: the
+	// linear methods with "(fixed-db)" appended, guarded-forest(fixed-db),
+	// guarded-forest(aux,fixed-db), saturation(fixed-db), bounded-run(fixed-db).
 	Method string
 	// Witness is a human-readable non-termination certificate (a pumpable
 	// shape cycle or node-type cycle), or a diagnostic for Unknown.
 	Witness string
-	// SearchSpace reports the explored abstraction size (shapes or node
-	// types), the quantity behind the paper's complexity bounds.
+	// SearchSpace is the size of what the deciding procedure explored:
+	// shapes (linear deciders) or node types (guarded), the quantity
+	// behind the paper's complexity bounds, or the critical chase's facts
+	// (mfa, critical-saturation); 0 for the positional rungs and for
+	// verdicts no search decided.
 	SearchSpace int
 
 	// DecidedBy names the portfolio rung whose verdict was adopted
@@ -634,26 +593,23 @@ type DecideOptions struct {
 	OracleMaxFacts    int
 }
 
+// core converts the budgets into the deciders' options.
+func (o DecideOptions) core() core.DecideOptions {
+	return core.DecideOptions{
+		Options:           core.Options{MaxShapes: o.MaxShapes, MaxNodeTypes: o.MaxNodeTypes},
+		OracleMaxTriggers: o.OracleMaxTriggers,
+		OracleMaxFacts:    o.OracleMaxFacts,
+	}
+}
+
 func fromCoreVerdict(v *core.Verdict, class Class) *Verdict {
-	out := &Verdict{
-		Class:   class,
-		Method:  v.Method,
-		Witness: v.Witness,
+	return &Verdict{
+		Terminates:  v.Answer,
+		Class:       class,
+		Method:      v.Method,
+		Witness:     v.Witness,
+		SearchSpace: v.SearchSpace(),
 	}
-	switch v.Answer {
-	case core.Terminating:
-		out.Terminates = Yes
-	case core.NonTerminating:
-		out.Terminates = No
-	default:
-		out.Terminates = Unknown
-	}
-	if v.ShapeCount > 0 {
-		out.SearchSpace = v.ShapeCount
-	} else {
-		out.SearchSpace = v.NodeTypeCount
-	}
-	return out
 }
 
 // decideOnDatabase is the fixed-database decision procedure behind
@@ -680,41 +636,22 @@ func decideOnDatabase(ctx context.Context, db *Database, rules *RuleSet, v Varia
 		return &Verdict{Terminates: Unknown, Class: class, Method: "restricted-open",
 			Witness: "restricted-chase termination is open; CT^so on this database gave " + so.Terminates.String()}, nil
 	}
-	cv := core.VariantSemiOblivious
-	if v == Oblivious {
-		cv = core.VariantOblivious
-	}
-	coreOpts := core.Options{MaxShapes: opt.MaxShapes, MaxNodeTypes: opt.MaxNodeTypes}
+	copt := opt.core().WithDefaults()
 	switch class {
 	case SimpleLinear, Linear:
-		res, err := core.DecideLinearOnContext(ctx, rules.rs, db.atoms, cv, coreOpts)
+		res, err := core.DecideLinearOnContext(ctx, rules.rs, db.atoms, v, copt.Options)
 		if err != nil {
 			return nil, err
 		}
-		res.Verdict.Method += "(fixed-db)"
 		return fromCoreVerdict(res.Verdict, class), nil
 	case Guarded:
-		target := rules.rs
-		method := "guarded-forest(fixed-db)"
-		if v == Oblivious {
-			target = critical.AuxTransform(rules.rs)
-			method = "guarded-forest(aux,fixed-db)"
-		}
-		res, err := core.DecideGuardedOnContext(ctx, target, db.atoms, coreOpts)
+		res, err := core.DecideGuardedOnContext(ctx, rules.rs, db.atoms, v, copt.Options)
 		if err != nil {
 			return nil, err
 		}
-		res.Method = method
 		return fromCoreVerdict(res, class), nil
 	default:
-		budgets := ChaseOptions{MaxTriggers: 200_000, MaxFacts: 200_000}
-		if opt.OracleMaxTriggers > 0 {
-			budgets.MaxTriggers = opt.OracleMaxTriggers
-		}
-		if opt.OracleMaxFacts > 0 {
-			budgets.MaxFacts = opt.OracleMaxFacts
-		}
-		run, err := runChase(ctx, db, rules, v, budgets, nil)
+		run, err := runChase(ctx, db, rules, v, ChaseOptions{MaxTriggers: copt.OracleMaxTriggers, MaxFacts: copt.OracleMaxFacts}, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -140,7 +140,7 @@ func runBenchSuite(w io.Writer, quick bool, label string) error {
 	var soDB []logic.Atom
 	for {
 		soRules = workload.RandomInclusionDependencies(rng, 12, 6, 40)
-		dres, err := core.DecideLinearContext(context.Background(), soRules, core.VariantSemiOblivious, core.Options{})
+		dres, err := core.DecideLinearContext(context.Background(), soRules, chase.SemiOblivious, core.Options{})
 		if err != nil {
 			return err
 		}
@@ -222,8 +222,8 @@ func runBenchSuite(w io.Writer, quick bool, label string) error {
 	res = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r, err := portfolio.Run(context.Background(), pfRules, core.VariantSemiOblivious, portfolio.Options{})
-			if err != nil || r.Verdict != portfolio.Terminating || r.DecidedBy != "weak-acyclicity" {
+			r, err := portfolio.Run(context.Background(), pfRules, chase.SemiOblivious, core.DecideOptions{})
+			if err != nil || r.Verdict != core.Terminating || r.DecidedBy != "weak-acyclicity" {
 				b.Fatalf("portfolio: %+v %v", r, err)
 			}
 		}
@@ -232,7 +232,7 @@ func runBenchSuite(w io.Writer, quick bool, label string) error {
 	res = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r, err := core.DecideLinearContext(context.Background(), pfRules, core.VariantSemiOblivious, core.Options{})
+			r, err := core.DecideLinearContext(context.Background(), pfRules, chase.SemiOblivious, core.Options{})
 			if err != nil || r.Verdict.Answer != core.Terminating {
 				b.Fatalf("direct: %+v %v", r, err)
 			}

@@ -111,7 +111,7 @@ func main() {
 	}
 }
 
-func decideLin(rs *logic.RuleSet, v core.ChaseVariant) core.Answer {
+func decideLin(rs *logic.RuleSet, v chase.Variant) core.Answer {
 	res, err := core.DecideLinearContext(context.Background(), rs, v, core.Options{})
 	if err != nil {
 		panic(err)
@@ -145,7 +145,7 @@ func runE1(w io.Writer, quick bool) error {
 		}
 		fmt.Fprintf(w, "| %s | %d | %d | %s |\n", v, res.Stats.TriggersApplied, res.Stats.FactsAdded, res.Outcome)
 	}
-	v, err := core.DecideContext(context.Background(), rules, core.VariantSemiOblivious, core.DecideOptions{})
+	v, err := core.DecideContext(context.Background(), rules, chase.SemiOblivious, core.DecideOptions{})
 	if err != nil {
 		return err
 	}
@@ -167,14 +167,14 @@ func runE2(w io.Writer, quick bool) error {
 		}
 		fmt.Fprintf(w, "| %d | %d |\n", steps, res.Stats.InitialFacts+res.Stats.FactsAdded)
 	}
-	for _, cv := range []core.ChaseVariant{core.VariantOblivious, core.VariantSemiOblivious} {
+	for _, cv := range []chase.Variant{chase.Oblivious, chase.SemiOblivious} {
 		fmt.Fprintf(w, "\nCT^%s: **%s**.", cv, decideLin(rules, cv))
 	}
 	fmt.Fprintln(w)
 	return nil
 }
 
-func slAgreement(w io.Writer, quick bool, variant core.ChaseVariant) error {
+func slAgreement(w io.Writer, quick bool, variant chase.Variant) error {
 	n := 3000
 	if quick {
 		n = 300
@@ -185,17 +185,13 @@ func slAgreement(w io.Writer, quick bool, variant core.ChaseVariant) error {
 	for i := 0; i < n; i++ {
 		rs := workload.RandomSL(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 3})
 		var pos bool
-		if variant == core.VariantSemiOblivious {
+		if variant == chase.SemiOblivious {
 			pos, _ = acyclicity.IsWeaklyAcyclic(rs)
 		} else {
 			pos, _ = acyclicity.IsRichlyAcyclic(rs)
 		}
 		dec := decideLin(rs, variant)
-		cv := chase.SemiOblivious
-		if variant == core.VariantOblivious {
-			cv = chase.Oblivious
-		}
-		emp := oracle(rs, cv, budget)
+		emp := oracle(rs, variant, budget)
 		if pos {
 			acyc++
 		}
@@ -210,7 +206,7 @@ func slAgreement(w io.Writer, quick bool, variant core.ChaseVariant) error {
 		}
 	}
 	name := "WA"
-	if variant == core.VariantOblivious {
+	if variant == chase.Oblivious {
 		name = "RA"
 	}
 	fmt.Fprintf(w, "| random SL sets | %s holds | decider says terminating | %s = decider | decider = chase oracle |\n", name, name)
@@ -222,8 +218,8 @@ func slAgreement(w io.Writer, quick bool, variant core.ChaseVariant) error {
 	return nil
 }
 
-func runE3(w io.Writer, quick bool) error { return slAgreement(w, quick, core.VariantSemiOblivious) }
-func runE4(w io.Writer, quick bool) error { return slAgreement(w, quick, core.VariantOblivious) }
+func runE3(w io.Writer, quick bool) error { return slAgreement(w, quick, chase.SemiOblivious) }
+func runE4(w io.Writer, quick bool) error { return slAgreement(w, quick, chase.Oblivious) }
 
 func runE5(w io.Writer, quick bool) error {
 	n := 3000
@@ -234,8 +230,8 @@ func runE5(w io.Writer, quick bool) error {
 	waWrong, raWrong, agreeSO, agreeO := 0, 0, 0, 0
 	for i := 0; i < n; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 3, MaxArity: 3, NumRules: 3, RepeatProb: 0.5})
-		so := decideLin(rs, core.VariantSemiOblivious)
-		o := decideLin(rs, core.VariantOblivious)
+		so := decideLin(rs, chase.SemiOblivious)
+		o := decideLin(rs, chase.Oblivious)
 		if wa, _ := acyclicity.IsWeaklyAcyclic(rs); !wa && so == core.Terminating {
 			waWrong++
 		}
@@ -256,7 +252,7 @@ func runE5(w io.Writer, quick bool) error {
 	fmt.Fprintf(w, "\nExpected: positive counts in the first two columns (plain acyclicity is\n"+
 		"incomplete on L — the paper's motivation for Theorem 2) and 100%% in the last two.\n")
 	fmt.Fprintf(w, "\nCanonical witness: `p(X,X) -> p(X,Z)` — not WA, yet CT^so: **%s**.\n",
-		decideLin(mustRules(`p(X,X) -> p(X,Z).`), core.VariantSemiOblivious))
+		decideLin(mustRules(`p(X,X) -> p(X,Z).`), chase.SemiOblivious))
 	return nil
 }
 
@@ -271,13 +267,13 @@ func runE6(w io.Writer, quick bool) error {
 		closed := workload.SLFamily(n, true)
 		open := workload.SLFamily(n, false)
 		t0 := time.Now()
-		rc, err := core.DecideLinearContext(context.Background(), closed, core.VariantSemiOblivious, core.Options{})
+		rc, err := core.DecideLinearContext(context.Background(), closed, chase.SemiOblivious, core.Options{})
 		if err != nil {
 			return err
 		}
 		dtClosed := time.Since(t0)
 		t0 = time.Now()
-		ro, err := core.DecideLinearContext(context.Background(), open, core.VariantSemiOblivious, core.Options{})
+		ro, err := core.DecideLinearContext(context.Background(), open, chase.SemiOblivious, core.Options{})
 		if err != nil {
 			return err
 		}
@@ -301,7 +297,7 @@ func runE7(w io.Writer, quick bool) error {
 	for _, arity := range arities {
 		rs := workload.LinearArityFamily(arity)
 		t0 := time.Now()
-		res, err := core.DecideLinearContext(context.Background(), rs, core.VariantSemiOblivious, core.Options{MaxShapes: 5_000_000})
+		res, err := core.DecideLinearContext(context.Background(), rs, chase.SemiOblivious, core.Options{MaxShapes: 5_000_000})
 		if err != nil {
 			return err
 		}
@@ -315,7 +311,7 @@ func runE7(w io.Writer, quick bool) error {
 	for _, n := range []int{8, 32, 128} {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 4, MaxArity: 2, NumRules: n, RepeatProb: 0.4})
 		t0 := time.Now()
-		res, err := core.DecideLinearContext(context.Background(), rs, core.VariantSemiOblivious, core.Options{})
+		res, err := core.DecideLinearContext(context.Background(), rs, chase.SemiOblivious, core.Options{})
 		if err != nil {
 			return err
 		}
@@ -334,7 +330,7 @@ func runE8(w io.Writer, quick bool) error {
 	agree, terminating := 0, 0
 	for i := 0; i < n; i++ {
 		rs := workload.RandomGuarded(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 3, MaxSideAtoms: 2})
-		res, err := core.DecideGuardedContext(context.Background(), rs, core.Options{})
+		res, err := core.DecideGuardedContext(context.Background(), rs, chase.SemiOblivious, core.Options{})
 		if err != nil {
 			return err
 		}
@@ -359,7 +355,7 @@ func runE8(w io.Writer, quick bool) error {
 	for _, arity := range arities {
 		rs := workload.GuardedArityFamily(arity)
 		t0 := time.Now()
-		res, err := core.DecideGuardedContext(context.Background(), rs, core.Options{})
+		res, err := core.DecideGuardedContext(context.Background(), rs, chase.SemiOblivious, core.Options{})
 		if err != nil {
 			return err
 		}
@@ -401,7 +397,7 @@ func runE9(w io.Writer, quick bool) error {
 			return err
 		}
 		t0 := time.Now()
-		res, err := core.DecideLinearContext(context.Background(), looped, core.VariantSemiOblivious, core.Options{MaxShapes: 5_000_000})
+		res, err := core.DecideLinearContext(context.Background(), looped, chase.SemiOblivious, core.Options{MaxShapes: 5_000_000})
 		if err != nil {
 			return err
 		}
@@ -453,8 +449,8 @@ func runE11(w io.Writer, quick bool) error {
 	ctViol, raViol, clsViol := 0, 0, 0
 	for i := 0; i < n; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 3, RepeatProb: 0.3})
-		o := decideLin(rs, core.VariantOblivious)
-		so := decideLin(rs, core.VariantSemiOblivious)
+		o := decideLin(rs, chase.Oblivious)
+		so := decideLin(rs, chase.SemiOblivious)
 		if o == core.Terminating && so != core.Terminating {
 			ctViol++
 		}
@@ -486,15 +482,15 @@ func runE12(w io.Writer, quick bool) error {
 	nG := n / 3
 	for i := 0; i < n; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 3, RepeatProb: 0.3})
-		direct := decideLin(rs, core.VariantOblivious)
-		viaAux := decideLin(critical.AuxTransform(rs), core.VariantSemiOblivious)
+		direct := decideLin(rs, chase.Oblivious)
+		viaAux := decideLin(critical.AuxTransform(rs), chase.SemiOblivious)
 		if direct == viaAux {
 			agreeLin++
 		}
 	}
 	for i := 0; i < nG; i++ {
 		rs := workload.RandomGuarded(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 2, MaxSideAtoms: 1})
-		res, err := core.DecideGuardedContext(context.Background(), critical.AuxTransform(rs), core.Options{})
+		res, err := core.DecideGuardedContext(context.Background(), rs, chase.Oblivious, core.Options{})
 		if err != nil {
 			return err
 		}
@@ -545,7 +541,7 @@ func runE14(w io.Writer, quick bool) error {
 	var ra, wa, ja, exact, nonterm int
 	for i := 0; i < n; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 3, MaxArity: 3, NumRules: 3, RepeatProb: 0.4})
-		so := decideLin(rs, core.VariantSemiOblivious)
+		so := decideLin(rs, chase.SemiOblivious)
 		if so == core.Terminating {
 			exact++
 		} else {

@@ -74,7 +74,7 @@ func ontologyCase(tb testing.TB) (*logic.RuleSet, []logic.Atom) {
 	rng := rand.New(rand.NewSource(26))
 	for {
 		rules := workload.RandomInclusionDependencies(rng, 12, 6, 40)
-		res, err := core.DecideLinearContext(context.Background(), rules, core.VariantSemiOblivious, core.Options{})
+		res, err := core.DecideLinearContext(context.Background(), rules, chase.SemiOblivious, core.Options{})
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"chaseterm/internal/chase"
 	"chaseterm/internal/logic"
 	"chaseterm/internal/parse"
 )
@@ -27,7 +28,7 @@ func TestDecideContextPreCanceled(t *testing.T) {
 	cancel()
 	for name, src := range cancelSets {
 		rs := parse.MustParseRules(src)
-		for _, v := range []ChaseVariant{VariantOblivious, VariantSemiOblivious} {
+		for _, v := range []chase.Variant{chase.Oblivious, chase.SemiOblivious} {
 			if _, err := DecideContext(ctx, rs, v, DecideOptions{}); !errors.Is(err, context.Canceled) {
 				t.Errorf("%s/%v: got %v, want context.Canceled", name, v, err)
 			}
@@ -40,7 +41,7 @@ func TestDecideLinearContextCanceled(t *testing.T) {
 	rs := parse.MustParseRules(cancelSets["linear"])
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DecideLinearContext(ctx, rs, VariantSemiOblivious, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := DecideLinearContext(ctx, rs, chase.SemiOblivious, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
@@ -51,7 +52,7 @@ func TestDecideGuardedContextCanceled(t *testing.T) {
 	rs := parse.MustParseRules(cancelSets["guarded"])
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DecideGuardedContext(ctx, rs, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := DecideGuardedContext(ctx, rs, chase.SemiOblivious, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
@@ -63,11 +64,11 @@ func TestDecideOnContextPreCanceledEmptyDB(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	linear := parse.MustParseRules(cancelSets["linear"])
-	if _, err := DecideLinearOnContext(ctx, linear, []logic.Atom{}, VariantSemiOblivious, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := DecideLinearOnContext(ctx, linear, []logic.Atom{}, chase.SemiOblivious, Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("linear empty db: got %v, want context.Canceled", err)
 	}
 	guarded := parse.MustParseRules(cancelSets["guarded"])
-	if _, err := DecideGuardedOnContext(ctx, guarded, []logic.Atom{}, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := DecideGuardedOnContext(ctx, guarded, []logic.Atom{}, chase.SemiOblivious, Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("guarded empty db: got %v, want context.Canceled", err)
 	}
 }
@@ -83,7 +84,7 @@ func TestDecideGeneralCancelMidOracle(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := DecideContext(ctx, rs, VariantSemiOblivious, DecideOptions{
+	_, err := DecideContext(ctx, rs, chase.SemiOblivious, DecideOptions{
 		OracleMaxTriggers: 10_000_000,
 		OracleMaxFacts:    10_000_000,
 	})
@@ -103,8 +104,8 @@ func TestDecideContextBackgroundIdentical(t *testing.T) {
 	defer cancel()
 	for name, src := range cancelSets {
 		rs := parse.MustParseRules(src)
-		plain, err1 := DecideContext(context.Background(), rs, VariantSemiOblivious, DecideOptions{})
-		ctxed, err2 := DecideContext(live, rs, VariantSemiOblivious, DecideOptions{})
+		plain, err1 := DecideContext(context.Background(), rs, chase.SemiOblivious, DecideOptions{})
+		ctxed, err2 := DecideContext(live, rs, chase.SemiOblivious, DecideOptions{})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: errors %v / %v", name, err1, err2)
 		}
@@ -120,16 +121,16 @@ func TestDecideContextBackgroundIdentical(t *testing.T) {
 // and fail every decision instantly with a budget error.
 func TestNegativeBudgetsClamped(t *testing.T) {
 	linear := parse.MustParseRules(cancelSets["linear"])
-	if res, err := DecideLinearContext(context.Background(), linear, VariantSemiOblivious, Options{MaxShapes: -1}); err != nil {
+	if res, err := DecideLinearContext(context.Background(), linear, chase.SemiOblivious, Options{MaxShapes: -1}); err != nil {
 		t.Errorf("linear with MaxShapes -1: %v, want a verdict", err)
 	} else if res.Verdict.ShapeCount == 0 {
 		t.Error("linear with MaxShapes -1 explored no shapes")
 	}
 	guarded := parse.MustParseRules(cancelSets["guarded"])
-	if _, err := DecideGuardedContext(context.Background(), guarded, Options{MaxNodeTypes: -1}); err != nil {
+	if _, err := DecideGuardedContext(context.Background(), guarded, chase.SemiOblivious, Options{MaxNodeTypes: -1}); err != nil {
 		t.Errorf("guarded with MaxNodeTypes -1: %v, want a verdict", err)
 	}
-	dopt := DecideOptions{OracleMaxTriggers: -3, OracleMaxFacts: -3}.withDefaults()
+	dopt := DecideOptions{OracleMaxTriggers: -3, OracleMaxFacts: -3}.WithDefaults()
 	if dopt.OracleMaxTriggers != 200_000 || dopt.OracleMaxFacts != 200_000 {
 		t.Errorf("DecideOptions negative oracle budgets not clamped: %+v", dopt)
 	}

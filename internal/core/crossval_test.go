@@ -48,11 +48,11 @@ func TestTheorem1SL(t *testing.T) {
 		wa, _ := acyclicity.IsWeaklyAcyclic(rs)
 		ra, _ := acyclicity.IsRichlyAcyclic(rs)
 
-		so, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
+		so, err := DecideLinearContext(context.Background(), rs, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		o, err := DecideLinearContext(context.Background(), rs, VariantOblivious, Options{})
+		o, err := DecideLinearContext(context.Background(), rs, chase.Oblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -83,11 +83,11 @@ func TestTheorem2Linear(t *testing.T) {
 	waIncomplete, raIncomplete := 0, 0
 	for i := 0; i < 400; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 3, MaxArity: 3, NumRules: 3, RepeatProb: 0.5})
-		so, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
+		so, err := DecideLinearContext(context.Background(), rs, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		o, err := DecideLinearContext(context.Background(), rs, VariantOblivious, Options{})
+		o, err := DecideLinearContext(context.Background(), rs, chase.Oblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -129,14 +129,14 @@ func TestTheorem4Guarded(t *testing.T) {
 		if rs.Classify() > logic.ClassGuarded {
 			t.Fatalf("case %d: generator produced non-guarded set:\n%s", i, rs)
 		}
-		so, err := DecideGuardedContext(context.Background(), rs, Options{})
+		so, err := DecideGuardedContext(context.Background(), rs, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v\n%s", i, err, rs)
 		}
 		if got := empirical(t, rs, chase.SemiOblivious); got != so.Answer {
 			t.Errorf("case %d: so-oracle=%v decider=%v:\n%s", i, got, so.Answer, rs)
 		}
-		o, err := DecideGuardedContext(context.Background(), critical.AuxTransform(rs), Options{})
+		o, err := DecideGuardedContext(context.Background(), rs, chase.Oblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d (aux): %v\n%s", i, err, rs)
 		}
@@ -162,7 +162,7 @@ func TestTheorem4GuardedArity3(t *testing.T) {
 		rs := workload.RandomGuarded(rng, workload.Config{
 			NumPreds: 3, MaxArity: 3, NumRules: 2, MaxSideAtoms: 2, MaxHeadAtoms: 2,
 		})
-		so, err := DecideGuardedContext(context.Background(), rs, Options{})
+		so, err := DecideGuardedContext(context.Background(), rs, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v\n%s", i, err, rs)
 		}
@@ -185,7 +185,7 @@ func TestConstantsCrossval(t *testing.T) {
 		lin := workload.RandomLinear(rng, workload.Config{
 			NumPreds: 3, MaxArity: 2, NumRules: 3, RepeatProb: 0.3, ConstProb: 0.3,
 		})
-		dec, err := DecideLinearContext(context.Background(), lin, VariantSemiOblivious, Options{})
+		dec, err := DecideLinearContext(context.Background(), lin, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -197,7 +197,7 @@ func TestConstantsCrossval(t *testing.T) {
 		g := workload.RandomGuarded(rng, workload.Config{
 			NumPreds: 2, MaxArity: 2, NumRules: 2, MaxSideAtoms: 1, ConstProb: 0.3,
 		})
-		dec, err := DecideGuardedContext(context.Background(), g, Options{})
+		dec, err := DecideGuardedContext(context.Background(), g, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -216,11 +216,11 @@ func TestGuardedAgreesWithLinearRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 200; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 2, MaxArity: 2, NumRules: 2, RepeatProb: 0.4})
-		lin, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
+		lin, err := DecideLinearContext(context.Background(), rs, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		gd, err := DecideGuardedContext(context.Background(), rs, Options{})
+		gd, err := DecideGuardedContext(context.Background(), rs, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -239,11 +239,11 @@ func TestAuxEquivalenceLinearRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 300; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 3, RepeatProb: 0.3})
-		direct, err := DecideLinearContext(context.Background(), rs, VariantOblivious, Options{})
+		direct, err := DecideLinearContext(context.Background(), rs, chase.Oblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		viaAux, err := DecideLinearContext(context.Background(), critical.AuxTransform(rs), VariantSemiOblivious, Options{})
+		viaAux, err := DecideLinearContext(context.Background(), critical.AuxTransform(rs), chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -262,11 +262,11 @@ func TestCTContainmentRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 300; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 3})
-		o, err := DecideLinearContext(context.Background(), rs, VariantOblivious, Options{})
+		o, err := DecideLinearContext(context.Background(), rs, chase.Oblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		so, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
+		so, err := DecideLinearContext(context.Background(), rs, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -297,7 +297,7 @@ func TestDecideDispatch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v, err := DecideContext(context.Background(), tc.rs, VariantSemiOblivious, DecideOptions{})
+			v, err := DecideContext(context.Background(), tc.rs, chase.SemiOblivious, DecideOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -318,7 +318,7 @@ func TestDecideGeneralUnknown(t *testing.T) {
 	// Non-guarded (three body variables, binary atoms) and diverging: each
 	// round re-seeds both body predicates with fresh values.
 	rs := mustRules(t, `e(X,Y), f(Y,Z) -> e(Z,W), f(W,V).`)
-	v, err := DecideContext(context.Background(), rs, VariantSemiOblivious, DecideOptions{
+	v, err := DecideContext(context.Background(), rs, chase.SemiOblivious, DecideOptions{
 		OracleMaxTriggers: 2000, OracleMaxFacts: 2000,
 	})
 	if err != nil {
@@ -336,7 +336,7 @@ func TestDecideGeneralUnknown(t *testing.T) {
 // guarded sets.
 func TestDecideObliviousDispatch(t *testing.T) {
 	rs := mustRules(t, `g(X,Y), gate(X) -> g(Y,Z).`)
-	v, err := DecideContext(context.Background(), rs, VariantOblivious, DecideOptions{})
+	v, err := DecideContext(context.Background(), rs, chase.Oblivious, DecideOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,17 +25,22 @@ func pollDone(ctx context.Context, done <-chan struct{}) error {
 	}
 }
 
-// DecideOptions extends Options with budgets for the bounded-oracle
-// fallback used outside the guarded class.
+// DecideOptions are the budgets of a decision that may run every
+// procedure: the exact deciders' Options, and the critical-instance
+// chases of the mfa and critical-saturation rungs (package portfolio),
+// of DecideContext's fallback for general TGDs and of the facade's
+// bounded fixed-database run.
 type DecideOptions struct {
 	Options
-	// OracleMaxTriggers / OracleMaxFacts bound the critical-instance chase
-	// used as a semi-decision fallback for general TGDs (defaults 200k).
+	// OracleMaxTriggers / OracleMaxFacts bound those chases (defaults
+	// 200k).
 	OracleMaxTriggers int
 	OracleMaxFacts    int
 }
 
-func (o DecideOptions) withDefaults() DecideOptions {
+// WithDefaults returns o with every non-positive budget replaced by its
+// default.
+func (o DecideOptions) WithDefaults() DecideOptions {
 	o.Options = o.Options.withDefaults()
 	// Clamp non-positive budgets to the defaults: a negative oracle budget
 	// would otherwise make the fallback chase stop instantly and report an
@@ -55,9 +60,7 @@ func (o DecideOptions) withDefaults() DecideOptions {
 //
 //   - simple-linear and linear sets: DecideLinearContext — exact
 //     (Theorems 1–3);
-//   - guarded sets: DecideGuardedContext — exact (Theorem 4); the
-//     oblivious variant is decided on aux(Σ) (package critical), whose
-//     semi-oblivious chase applies exactly the oblivious triggers of Σ;
+//   - guarded sets: DecideGuardedContext — exact (Theorem 4);
 //   - general sets: the problem is undecidable (Gogacz–Marcinkowski), so
 //     DecideContext falls back to sound partial answers: weak/rich
 //     acyclicity implies termination, and a critical-instance chase that
@@ -74,9 +77,9 @@ func (o DecideOptions) withDefaults() DecideOptions {
 // All dispatched procedures poll the context at their fixpoint/worklist
 // boundaries, so a canceled or expired context surfaces as ctx.Err()
 // well before any search budget is exhausted.
-func DecideContext(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, opt DecideOptions) (*Verdict, error) {
-	opt = opt.withDefaults()
-	if err := rs.Validate(); err != nil {
+func DecideContext(ctx context.Context, rs *logic.RuleSet, v chase.Variant, opt DecideOptions) (*Verdict, error) {
+	opt = opt.WithDefaults()
+	if err := Validate(rs, v); err != nil {
 		return nil, err
 	}
 	// Uniform contract: an already-dead context fails every dispatch path,
@@ -104,19 +107,7 @@ func DecideContext(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, opt D
 		}
 		return res.Verdict, nil
 	case logic.ClassGuarded:
-		target := rs
-		method := "guarded-forest"
-		if v == VariantOblivious {
-			target = critical.AuxTransform(rs)
-			method = "guarded-forest(aux)"
-		}
-		res, err := DecideGuardedContext(ctx, target, opt.Options)
-		if err != nil {
-			return nil, err
-		}
-		res.Variant = v
-		res.Method = method
-		return res, nil
+		return DecideGuardedContext(ctx, rs, v, opt.Options)
 	default:
 		return decideGeneral(ctx, rs, v, opt)
 	}
@@ -129,8 +120,8 @@ func DecideContext(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, opt D
 // rule is not simple-linear (constants in rules are also rejected: the
 // positional graphs ignore them, and only the constant-free setting of the
 // theorem guarantees exactness — DecideLinearContext handles constants).
-func DecideSimpleLinear(rs *logic.RuleSet, v ChaseVariant) (*Verdict, error) {
-	if err := rs.Validate(); err != nil {
+func DecideSimpleLinear(rs *logic.RuleSet, v chase.Variant) (*Verdict, error) {
+	if err := Validate(rs, v); err != nil {
 		return nil, err
 	}
 	for i, r := range rs.Rules {
@@ -144,14 +135,14 @@ func DecideSimpleLinear(rs *logic.RuleSet, v ChaseVariant) (*Verdict, error) {
 	var ok bool
 	var w *acyclicity.Witness
 	var method string
-	if v == VariantOblivious {
+	if v == chase.Oblivious {
 		ok, w = acyclicity.IsRichlyAcyclic(rs)
 		method = "rich-acyclicity(SL)"
 	} else {
 		ok, w = acyclicity.IsWeaklyAcyclic(rs)
 		method = "weak-acyclicity(SL)"
 	}
-	verdict := &Verdict{Variant: v, Method: method}
+	verdict := &Verdict{Method: method}
 	if ok {
 		verdict.Answer = Terminating
 	} else {
@@ -162,21 +153,21 @@ func DecideSimpleLinear(rs *logic.RuleSet, v ChaseVariant) (*Verdict, error) {
 }
 
 // decideGeneral applies the sound fallbacks for unrestricted TGDs.
-func decideGeneral(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, opt DecideOptions) (*Verdict, error) {
+func decideGeneral(ctx context.Context, rs *logic.RuleSet, v chase.Variant, opt DecideOptions) (*Verdict, error) {
 	// 1. Positional acyclicity: RA ⇒ CT^o, WA ⇒ CT^so. (Polynomial —
 	// cheap enough to run without cancellation points.)
-	if v == VariantOblivious {
+	if v == chase.Oblivious {
 		if ok, _ := acyclicity.IsRichlyAcyclic(rs); ok {
-			return &Verdict{Answer: Terminating, Variant: v, Method: "rich-acyclicity"}, nil
+			return &Verdict{Answer: Terminating, Method: "rich-acyclicity"}, nil
 		}
 	} else {
 		if ok, _ := acyclicity.IsWeaklyAcyclic(rs); ok {
-			return &Verdict{Answer: Terminating, Variant: v, Method: "weak-acyclicity"}, nil
+			return &Verdict{Answer: Terminating, Method: "weak-acyclicity"}, nil
 		}
 	}
 	// 2. Bounded critical-instance chase: saturation proves termination.
 	target := rs
-	if v == VariantOblivious {
+	if v == chase.Oblivious {
 		target = critical.AuxTransform(rs)
 	}
 	res, err := critical.OracleContext(ctx, target, chase.SemiOblivious, chase.Options{
@@ -187,12 +178,12 @@ func decideGeneral(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, opt D
 		return nil, err
 	}
 	if res.Outcome == chase.Terminated {
-		return &Verdict{Answer: Terminating, Variant: v, Method: "critical-saturation"}, nil
+		return &Verdict{Answer: Terminating, Method: "critical-saturation"}, nil
 	}
 	// 3. Inconclusive. Report what was observed (a cyclic Skolem term is a
 	// strong — though for non-guarded sets not conclusive — sign of
 	// divergence).
 	witness := fmt.Sprintf("critical chase exceeded budget (%d facts, %d triggers applied, max term depth %d)",
 		res.Instance.Size(), res.Stats.TriggersApplied, res.Stats.MaxTermDepth)
-	return &Verdict{Answer: Unknown, Variant: v, Method: "bounded-oracle", Witness: witness}, nil
+	return &Verdict{Answer: Unknown, Method: "bounded-oracle", Witness: witness}, nil
 }

@@ -76,13 +76,13 @@ func TestFixedDBKnownCases(t *testing.T) {
 			db := parse.MustParseFacts(tc.db)
 			var got Answer
 			if rs.Classify() <= logic.ClassLinear {
-				res, err := DecideLinearOnContext(context.Background(), rs, db, VariantSemiOblivious, Options{})
+				res, err := DecideLinearOnContext(context.Background(), rs, db, chase.SemiOblivious, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				got = res.Verdict.Answer
 			} else {
-				res, err := DecideGuardedOnContext(context.Background(), rs, db, Options{})
+				res, err := DecideGuardedOnContext(context.Background(), rs, db, chase.SemiOblivious, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +118,7 @@ func TestFixedDBRandomLinear(t *testing.T) {
 	for i := 0; i < 250; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 3, RepeatProb: 0.4})
 		db := workload.RandomABox(rng, rs, 4, 2)
-		dec, err := DecideLinearOnContext(context.Background(), rs, db, VariantSemiOblivious, Options{})
+		dec, err := DecideLinearOnContext(context.Background(), rs, db, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -147,7 +147,7 @@ func TestFixedDBRandomGuarded(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		rs := workload.RandomGuarded(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 2, MaxSideAtoms: 1})
 		db := workload.RandomABox(rng, rs, 3, 2)
-		dec, err := DecideGuardedOnContext(context.Background(), rs, db, Options{})
+		dec, err := DecideGuardedOnContext(context.Background(), rs, db, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -173,7 +173,7 @@ func TestFixedDBImpliedByAllInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 120; i++ {
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 3})
-		all, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
+		all, err := DecideLinearContext(context.Background(), rs, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestFixedDBImpliedByAllInstance(t *testing.T) {
 			continue
 		}
 		db := workload.RandomABox(rng, rs, 5, 3)
-		fixed, err := DecideLinearOnContext(context.Background(), rs, db, VariantSemiOblivious, Options{})
+		fixed, err := DecideLinearOnContext(context.Background(), rs, db, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,11 +194,51 @@ func TestFixedDBImpliedByAllInstance(t *testing.T) {
 func TestFixedDBRejectsNonGround(t *testing.T) {
 	rs := parse.MustParseRules(`p(X) -> q(X).`)
 	bad := []logic.Atom{logic.NewAtom("p", logic.Variable("X"))}
-	if _, err := DecideLinearOnContext(context.Background(), rs, bad, VariantSemiOblivious, Options{}); err == nil {
+	if _, err := DecideLinearOnContext(context.Background(), rs, bad, chase.SemiOblivious, Options{}); err == nil {
 		t.Error("non-ground database accepted by DecideLinearOn")
 	}
-	if _, err := DecideGuardedOnContext(context.Background(), rs, bad, Options{}); err == nil {
+	if _, err := DecideGuardedOnContext(context.Background(), rs, bad, chase.SemiOblivious, Options{}); err == nil {
 		t.Error("non-ground database accepted by DecideGuardedOn")
+	}
+}
+
+// TestDeciderMethods pins the method each exact decider names: the
+// guarded decider tags its aux(Σ) and fixed-database runs itself, and
+// the linear decider its fixed-database runs.
+func TestDeciderMethods(t *testing.T) {
+	ctx := context.Background()
+	lin := parse.MustParseRules(`p(X,Y) -> p(Y,Z).`)
+	gd := parse.MustParseRules(`g(X,Y), gate(X) -> g(Y,Z).`)
+	db := parse.MustParseFacts(`g(a,b). gate(a). p(a,b).`)
+	linear := func(v chase.Variant, db []logic.Atom) (*Verdict, error) {
+		res, err := decideLinearSeeded(ctx, lin, v, db, Options{})
+		if err != nil {
+			return nil, err
+		}
+		return res.Verdict, nil
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() (*Verdict, error)
+		want string
+	}{
+		{"linear/so", func() (*Verdict, error) { return linear(chase.SemiOblivious, nil) }, "critical-weak-acyclicity"},
+		{"linear/o", func() (*Verdict, error) { return linear(chase.Oblivious, nil) }, "critical-rich-acyclicity"},
+		{"linear/so/db", func() (*Verdict, error) { return linear(chase.SemiOblivious, db) }, "critical-weak-acyclicity(fixed-db)"},
+		{"linear/o/db", func() (*Verdict, error) { return linear(chase.Oblivious, db) }, "critical-rich-acyclicity(fixed-db)"},
+		{"guarded/so", func() (*Verdict, error) { return DecideGuardedContext(ctx, gd, chase.SemiOblivious, Options{}) }, "guarded-forest"},
+		{"guarded/o", func() (*Verdict, error) { return DecideGuardedContext(ctx, gd, chase.Oblivious, Options{}) }, "guarded-forest(aux)"},
+		{"guarded/so/db", func() (*Verdict, error) { return DecideGuardedOnContext(ctx, gd, db, chase.SemiOblivious, Options{}) }, "guarded-forest(fixed-db)"},
+		{"guarded/o/db", func() (*Verdict, error) { return DecideGuardedOnContext(ctx, gd, db, chase.Oblivious, Options{}) }, "guarded-forest(aux,fixed-db)"},
+	} {
+		v, err := tc.run()
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if v.Method != tc.want {
+			t.Errorf("%s: method %q, want %q", tc.name, v.Method, tc.want)
+		}
 	}
 }
 
@@ -221,7 +261,7 @@ func TestFixedDBManyConstants(t *testing.T) {
 		{`g(X,Y), gate(X) -> g(Y,Z), gate(Y).`, NonTerminating},
 	} {
 		rs := parse.MustParseRules(tc.rules)
-		dec, err := DecideGuardedOnContext(context.Background(), rs, db, Options{})
+		dec, err := DecideGuardedOnContext(context.Background(), rs, db, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.rules, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"chaseterm/internal/chase"
 	"chaseterm/internal/critical"
 	"chaseterm/internal/instance"
 	"chaseterm/internal/logic"
@@ -193,24 +194,25 @@ type guardedDecider struct {
 // canceled polls the decider's context without blocking.
 func (d *guardedDecider) canceled() error { return pollDone(d.ctx, d.done) }
 
-// DecideGuardedContext decides CT^so membership for a guarded rule set:
-// the node forest is rooted at the critical instance, so the verdict
-// quantifies over all databases. For CT^o, apply the aux-atom
-// transformation first (the guarded-exact portfolio rung and the façade
-// do this automatically). The global and per-node fixpoint loops poll
-// the context, so a cancellation surfaces as ctx.Err() long before the
-// node-type budget is reached.
-func DecideGuardedContext(ctx context.Context, rs *logic.RuleSet, opt Options) (*Verdict, error) {
-	return decideGuardedSeeded(ctx, rs, nil, opt)
+// DecideGuardedContext decides CT^o or CT^so membership for a guarded
+// rule set: the node forest is rooted at the critical instance, so the
+// verdict quantifies over all databases. CT^o is decided on aux(Σ)
+// (package critical), whose semi-oblivious chase applies exactly the
+// oblivious triggers of Σ; the method is then "guarded-forest(aux)". The
+// global and per-node fixpoint loops poll the context, so a cancellation
+// surfaces as ctx.Err() long before the node-type budget is reached.
+func DecideGuardedContext(ctx context.Context, rs *logic.RuleSet, v chase.Variant, opt Options) (*Verdict, error) {
+	return decideGuardedSeeded(ctx, rs, v, nil, opt)
 }
 
-// DecideGuardedOnContext decides whether the semi-oblivious chase of
-// the GIVEN database under the guarded rule set terminates — the
-// fixed-database variant. The node-forest machinery never relied on the
-// root being the critical instance, only on it being ground, so rooting
-// it at the database decides termination for exactly that input (an
-// extension beyond the paper's all-instance theorem).
-func DecideGuardedOnContext(ctx context.Context, rs *logic.RuleSet, db []logic.Atom, opt Options) (*Verdict, error) {
+// DecideGuardedOnContext decides whether the v-chase of the GIVEN
+// database under the guarded rule set terminates — the fixed-database
+// variant, whose method carries a "fixed-db" tag. The node-forest
+// machinery never relied on the root being the critical instance, only
+// on it being ground, so rooting it at the database decides termination
+// for exactly that input (an extension beyond the paper's all-instance
+// theorem).
+func DecideGuardedOnContext(ctx context.Context, rs *logic.RuleSet, db []logic.Atom, v chase.Variant, opt Options) (*Verdict, error) {
 	for _, a := range db {
 		if !a.IsGround() {
 			return nil, fmt.Errorf("core: database atom %s is not ground", a)
@@ -219,14 +221,14 @@ func DecideGuardedOnContext(ctx context.Context, rs *logic.RuleSet, db []logic.A
 	if db == nil {
 		db = []logic.Atom{}
 	}
-	return decideGuardedSeeded(ctx, rs, db, opt)
+	return decideGuardedSeeded(ctx, rs, v, db, opt)
 }
 
 // decideGuardedSeeded runs the node-type fixpoint rooted at the ground
 // database db; a nil db means the critical instance.
-func decideGuardedSeeded(ctx context.Context, rs *logic.RuleSet, db []logic.Atom, opt Options) (*Verdict, error) {
+func decideGuardedSeeded(ctx context.Context, rs *logic.RuleSet, v chase.Variant, db []logic.Atom, opt Options) (*Verdict, error) {
 	opt = opt.withDefaults()
-	if err := rs.Validate(); err != nil {
+	if err := Validate(rs, v); err != nil {
 		return nil, err
 	}
 	for i, r := range rs.Rules {
@@ -239,8 +241,19 @@ func decideGuardedSeeded(ctx context.Context, rs *logic.RuleSet, db []logic.Atom
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	var tags []string
+	if v == chase.Oblivious {
+		rs = critical.AuxTransform(rs)
+		tags = append(tags, "aux")
+	}
 	if db == nil {
 		db = critical.Facts(rs)
+	} else {
+		tags = append(tags, "fixed-db")
+	}
+	method := "guarded-forest"
+	if len(tags) > 0 {
+		method += "(" + strings.Join(tags, ",") + ")"
 	}
 	d := newGuardedDecider(ctx, rs, db, opt)
 
@@ -266,7 +279,7 @@ func decideGuardedSeeded(ctx context.Context, rs *logic.RuleSet, db []logic.Atom
 			break
 		}
 	}
-	return d.verdict(), nil
+	return d.verdict(method), nil
 }
 
 // newGuardedDecider compiles the rules over dense predicate, constant and
@@ -885,8 +898,8 @@ func nextItem(sec []instance.TermID) (tag int32, args, rest []instance.TermID) {
 
 // verdict searches the child-type graph reachable from the root for a
 // cycle and renders one as the non-termination witness.
-func (d *guardedDecider) verdict() *Verdict {
-	v := &Verdict{Answer: Terminating, Variant: VariantSemiOblivious, Method: "guarded-forest"}
+func (d *guardedDecider) verdict(method string) *Verdict {
+	v := &Verdict{Answer: Terminating, Method: method}
 	color := make([]uint8, d.types.Len()) // 0 unvisited, 1 on stack, 2 done
 	var stack, cyc []int32
 	var dfs func(id int32) bool

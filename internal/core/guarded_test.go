@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"chaseterm/internal/critical"
+	"chaseterm/internal/chase"
 	"chaseterm/internal/parse"
 	"chaseterm/internal/workload"
 )
@@ -40,14 +40,15 @@ func TestGuardedNodeTypeCounts(t *testing.T) {
 			t.Fatalf("line %d: %v", line, err)
 		}
 		rs := parse.MustParseRules(cols[2])
+		v := chase.SemiOblivious
 		if cols[0] == "o" {
-			rs = critical.AuxTransform(rs)
+			v = chase.Oblivious
 		}
 		var res *Verdict
 		if cols[3] == "-" {
-			res, err = DecideGuardedContext(context.Background(), rs, Options{})
+			res, err = DecideGuardedContext(context.Background(), rs, v, Options{})
 		} else {
-			res, err = DecideGuardedOnContext(context.Background(), rs, parse.MustParseFacts(cols[3]), Options{})
+			res, err = DecideGuardedOnContext(context.Background(), rs, parse.MustParseFacts(cols[3]), v, Options{})
 		}
 		if err != nil {
 			t.Fatalf("line %d: %v", line, err)
@@ -78,7 +79,7 @@ func TestGuardedDecideAllocs(t *testing.T) {
 	} {
 		rs := workload.GuardedArityFamily(tc.arity)
 		got := testing.AllocsPerRun(10, func() {
-			if _, err := DecideGuardedContext(context.Background(), rs, Options{}); err != nil {
+			if _, err := DecideGuardedContext(context.Background(), rs, chase.SemiOblivious, Options{}); err != nil {
 				t.Fatal(err)
 			}
 		})

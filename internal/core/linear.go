@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strings"
 
+	"chaseterm/internal/chase"
 	"chaseterm/internal/critical"
 	"chaseterm/internal/graph"
 	"chaseterm/internal/logic"
@@ -59,23 +60,21 @@ func (a Answer) String() string {
 	}
 }
 
-// ChaseVariant mirrors chase.Variant for the two variants the paper's
-// deciders cover. (Defined locally so this package does not import the
-// engine; the façade reconciles the two.)
-type ChaseVariant int
+// VariantOblivious is chase.Oblivious for servebench, its only user.
+const VariantOblivious = chase.Oblivious
 
-const (
-	// VariantOblivious decides membership in CT^o.
-	VariantOblivious ChaseVariant = iota
-	// VariantSemiOblivious decides membership in CT^so.
-	VariantSemiOblivious
-)
+// VariantSemiOblivious is chase.SemiOblivious for servebench, its only
+// user.
+const VariantSemiOblivious = chase.SemiOblivious
 
-func (v ChaseVariant) String() string {
-	if v == VariantOblivious {
-		return "oblivious"
+// Validate checks what every decider entry point takes: a valid rule set,
+// and one of the two variants the deciders cover, CT^o and CT^so. The
+// restricted chase is an error; no all-instance decider is known for it.
+func Validate(rs *logic.RuleSet, v chase.Variant) error {
+	if v != chase.Oblivious && v != chase.SemiOblivious {
+		return fmt.Errorf("core: no decider for the %s chase; use oblivious or semi-oblivious", v)
 	}
-	return "semi-oblivious"
+	return rs.Validate()
 }
 
 // Default budgets applied when the corresponding Options field is zero.
@@ -108,8 +107,7 @@ func (o Options) withDefaults() Options {
 
 // Verdict is the result of a decision procedure.
 type Verdict struct {
-	Answer  Answer
-	Variant ChaseVariant
+	Answer Answer
 	// Method names the procedure that produced the answer, e.g.
 	// "critical-weak-acyclicity" or "guarded-forest".
 	Method string
@@ -121,6 +119,16 @@ type Verdict struct {
 	// complexity experiments (Theorem 3 / Theorem 4 scaling).
 	ShapeCount    int
 	NodeTypeCount int
+}
+
+// SearchSpace is the size of the abstraction the verdict's procedure
+// explored: the shape count of a linear verdict, the node-type count of a
+// guarded one, 0 for the positional and oracle paths.
+func (v *Verdict) SearchSpace() int {
+	if v.ShapeCount > 0 {
+		return v.ShapeCount
+	}
+	return v.NodeTypeCount
 }
 
 // ---------------------------------------------------------------------------
@@ -286,7 +294,7 @@ type LinearResult struct {
 // over all databases (Marnette's lemma; package critical). It returns an
 // error if some rule is not linear or a budget is exceeded. The shape
 // worklist polls the context and a cancellation surfaces as ctx.Err().
-func DecideLinearContext(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, opt Options) (*LinearResult, error) {
+func DecideLinearContext(ctx context.Context, rs *logic.RuleSet, v chase.Variant, opt Options) (*LinearResult, error) {
 	return decideLinearSeeded(ctx, rs, v, nil, opt)
 }
 
@@ -297,8 +305,8 @@ func DecideLinearContext(ctx context.Context, rs *logic.RuleSet, v ChaseVariant,
 // linear rules the same shape abstraction applies, seeded with the
 // database's atom shapes instead of the critical instance: the pumping
 // and provenance arguments never used criticality of the seed, only its
-// groundness).
-func DecideLinearOnContext(ctx context.Context, rs *logic.RuleSet, db []logic.Atom, v ChaseVariant, opt Options) (*LinearResult, error) {
+// groundness). The verdict's method carries a "(fixed-db)" suffix.
+func DecideLinearOnContext(ctx context.Context, rs *logic.RuleSet, db []logic.Atom, v chase.Variant, opt Options) (*LinearResult, error) {
 	for _, a := range db {
 		if !a.IsGround() {
 			return nil, fmt.Errorf("core: database atom %s is not ground", a)
@@ -312,9 +320,9 @@ func DecideLinearOnContext(ctx context.Context, rs *logic.RuleSet, db []logic.At
 
 // decideLinearSeeded runs the shape analysis seeded with the ground
 // database seedDB; a nil seedDB means the critical instance.
-func decideLinearSeeded(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, seedDB []logic.Atom, opt Options) (*LinearResult, error) {
+func decideLinearSeeded(ctx context.Context, rs *logic.RuleSet, v chase.Variant, seedDB []logic.Atom, opt Options) (*LinearResult, error) {
 	opt = opt.withDefaults()
-	if err := rs.Validate(); err != nil {
+	if err := Validate(rs, v); err != nil {
 		return nil, err
 	}
 	// Uniform contract: an already-dead context fails even runs whose
@@ -361,11 +369,17 @@ func decideLinearSeeded(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, 
 		return s, true
 	}
 
+	method := "critical-weak-acyclicity"
+	if v == chase.Oblivious {
+		method = "critical-rich-acyclicity"
+	}
 	// Seed: shapes of the database atoms — by default the critical
 	// instance, every predicate filled with every tuple over {✶} ∪ consts(Σ).
 	// Constants are spelled raw, as the rules' are.
 	if seedDB == nil {
 		seedDB = critical.Facts(rs)
+	} else {
+		method += "(fixed-db)"
 	}
 	var worklist []*shape
 	for _, a := range seedDB {
@@ -427,7 +441,7 @@ func decideLinearSeeded(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, 
 			if !s.marks[c].isNull || seenSrc[c] {
 				continue
 			}
-			if v == VariantSemiOblivious && !lr.frontier[x] {
+			if v == chase.SemiOblivious && !lr.frontier[x] {
 				continue
 			}
 			seenSrc[c] = true
@@ -495,13 +509,8 @@ func decideLinearSeeded(ctx context.Context, rs *logic.RuleSet, v ChaseVariant, 
 		}
 	}
 
-	method := "critical-weak-acyclicity"
-	if v == VariantOblivious {
-		method = "critical-rich-acyclicity"
-	}
 	res := &LinearResult{Verdict: &Verdict{
 		Answer:     Terminating,
-		Variant:    v,
 		Method:     method,
 		ShapeCount: len(shapes),
 	}}

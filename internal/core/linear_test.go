@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"chaseterm/internal/chase"
 	"chaseterm/internal/critical"
 	"chaseterm/internal/logic"
 	"chaseterm/internal/parse"
@@ -118,14 +119,14 @@ func TestDecideLinearKnownCases(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			rs := parse.MustParseRules(tc.src)
-			resO, err := DecideLinearContext(context.Background(), rs, VariantOblivious, Options{})
+			resO, err := DecideLinearContext(context.Background(), rs, chase.Oblivious, Options{})
 			if err != nil {
 				t.Fatalf("DecideLinearContext(context.Background(), o): %v", err)
 			}
 			if resO.Verdict.Answer != tc.o {
 				t.Errorf("CT^o: got %v, want %v (witness: %s)", resO.Verdict.Answer, tc.o, resO.Verdict.Witness)
 			}
-			resSO, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
+			resSO, err := DecideLinearContext(context.Background(), rs, chase.SemiOblivious, Options{})
 			if err != nil {
 				t.Fatalf("DecideLinearContext(context.Background(), so): %v", err)
 			}
@@ -151,12 +152,12 @@ func TestDecideLinearContainment(t *testing.T) {
 func TestDecideLinearAuxTransform(t *testing.T) {
 	for _, tc := range linearCases {
 		rs := parse.MustParseRules(tc.src)
-		direct, err := DecideLinearContext(context.Background(), rs, VariantOblivious, Options{})
+		direct, err := DecideLinearContext(context.Background(), rs, chase.Oblivious, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		aux := critical.AuxTransform(rs)
-		viaAux, err := DecideLinearContext(context.Background(), aux, VariantSemiOblivious, Options{})
+		viaAux, err := DecideLinearContext(context.Background(), aux, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("%s: aux: %v", tc.name, err)
 		}
@@ -169,7 +170,7 @@ func TestDecideLinearAuxTransform(t *testing.T) {
 
 func TestDecideLinearRejectsNonLinear(t *testing.T) {
 	rs := parse.MustParseRules(`p(X), q(X) -> r(X).`)
-	if _, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{}); err == nil {
+	if _, err := DecideLinearContext(context.Background(), rs, chase.SemiOblivious, Options{}); err == nil {
 		t.Fatal("expected an error for a non-linear rule")
 	}
 }
@@ -215,7 +216,7 @@ v(X) -> w(X).`,
 			if c := rs.Classify(); c > logic.ClassGuarded {
 				t.Fatalf("test case is not guarded: %v", c)
 			}
-			res, err := DecideGuardedContext(context.Background(), rs, Options{})
+			res, err := DecideGuardedContext(context.Background(), rs, chase.SemiOblivious, Options{})
 			if err != nil {
 				t.Fatalf("DecideGuarded: %v", err)
 			}
@@ -231,11 +232,11 @@ v(X) -> w(X).`,
 func TestGuardedAgreesWithLinear(t *testing.T) {
 	for _, tc := range linearCases {
 		rs := parse.MustParseRules(tc.src)
-		lin, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
+		lin, err := DecideLinearContext(context.Background(), rs, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		gd, err := DecideGuardedContext(context.Background(), rs, Options{})
+		gd, err := DecideGuardedContext(context.Background(), rs, chase.SemiOblivious, Options{})
 		if err != nil {
 			t.Fatalf("%s: guarded: %v", tc.name, err)
 		}

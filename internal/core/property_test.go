@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"chaseterm/internal/chase"
 	"chaseterm/internal/instance"
 	"chaseterm/internal/logic"
 	"chaseterm/internal/parse"
@@ -76,7 +77,7 @@ func TestQuickDecideLinearRenamingInvariance(t *testing.T) {
 	f := func(seedVal int64) bool {
 		rng := rand.New(rand.NewSource(seedVal))
 		rs := workload.RandomLinear(rng, workload.Config{NumPreds: 3, MaxArity: 2, NumRules: 3, RepeatProb: 0.3})
-		base, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
+		base, err := DecideLinearContext(context.Background(), rs, chase.SemiOblivious, Options{})
 		if err != nil {
 			return false
 		}
@@ -98,7 +99,7 @@ func TestQuickDecideLinearRenamingInvariance(t *testing.T) {
 		for i, j := 0, len(renamed.Rules)-1; i < j; i, j = i+1, j-1 {
 			renamed.Rules[i], renamed.Rules[j] = renamed.Rules[j], renamed.Rules[i]
 		}
-		got, err := DecideLinearContext(context.Background(), renamed, VariantSemiOblivious, Options{})
+		got, err := DecideLinearContext(context.Background(), renamed, chase.SemiOblivious, Options{})
 		if err != nil {
 			return false
 		}
@@ -115,11 +116,11 @@ func TestQuickGuardedIdempotent(t *testing.T) {
 	f := func(seedVal int64) bool {
 		rng := rand.New(rand.NewSource(seedVal))
 		rs := workload.RandomGuarded(rng, workload.Config{NumPreds: 2, MaxArity: 2, NumRules: 2})
-		a, err := DecideGuardedContext(context.Background(), rs, Options{})
+		a, err := DecideGuardedContext(context.Background(), rs, chase.SemiOblivious, Options{})
 		if err != nil {
 			return false
 		}
-		b, err := DecideGuardedContext(context.Background(), rs, Options{})
+		b, err := DecideGuardedContext(context.Background(), rs, chase.SemiOblivious, Options{})
 		if err != nil {
 			return false
 		}
@@ -135,7 +136,7 @@ func TestQuickGuardedIdempotent(t *testing.T) {
 // rather than unbounded growth.
 func TestShapeBudgetError(t *testing.T) {
 	rs := parse.MustParseRules(`p(X,Y) -> p(Y,Z).`)
-	_, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{MaxShapes: 1})
+	_, err := DecideLinearContext(context.Background(), rs, chase.SemiOblivious, Options{MaxShapes: 1})
 	if err == nil {
 		t.Error("shape budget not enforced")
 	}
@@ -144,7 +145,7 @@ func TestShapeBudgetError(t *testing.T) {
 // TestNodeTypeBudgetError: same for the guarded decider.
 func TestNodeTypeBudgetError(t *testing.T) {
 	rs := parse.MustParseRules(`g(X,Y) -> g(Y,Z).`)
-	_, err := DecideGuardedContext(context.Background(), rs, Options{MaxNodeTypes: 1})
+	_, err := DecideGuardedContext(context.Background(), rs, chase.SemiOblivious, Options{MaxNodeTypes: 1})
 	if err == nil {
 		t.Error("node-type budget not enforced")
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"chaseterm/internal/chase"
 	"chaseterm/internal/parse"
 )
 
@@ -16,7 +17,7 @@ import (
 func TestGuardedRecordReturnRegression(t *testing.T) {
 	rs := parse.MustParseRules(`p0(X0,X1) -> p1(Z0), p1(X1).
 p1(X0) -> p1(X0), p0(Z0,X0).`)
-	res, err := DecideGuardedContext(context.Background(), rs, Options{})
+	res, err := DecideGuardedContext(context.Background(), rs, chase.SemiOblivious, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

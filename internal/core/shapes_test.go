@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"chaseterm/internal/chase"
 	"chaseterm/internal/parse"
 )
 
@@ -12,7 +13,7 @@ import (
 // p(✶,✶), then p(✶,n1) (invented second argument), then p(n1,n2).
 func TestShapesEnumeration(t *testing.T) {
 	rs := parse.MustParseRules(`p(X,Y) -> p(Y,Z).`)
-	res, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
+	res, err := DecideLinearContext(context.Background(), rs, chase.SemiOblivious, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestShapesEnumeration(t *testing.T) {
 // with equal classes, so p(X,X) -> p(X,Z) reaches exactly two shapes.
 func TestShapesWithEqualities(t *testing.T) {
 	rs := parse.MustParseRules(`p(X,X) -> p(X,Z).`)
-	res, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
+	res, err := DecideLinearContext(context.Background(), rs, chase.SemiOblivious, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestShapesWithEqualities(t *testing.T) {
 // the seed shapes.
 func TestShapesWithConstants(t *testing.T) {
 	rs := parse.MustParseRules(`p(X,0) -> q(X).`)
-	res, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
+	res, err := DecideLinearContext(context.Background(), rs, chase.SemiOblivious, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestShapesWithConstants(t *testing.T) {
 // cycle in shape notation.
 func TestWitnessMentionsShapes(t *testing.T) {
 	rs := parse.MustParseRules(`p(X,Y) -> p(Y,Z).`)
-	res, err := DecideLinearContext(context.Background(), rs, VariantSemiOblivious, Options{})
+	res, err := DecideLinearContext(context.Background(), rs, chase.SemiOblivious, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestWitnessMentionsShapes(t *testing.T) {
 // TestGuardedWitnessMentionsTypes: guarded witnesses render node types.
 func TestGuardedWitnessMentionsTypes(t *testing.T) {
 	rs := parse.MustParseRules(`g(X,Y), gate(X) -> g(Y,Z), gate(Y).`)
-	res, err := DecideGuardedContext(context.Background(), rs, Options{})
+	res, err := DecideGuardedContext(context.Background(), rs, chase.SemiOblivious, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,18 +102,18 @@ func TestAnswerAndVariantStrings(t *testing.T) {
 	if Terminating.String() != "terminating" || NonTerminating.String() != "non-terminating" || Unknown.String() != "unknown" {
 		t.Error("Answer strings wrong")
 	}
-	if VariantOblivious.String() != "oblivious" || VariantSemiOblivious.String() != "semi-oblivious" {
-		t.Error("ChaseVariant strings wrong")
+	if chase.Oblivious.String() != "oblivious" || chase.SemiOblivious.String() != "semi-oblivious" {
+		t.Error("variant strings wrong")
 	}
 }
 
 // TestDecideSimpleLinearErrors: non-SL and constant-bearing inputs are
 // rejected by the fast path.
 func TestDecideSimpleLinearErrors(t *testing.T) {
-	if _, err := DecideSimpleLinear(parse.MustParseRules(`p(X,X) -> q(X).`), VariantSemiOblivious); err == nil {
+	if _, err := DecideSimpleLinear(parse.MustParseRules(`p(X,X) -> q(X).`), chase.SemiOblivious); err == nil {
 		t.Error("non-simple rule accepted")
 	}
-	if _, err := DecideSimpleLinear(parse.MustParseRules(`p(X,0) -> q(X).`), VariantSemiOblivious); err == nil {
+	if _, err := DecideSimpleLinear(parse.MustParseRules(`p(X,0) -> q(X).`), chase.SemiOblivious); err == nil {
 		t.Error("constants accepted")
 	}
 }

@@ -110,7 +110,7 @@ func TestLoopReduction(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := core.DecideLinearContext(context.Background(), looped, core.VariantSemiOblivious, core.Options{})
+			res, err := core.DecideLinearContext(context.Background(), looped, chase.SemiOblivious, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func TestLoopObliviousVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.DecideLinearContext(context.Background(), looped, core.VariantOblivious, core.Options{})
+	res, err := core.DecideLinearContext(context.Background(), looped, chase.Oblivious, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestLoopGuardedDecider(t *testing.T) {
 	if got := looped.Classify(); got != logic.ClassGuarded {
 		t.Fatalf("class: %v", got)
 	}
-	res, err := core.DecideGuardedContext(context.Background(), looped, core.Options{})
+	res, err := core.DecideGuardedContext(context.Background(), looped, chase.SemiOblivious, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestLoopGuardedDecider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := core.DecideGuardedContext(context.Background(), looped2, core.Options{})
+	res2, err := core.DecideGuardedContext(context.Background(), looped2, chase.SemiOblivious, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chaseterm/internal/acyclicity"
+	"chaseterm/internal/chase"
 	"chaseterm/internal/core"
 	"chaseterm/internal/logic"
 	"chaseterm/internal/workload"
@@ -14,19 +15,7 @@ import (
 // crossvalOpts keeps the saturation rungs cheap: the random workloads
 // are tiny, so every terminating critical chase saturates far below
 // this budget.
-var crossvalOpts = Options{OracleMaxTriggers: 8_000, OracleMaxFacts: 8_000}
-
-// fromAnswer maps an exact decider's answer into the portfolio model.
-func fromAnswer(a core.Answer) Verdict {
-	switch a {
-	case core.Terminating:
-		return Terminating
-	case core.NonTerminating:
-		return NonTerminating
-	default:
-		return Undecided
-	}
-}
+var crossvalOpts = core.DecideOptions{OracleMaxTriggers: 8_000, OracleMaxFacts: 8_000}
 
 // assertAgrees runs the portfolio and checks its verdict against the
 // direct exact decider's. The portfolio may decide by a cheaper sound
@@ -34,18 +23,18 @@ func fromAnswer(a core.Answer) Verdict {
 // an unsound rung or a broken scheduler. It also enforces the ladder
 // economy: a weakly-acyclic set (under so) must be decided by the
 // weak-acyclicity rung without ever invoking an exact decider.
-func assertAgrees(t *testing.T, i int, rs *logic.RuleSet, v core.ChaseVariant, direct core.Answer) {
+func assertAgrees(t *testing.T, i int, rs *logic.RuleSet, v chase.Variant, direct core.Answer) {
 	t.Helper()
 	res, err := Run(context.Background(), rs, v, crossvalOpts)
 	if err != nil {
 		t.Fatalf("case %d: portfolio: %v\n%s", i, err, rs)
 	}
-	if want := fromAnswer(direct); res.Verdict != want {
+	if res.Verdict != direct {
 		t.Errorf("case %d (%v): portfolio=%v (by %s) direct=%v:\n%s",
-			i, v, res.Verdict, res.DecidedBy, want, rs)
+			i, v, res.Verdict, res.DecidedBy, direct, rs)
 	}
 	wa, _ := acyclicity.IsWeaklyAcyclic(rs)
-	if v == core.VariantSemiOblivious && wa {
+	if v == chase.SemiOblivious && wa {
 		if res.DecidedBy != "weak-acyclicity" {
 			t.Errorf("case %d: WA set decided by %q, want weak-acyclicity:\n%s", i, res.DecidedBy, rs)
 		}
@@ -70,16 +59,16 @@ func TestCrossvalLinear(t *testing.T) {
 		rs := workload.RandomLinear(rng, workload.Config{
 			NumPreds: 3, MaxArity: 3, NumRules: 3, RepeatProb: 0.5, ConstProb: 0.2,
 		})
-		so, err := core.DecideLinearContext(context.Background(), rs, core.VariantSemiOblivious, core.Options{})
+		so, err := core.DecideLinearContext(context.Background(), rs, chase.SemiOblivious, core.Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		assertAgrees(t, i, rs, core.VariantSemiOblivious, so.Verdict.Answer)
-		o, err := core.DecideLinearContext(context.Background(), rs, core.VariantOblivious, core.Options{})
+		assertAgrees(t, i, rs, chase.SemiOblivious, so.Verdict.Answer)
+		o, err := core.DecideLinearContext(context.Background(), rs, chase.Oblivious, core.Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		assertAgrees(t, i, rs, core.VariantOblivious, o.Verdict.Answer)
+		assertAgrees(t, i, rs, chase.Oblivious, o.Verdict.Answer)
 	}
 }
 
@@ -94,10 +83,10 @@ func TestCrossvalGuarded(t *testing.T) {
 		rs := workload.RandomGuarded(rng, workload.Config{
 			NumPreds: 3, MaxArity: 2, NumRules: 3, MaxSideAtoms: 2,
 		})
-		so, err := core.DecideGuardedContext(context.Background(), rs, core.Options{})
+		so, err := core.DecideGuardedContext(context.Background(), rs, chase.SemiOblivious, core.Options{})
 		if err != nil {
 			t.Fatalf("case %d: %v\n%s", i, err, rs)
 		}
-		assertAgrees(t, i, rs, core.VariantSemiOblivious, so.Answer)
+		assertAgrees(t, i, rs, chase.SemiOblivious, so.Answer)
 	}
 }

@@ -29,21 +29,6 @@ import (
 	"chaseterm/internal/logic"
 )
 
-// Verdict is a rung's three-valued answer. Undecided means the rung ran
-// but could not decide — for a sound-only rung, the normal outcome on
-// instances outside its sufficient condition.
-type Verdict int
-
-const (
-	Undecided Verdict = iota
-	Terminating
-	NonTerminating
-)
-
-func (v Verdict) String() string {
-	return [...]string{"undecided", "terminating", "non-terminating"}[v]
-}
-
 // Evidence explains a rung's verdict: the concrete procedure that
 // produced it, a human-readable witness (dangerous cycle, pumpable
 // shape, diagnostic), and the explored abstraction size when the rung
@@ -54,43 +39,30 @@ type Evidence struct {
 	SearchSpace int
 }
 
-// Options bound the portfolio's rungs; the zero value means the library
-// defaults.
-type Options struct {
-	// Core bounds the exact deciders (shape / node-type budgets).
-	Core core.Options
-	// OracleMaxTriggers / OracleMaxFacts bound the critical-instance
-	// chases of the saturation tier (defaults 200k, matching
-	// core.DecideOptions).
-	OracleMaxTriggers int
-	OracleMaxFacts    int
-}
+// Verdict is core.Answer for servebench, its only user.
+type Verdict = core.Answer
 
-func (o Options) withDefaults() Options {
-	if o.OracleMaxTriggers <= 0 {
-		o.OracleMaxTriggers = 200_000
-	}
-	if o.OracleMaxFacts <= 0 {
-		o.OracleMaxFacts = 200_000
-	}
-	return o
-}
+// Undecided is core.Unknown for servebench, its only user.
+const Undecided = core.Unknown
+
+// Options is core.DecideOptions for servebench, its only user.
+type Options = core.DecideOptions
 
 // Decider is one termination-deciding component: a named procedure
 // applicable to some rule sets and chase variants. Every Decider must be
-// sound: a decisive verdict (Terminating or NonTerminating) is always
-// correct for the requested variant, which is what lets the scheduler
-// adopt the first one. Undecided is the answer for everything else.
-// Implementations must honor the context: it carries the caller's
-// deadline.
+// sound: a decisive answer (core.Terminating or core.NonTerminating) is
+// always correct for the requested variant, which is what lets the
+// scheduler adopt the first one. core.Unknown, read "undecided", is the
+// answer for everything else. Implementations must honor the context: it
+// carries the caller's deadline.
 type Decider interface {
 	// Name is the stable rung label used in reports and metrics.
 	Name() string
 	// Applicable reports whether the decider can run on this rule set
 	// and variant.
-	Applicable(rs *logic.RuleSet, v core.ChaseVariant) bool
+	Applicable(rs *logic.RuleSet, v chase.Variant) bool
 	// DecideContext runs the procedure.
-	DecideContext(ctx context.Context, rs *logic.RuleSet, v core.ChaseVariant, opt Options) (Verdict, Evidence, error)
+	DecideContext(ctx context.Context, rs *logic.RuleSet, v chase.Variant, opt core.DecideOptions) (core.Answer, Evidence, error)
 }
 
 // slExact reports whether the positional criteria are exact on this rule
@@ -103,25 +75,25 @@ func slExact(rs *logic.RuleSet) bool {
 // positionalRung is the shared shape of the weak/rich acyclicity rungs.
 type positionalRung struct {
 	name    string
-	variant core.ChaseVariant
+	variant chase.Variant
 	check   func(*logic.RuleSet) (bool, *acyclicity.Witness)
 }
 
 func (r positionalRung) Name() string { return r.name }
 
-func (r positionalRung) Applicable(_ *logic.RuleSet, v core.ChaseVariant) bool {
+func (r positionalRung) Applicable(_ *logic.RuleSet, v chase.Variant) bool {
 	return v == r.variant
 }
 
-func (r positionalRung) DecideContext(_ context.Context, rs *logic.RuleSet, _ core.ChaseVariant, _ Options) (Verdict, Evidence, error) {
+func (r positionalRung) DecideContext(_ context.Context, rs *logic.RuleSet, _ chase.Variant, _ core.DecideOptions) (core.Answer, Evidence, error) {
 	ok, w := r.check(rs)
 	if ok {
-		return Terminating, Evidence{Method: r.name}, nil
+		return core.Terminating, Evidence{Method: r.name}, nil
 	}
 	if slExact(rs) {
-		return NonTerminating, Evidence{Method: r.name + "(SL)", Witness: w.String()}, nil
+		return core.NonTerminating, Evidence{Method: r.name + "(SL)", Witness: w.String()}, nil
 	}
-	return Undecided, Evidence{Method: r.name, Witness: w.String()}, nil
+	return core.Unknown, Evidence{Method: r.name, Witness: w.String()}, nil
 }
 
 // jointRung checks joint acyclicity (JA ⇒ CT^so, WA ⊆ JA). Its negative
@@ -131,16 +103,16 @@ type jointRung struct{}
 
 func (jointRung) Name() string { return "joint-acyclicity" }
 
-func (jointRung) Applicable(_ *logic.RuleSet, v core.ChaseVariant) bool {
-	return v == core.VariantSemiOblivious
+func (jointRung) Applicable(_ *logic.RuleSet, v chase.Variant) bool {
+	return v == chase.SemiOblivious
 }
 
-func (jointRung) DecideContext(_ context.Context, rs *logic.RuleSet, _ core.ChaseVariant, _ Options) (Verdict, Evidence, error) {
+func (jointRung) DecideContext(_ context.Context, rs *logic.RuleSet, _ chase.Variant, _ core.DecideOptions) (core.Answer, Evidence, error) {
 	ok, w := acyclicity.IsJointlyAcyclic(rs)
 	if ok {
-		return Terminating, Evidence{Method: "joint-acyclicity"}, nil
+		return core.Terminating, Evidence{Method: "joint-acyclicity"}, nil
 	}
-	return Undecided, Evidence{Method: "joint-acyclicity", Witness: w.String()}, nil
+	return core.Unknown, Evidence{Method: "joint-acyclicity", Witness: w.String()}, nil
 }
 
 // mfaRung runs the critical Skolem chase with the cyclic-Skolem-term
@@ -153,11 +125,11 @@ type mfaRung struct{}
 
 func (mfaRung) Name() string { return "mfa" }
 
-func (mfaRung) Applicable(_ *logic.RuleSet, _ core.ChaseVariant) bool { return true }
+func (mfaRung) Applicable(_ *logic.RuleSet, _ chase.Variant) bool { return true }
 
-func (mfaRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v core.ChaseVariant, opt Options) (Verdict, Evidence, error) {
+func (mfaRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v chase.Variant, opt core.DecideOptions) (core.Answer, Evidence, error) {
 	target, method := rs, "mfa"
-	if v == core.VariantOblivious {
+	if v == chase.Oblivious {
 		target, method = critical.AuxTransform(rs), "mfa(aux)"
 	}
 	res, run, err := critical.MFAContext(ctx, target, chase.Options{
@@ -165,17 +137,17 @@ func (mfaRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v core.Chas
 		MaxFacts:    opt.OracleMaxFacts,
 	})
 	if err != nil {
-		return Undecided, Evidence{}, err
+		return core.Unknown, Evidence{}, err
 	}
 	switch res {
 	case critical.MFATerminating:
-		return Terminating, Evidence{Method: method, SearchSpace: run.Instance.Size()}, nil
+		return core.Terminating, Evidence{Method: method, SearchSpace: run.Instance.Size()}, nil
 	case critical.MFACyclic:
-		return Undecided, Evidence{Method: method,
+		return core.Unknown, Evidence{Method: method,
 			Witness: fmt.Sprintf("cyclic Skolem term at depth %d after %d triggers",
 				run.Stats.MaxTermDepth, run.Stats.TriggersApplied)}, nil
 	default:
-		return Undecided, Evidence{Method: method,
+		return core.Unknown, Evidence{Method: method,
 			Witness: fmt.Sprintf("critical chase exceeded budget (%d facts, %d triggers applied)",
 				run.Instance.Size(), run.Stats.TriggersApplied)}, nil
 	}
@@ -192,13 +164,13 @@ type saturationRung struct{}
 
 func (saturationRung) Name() string { return "critical-saturation" }
 
-func (saturationRung) Applicable(rs *logic.RuleSet, _ core.ChaseVariant) bool {
+func (saturationRung) Applicable(rs *logic.RuleSet, _ chase.Variant) bool {
 	return rs.Classify() == logic.ClassGeneral
 }
 
-func (saturationRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v core.ChaseVariant, opt Options) (Verdict, Evidence, error) {
+func (saturationRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v chase.Variant, opt core.DecideOptions) (core.Answer, Evidence, error) {
 	target := rs
-	if v == core.VariantOblivious {
+	if v == chase.Oblivious {
 		target = critical.AuxTransform(rs)
 	}
 	res, err := critical.OracleContext(ctx, target, chase.SemiOblivious, chase.Options{
@@ -206,12 +178,12 @@ func (saturationRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v co
 		MaxFacts:    opt.OracleMaxFacts,
 	})
 	if err != nil {
-		return Undecided, Evidence{}, err
+		return core.Unknown, Evidence{}, err
 	}
 	if res.Outcome == chase.Terminated {
-		return Terminating, Evidence{Method: "critical-saturation", SearchSpace: res.Instance.Size()}, nil
+		return core.Terminating, Evidence{Method: "critical-saturation", SearchSpace: res.Instance.Size()}, nil
 	}
-	return Undecided, Evidence{Method: "bounded-oracle",
+	return core.Unknown, Evidence{Method: "bounded-oracle",
 		Witness: fmt.Sprintf("critical chase exceeded budget (%d facts, %d triggers applied, max term depth %d)",
 			res.Instance.Size(), res.Stats.TriggersApplied, res.Stats.MaxTermDepth)}, nil
 }
@@ -222,58 +194,41 @@ type linearRung struct{}
 
 func (linearRung) Name() string { return "linear-exact" }
 
-func (linearRung) Applicable(rs *logic.RuleSet, _ core.ChaseVariant) bool {
+func (linearRung) Applicable(rs *logic.RuleSet, _ chase.Variant) bool {
 	c := rs.Classify()
 	return c == logic.ClassSimpleLinear || c == logic.ClassLinear
 }
 
-func (linearRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v core.ChaseVariant, opt Options) (Verdict, Evidence, error) {
-	res, err := core.DecideLinearContext(ctx, rs, v, opt.Core)
+func (linearRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v chase.Variant, opt core.DecideOptions) (core.Answer, Evidence, error) {
+	res, err := core.DecideLinearContext(ctx, rs, v, opt.Options)
 	if err != nil {
-		return Undecided, Evidence{}, err
+		return core.Unknown, Evidence{}, err
 	}
 	return fromCoreVerdict(res.Verdict)
 }
 
 // guardedRung is the exact guarded decider (Theorem 4: the node-type
-// fixpoint over the guarded chase forest). The oblivious variant is
-// decided on aux(Σ).
+// fixpoint over the guarded chase forest; CT^o on aux(Σ)).
 type guardedRung struct{}
 
 func (guardedRung) Name() string { return "guarded-exact" }
 
-func (guardedRung) Applicable(rs *logic.RuleSet, _ core.ChaseVariant) bool {
+func (guardedRung) Applicable(rs *logic.RuleSet, _ chase.Variant) bool {
 	return rs.Classify() != logic.ClassGeneral
 }
 
-func (guardedRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v core.ChaseVariant, opt Options) (Verdict, Evidence, error) {
-	target, method := rs, "guarded-forest"
-	if v == core.VariantOblivious {
-		target, method = critical.AuxTransform(rs), "guarded-forest(aux)"
-	}
-	res, err := core.DecideGuardedContext(ctx, target, opt.Core)
+func (guardedRung) DecideContext(ctx context.Context, rs *logic.RuleSet, v chase.Variant, opt core.DecideOptions) (core.Answer, Evidence, error) {
+	res, err := core.DecideGuardedContext(ctx, rs, v, opt.Options)
 	if err != nil {
-		return Undecided, Evidence{}, err
+		return core.Unknown, Evidence{}, err
 	}
-	res.Method = method
 	return fromCoreVerdict(res)
 }
 
 // fromCoreVerdict maps an exact decider's verdict into the portfolio
 // model.
-func fromCoreVerdict(v *core.Verdict) (Verdict, Evidence, error) {
-	ev := Evidence{Method: v.Method, Witness: v.Witness, SearchSpace: v.ShapeCount}
-	if ev.SearchSpace == 0 {
-		ev.SearchSpace = v.NodeTypeCount
-	}
-	switch v.Answer {
-	case core.Terminating:
-		return Terminating, ev, nil
-	case core.NonTerminating:
-		return NonTerminating, ev, nil
-	default:
-		return Undecided, ev, nil
-	}
+func fromCoreVerdict(v *core.Verdict) (core.Answer, Evidence, error) {
+	return v.Answer, Evidence{Method: v.Method, Witness: v.Witness, SearchSpace: v.SearchSpace()}, nil
 }
 
 // Registry is an ordered collection of deciders; the scheduler runs the
@@ -296,8 +251,8 @@ func (r *Registry) Deciders() []Decider { return r.deciders }
 // positional criteria, saturation rungs, exact deciders.
 func DefaultRegistry() *Registry {
 	return NewRegistry(
-		positionalRung{name: "rich-acyclicity", variant: core.VariantOblivious, check: acyclicity.IsRichlyAcyclic},
-		positionalRung{name: "weak-acyclicity", variant: core.VariantSemiOblivious, check: acyclicity.IsWeaklyAcyclic},
+		positionalRung{name: "rich-acyclicity", variant: chase.Oblivious, check: acyclicity.IsRichlyAcyclic},
+		positionalRung{name: "weak-acyclicity", variant: chase.SemiOblivious, check: acyclicity.IsWeaklyAcyclic},
 		jointRung{},
 		mfaRung{},
 		saturationRung{},

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"chaseterm/internal/chase"
 	"chaseterm/internal/core"
 	"chaseterm/internal/parse"
 )
@@ -25,15 +26,65 @@ func TestRungNamesLadderOrder(t *testing.T) {
 	}
 }
 
+// TestRestrictedIsAnError: every entry point below the facade that takes
+// a variant decides CT^o or CT^so only. The restricted chase is an error,
+// not a semi-oblivious answer; the facade answers it through the CT^so
+// transfer.
+func TestRestrictedIsAnError(t *testing.T) {
+	ctx := context.Background()
+	lin := parse.MustParseRules(`p(X,Y) -> p(Y,Z).`)
+	gd := parse.MustParseRules(`g(X,Y), gate(X) -> g(Y,Z).`)
+	db := parse.MustParseFacts(`p(a,b). g(a,b). gate(a).`)
+	for name, run := range map[string]func(chase.Variant) error{
+		"core.DecideContext": func(v chase.Variant) error {
+			_, err := core.DecideContext(ctx, lin, v, core.DecideOptions{})
+			return err
+		},
+		"core.DecideSimpleLinear": func(v chase.Variant) error {
+			_, err := core.DecideSimpleLinear(lin, v)
+			return err
+		},
+		"core.DecideLinearContext": func(v chase.Variant) error {
+			_, err := core.DecideLinearContext(ctx, lin, v, core.Options{})
+			return err
+		},
+		"core.DecideLinearOnContext": func(v chase.Variant) error {
+			_, err := core.DecideLinearOnContext(ctx, lin, db, v, core.Options{})
+			return err
+		},
+		"core.DecideGuardedContext": func(v chase.Variant) error {
+			_, err := core.DecideGuardedContext(ctx, gd, v, core.Options{})
+			return err
+		},
+		"core.DecideGuardedOnContext": func(v chase.Variant) error {
+			_, err := core.DecideGuardedOnContext(ctx, gd, db, v, core.Options{})
+			return err
+		},
+		"portfolio.Run": func(v chase.Variant) error {
+			_, err := Run(ctx, lin, v, core.DecideOptions{})
+			return err
+		},
+	} {
+		for _, v := range []chase.Variant{chase.Oblivious, chase.SemiOblivious} {
+			if err := run(v); err != nil {
+				t.Errorf("%s (%s): %v", name, v, err)
+			}
+		}
+		if err := run(chase.Restricted); err == nil {
+			t.Errorf("%s answered the restricted chase, want an error", name)
+		}
+	}
+}
+
 // TestLadderShortCircuit: a weakly-acyclic set must be decided by the
 // first applicable positional rung and never reach anything deeper.
 func TestLadderShortCircuit(t *testing.T) {
 	rs := parse.MustParseRules(`professor(X) -> teaches(X,C). teaches(X,C) -> course(C).`)
-	res, err := Run(context.Background(), rs, core.VariantSemiOblivious, Options{})
+	res, err := Run(context.Background(), rs, chase.SemiOblivious, core.DecideOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict != Terminating || res.DecidedBy != "weak-acyclicity" {
+	if res.Verdict != core.Terminating || res.DecidedBy != "weak-acyclicity" {
 		t.Errorf("got %v decided by %q", res.Verdict, res.DecidedBy)
 	}
 	if len(res.Rungs) != 1 || res.Rungs[0].Rung != "weak-acyclicity" {
@@ -45,11 +96,11 @@ func TestLadderShortCircuit(t *testing.T) {
 // rich-acyclicity rung is the applicable positional criterion.
 func TestObliviousLadderStartsAtRich(t *testing.T) {
 	rs := parse.MustParseRules(`p(X) -> q(X,Y).`)
-	res, err := Run(context.Background(), rs, core.VariantOblivious, Options{})
+	res, err := Run(context.Background(), rs, chase.Oblivious, core.DecideOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict != Terminating || res.DecidedBy != "rich-acyclicity" {
+	if res.Verdict != core.Terminating || res.DecidedBy != "rich-acyclicity" {
 		t.Errorf("got %v decided by %q", res.Verdict, res.DecidedBy)
 	}
 }
@@ -59,11 +110,11 @@ func TestObliviousLadderStartsAtRich(t *testing.T) {
 // is already a sound NonTerminating — the exact tier must not run.
 func TestSLNonTerminatingOnPositionalRung(t *testing.T) {
 	rs := parse.MustParseRules(`p(X,Y) -> p(Y,Z).`)
-	res, err := Run(context.Background(), rs, core.VariantSemiOblivious, Options{})
+	res, err := Run(context.Background(), rs, chase.SemiOblivious, core.DecideOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict != NonTerminating || res.DecidedBy != "weak-acyclicity" {
+	if res.Verdict != core.NonTerminating || res.DecidedBy != "weak-acyclicity" {
 		t.Errorf("got %v decided by %q", res.Verdict, res.DecidedBy)
 	}
 	if res.Evidence.Method != "weak-acyclicity(SL)" || res.Evidence.Witness == "" {
@@ -79,11 +130,11 @@ func TestSLNonTerminatingOnPositionalRung(t *testing.T) {
 // decision must come from an exact rung, and must be NonTerminating.
 func TestLadderFallsThroughToExact(t *testing.T) {
 	rs := parse.MustParseRules(`p(X,X) -> q(X,Y). q(X,Y) -> p(Y,Y).`)
-	res, err := Run(context.Background(), rs, core.VariantSemiOblivious, Options{})
+	res, err := Run(context.Background(), rs, chase.SemiOblivious, core.DecideOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict != NonTerminating || res.DecidedBy != "linear-exact" {
+	if res.Verdict != core.NonTerminating || res.DecidedBy != "linear-exact" {
 		t.Errorf("got %v decided by %q", res.Verdict, res.DecidedBy)
 	}
 	var names []string
@@ -107,7 +158,7 @@ func TestCancellationPropagates(t *testing.T) {
 	rs := parse.MustParseRules(`p(X,X) -> q(X,Y).`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, rs, core.VariantSemiOblivious, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, rs, chase.SemiOblivious, core.DecideOptions{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

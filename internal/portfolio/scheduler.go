@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"chaseterm/internal/chase"
 	"chaseterm/internal/core"
 	"chaseterm/internal/logic"
 )
@@ -11,14 +12,14 @@ import (
 // RungReport records one rung's run inside a portfolio decision.
 type RungReport struct {
 	Rung    string
-	Verdict Verdict
+	Verdict core.Answer
 	Elapsed time.Duration
 }
 
 // Result is the portfolio's decision together with its provenance: which
 // rung decided and a per-rung trace.
 type Result struct {
-	Verdict  Verdict
+	Verdict  core.Answer
 	Evidence Evidence
 	// DecidedBy names the rung whose verdict was adopted; empty when the
 	// whole portfolio ran without reaching a decision.
@@ -28,16 +29,17 @@ type Result struct {
 }
 
 // Run schedules the default registry over the rule set.
-func Run(ctx context.Context, rs *logic.RuleSet, v core.ChaseVariant, opt Options) (*Result, error) {
+func Run(ctx context.Context, rs *logic.RuleSet, v chase.Variant, opt core.DecideOptions) (*Result, error) {
 	return RunWith(ctx, DefaultRegistry(), rs, v, opt)
 }
 
 // RunWith schedules a registry over the rule set: the applicable
 // deciders run sequentially in registration order, the ladder climbing
-// until the first decisive verdict.
-func RunWith(ctx context.Context, reg *Registry, rs *logic.RuleSet, v core.ChaseVariant, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	if err := rs.Validate(); err != nil {
+// until the first decisive verdict. The restricted chase is an error
+// (core.Validate).
+func RunWith(ctx context.Context, reg *Registry, rs *logic.RuleSet, v chase.Variant, opt core.DecideOptions) (*Result, error) {
+	opt = opt.WithDefaults()
+	if err := core.Validate(rs, v); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -58,7 +60,7 @@ func RunWith(ctx context.Context, reg *Registry, rs *logic.RuleSet, v core.Chase
 			return nil, err
 		}
 		res.Rungs = append(res.Rungs, RungReport{Rung: d.Name(), Verdict: verdict, Elapsed: time.Since(t0)})
-		if verdict != Undecided {
+		if verdict != core.Unknown {
 			res.Verdict, res.Evidence, res.DecidedBy = verdict, ev, d.Name()
 			return res, nil
 		}

@@ -64,14 +64,14 @@ func ladderCorpora() []ladderCorpus {
 	for w := 1; w <= 4; w++ {
 		add(fmt.Sprintf("guarded-family/%d", w), workload.GuardedArityFamily(w))
 	}
-	for name, src := range map[string]string{
-		"facade/example1":             `person(X) -> hasFather(X,Y), person(Y).`,
-		"facade/dropped-frontier":     `p(X,Y) -> p(X,Z).`,
-		"facade/gate":                 `gate(X,Y), live(X) -> out(Y,Z), live(Z).`,
-		"dispatch/general-wa":         `e(X,Y), f(Y,Z) -> m(X,W).`,
-		"dispatch/general-saturating": `e(X,Y), f(Y,Z) -> f(Z,W).`,
+	for _, in := range [][2]string{
+		{"facade/example1", `person(X) -> hasFather(X,Y), person(Y).`},
+		{"facade/dropped-frontier", `p(X,Y) -> p(X,Z).`},
+		{"facade/gate", `gate(X,Y), live(X) -> out(Y,Z), live(Z).`},
+		{"dispatch/general-wa", `e(X,Y), f(Y,Z) -> m(X,W).`},
+		{"dispatch/general-saturating", `e(X,Y), f(Y,Z) -> f(Z,W).`},
 	} {
-		add(name, MustParseRules(src).rs)
+		add(in[0], MustParseRules(in[1]).rs)
 	}
 	add("dispatch/sl", workload.Example2())
 	add("dispatch/ontology", workload.OntologySL())
@@ -90,19 +90,15 @@ func ladderCorpora() []ladderCorpus {
 // transfer: Yes when the semi-oblivious chase terminates, Unknown
 // otherwise.
 func referenceVerdict(rs *logic.RuleSet, v Variant, opt DecideOptions) (Ternary, error) {
-	cv := core.VariantSemiOblivious
-	if v == Oblivious {
-		cv = core.VariantOblivious
+	cv := v
+	if v == Restricted {
+		cv = SemiOblivious
 	}
-	ref, err := core.DecideContext(context.Background(), rs, cv, core.DecideOptions{
-		Options:           core.Options{MaxShapes: opt.MaxShapes, MaxNodeTypes: opt.MaxNodeTypes},
-		OracleMaxTriggers: opt.OracleMaxTriggers,
-		OracleMaxFacts:    opt.OracleMaxFacts,
-	})
+	ref, err := core.DecideContext(context.Background(), rs, cv, opt.core())
 	if err != nil {
 		return Unknown, err
 	}
-	answer := fromCoreVerdict(ref, General).Terminates
+	answer := ref.Answer
 	if v == Restricted && answer != Yes {
 		answer = Unknown
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"chaseterm/internal/core"
 	"chaseterm/internal/portfolio"
 )
 
@@ -54,22 +53,12 @@ func decidePortfolio(ctx context.Context, rules *RuleSet, v Variant, opt DecideO
 			Rungs:     so.Rungs,
 		}, nil
 	}
-	cv := core.VariantSemiOblivious
-	if v == Oblivious {
-		cv = core.VariantOblivious
-	}
-	res, err := portfolio.Run(ctx, rules.rs, cv, portfolio.Options{
-		Core: core.Options{
-			MaxShapes:    opt.MaxShapes,
-			MaxNodeTypes: opt.MaxNodeTypes,
-		},
-		OracleMaxTriggers: opt.OracleMaxTriggers,
-		OracleMaxFacts:    opt.OracleMaxFacts,
-	})
+	res, err := portfolio.Run(ctx, rules.rs, v, opt.core())
 	if err != nil {
 		return nil, err
 	}
 	verdict := &Verdict{
+		Terminates:  res.Verdict,
 		Class:       class,
 		Method:      res.Evidence.Method,
 		Witness:     res.Evidence.Witness,
@@ -77,16 +66,11 @@ func decidePortfolio(ctx context.Context, rules *RuleSet, v Variant, opt DecideO
 		DecidedBy:   res.DecidedBy,
 		Rungs:       make([]RungTiming, len(res.Rungs)),
 	}
-	switch res.Verdict {
-	case portfolio.Terminating:
-		verdict.Terminates = Yes
-	case portfolio.NonTerminating:
-		verdict.Terminates = No
-	default:
-		verdict.Terminates = Unknown
-	}
 	for i, r := range res.Rungs {
 		verdict.Rungs[i] = RungTiming{Rung: r.Rung, Verdict: r.Verdict.String(), Elapsed: r.Elapsed}
+		if r.Verdict == Unknown {
+			verdict.Rungs[i].Verdict = "undecided"
+		}
 	}
 	return verdict, nil
 }
